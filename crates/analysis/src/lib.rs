@@ -10,6 +10,8 @@
 //! (Figs 4/6/8), synthetic OS-noise charts (Figs 1/9/10), and the noise
 //! disambiguation analyses of §V.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod breakdown;
 pub mod chart;
 pub mod collective;

@@ -214,18 +214,6 @@ impl ColumnPairing {
         }
     }
 
-    /// Feed typed events (the fallback for sources without columns).
-    pub fn feed_events(&mut self, events: impl Iterator<Item = Event>) {
-        for event in events {
-            let Event { t, cpu, tid, kind } = event;
-            match kind {
-                EventKind::KernelEnter(activity) => self.on_enter(t, cpu, tid, activity),
-                EventKind::KernelExit(activity) => self.on_exit(t, activity),
-                _ => {}
-            }
-        }
-    }
-
     /// Account unclosed frames, compact dropped placeholders, restore
     /// the reference order within equal-`start` runs, and return the
     /// shard.
@@ -294,43 +282,10 @@ pub fn reconstruct_sharded(
     let ncpus = trace.ncpus();
     let shards = crate::par::parallel_map(ncpus, workers, |cpu| {
         let mut pairing = ColumnPairing::new();
-        match trace.cpu_columns(CpuId(cpu as u16)) {
-            Some(cols) => pairing.feed_columns(cols),
-            None => pairing.feed_events(trace.cpu_events(CpuId(cpu as u16)).copied()),
+        // Every CPU below `ncpus` has a column block (possibly empty).
+        if let Some(cols) = trace.cpu_columns(CpuId(cpu as u16)) {
+            pairing.feed_columns(cols);
         }
-        pairing.finish()
-    });
-    merge_shards(shards)
-}
-
-/// Out-of-core variant of [`reconstruct_sharded`]: run the pairing
-/// state machine over externally supplied per-CPU event streams (one
-/// per CPU, in CPU order — e.g. `osn-store` chunk cursors), without a
-/// materialized [`Trace`]. Memory is bounded by whatever the streams
-/// buffer plus the instances themselves; the result is bit-identical
-/// to the in-memory path on the same events.
-pub fn reconstruct_streams<I>(
-    streams: Vec<I>,
-    workers: usize,
-) -> (Vec<ActivityInstance>, NestingReport)
-where
-    I: Iterator<Item = Event> + Send,
-{
-    let n = streams.len();
-    // parallel_map hands out indexes, not items: park each stream in a
-    // Mutex slot its worker takes exactly once.
-    let slots: Vec<std::sync::Mutex<Option<I>>> = streams
-        .into_iter()
-        .map(|s| std::sync::Mutex::new(Some(s)))
-        .collect();
-    let shards = crate::par::parallel_map(n, workers, |i| {
-        let stream = slots[i]
-            .lock()
-            .expect("stream slot poisoned")
-            .take()
-            .expect("stream taken twice");
-        let mut pairing = ColumnPairing::new();
-        pairing.feed_events(stream);
         pairing.finish()
     });
     merge_shards(shards)

@@ -325,30 +325,6 @@ impl NoiseAnalysis {
         assemble(instances, nesting_report, timelines, tasks, end, workers)
     }
 
-    /// Out-of-core variant: analyze per-CPU event streams (e.g.
-    /// [`osn_store` chunk iterators]) without ever materializing the
-    /// trace. `sched_events` is the time-merged scheduler-event subset
-    /// (switch/wakeup/migrate/exit) that timelines replay — a small
-    /// slice compared to the full trace. Scheduler events are a
-    /// per-CPU-order-preserving filter of the streams, so building
-    /// timelines from them commutes with the k-way merge: output is
-    /// bit-identical to [`NoiseAnalysis::analyze_with_workers`] on the
-    /// materialized trace.
-    pub fn analyze_streamed<I>(
-        streams: Vec<I>,
-        sched_events: &[osn_trace::Event],
-        tasks: &[TaskMeta],
-        end: Nanos,
-        workers: usize,
-    ) -> NoiseAnalysis
-    where
-        I: Iterator<Item = osn_trace::Event> + Send,
-    {
-        let (instances, nesting_report) = crate::nesting::reconstruct_streams(streams, workers);
-        let timelines = crate::timeline::build_timelines_events(sched_events, tasks, end, workers);
-        assemble(instances, nesting_report, timelines, tasks, end, workers)
-    }
-
     /// Assemble an analysis from already-reconstructed parts: the
     /// public seam for drivers that run the pairing state machine
     /// themselves — e.g. `osn-core`'s store path, which feeds columnar

@@ -147,7 +147,8 @@ fn main() {
         aggregate_capture_events_per_sec: events_per_sec,
     };
     let json = serde_json::to_vec_pretty(&report).expect("serializable");
-    std::fs::write("BENCH_PR10.json", json).expect("write BENCH_PR10.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
+    std::fs::write(path, json).expect("write BENCH_PR10.json");
     println!(
         "BENCH_PR10.json: overhead {overhead:.0} ns/quantum, {events_per_sec:.0} events/s, \
          drop rate {:.4}{}",

@@ -1,17 +1,16 @@
-//! Engine throughput: heap vs wheel events/sec over the paper campaign.
+//! Engine throughput: events/sec over the paper campaign.
 //!
 //! For every Sequoia app this runs the paper node configuration
 //! (untraced, `NullProbe` — pure engine speed, no tracer cost in the
-//! numerator) under both `QueueKind::Heap` and `QueueKind::Wheel` in
-//! the same process, at one or more simulated durations, and writes
-//! `BENCH_PR1.json` at the repo root with per-app events/sec, on-CPU
-//! times and the wheel/heap speedup. Both queues must dispatch the
-//! *same* number of events (the ordering contract) — the binary
-//! asserts that, so a throughput run doubles as a cheap differential
-//! check.
+//! numerator) and writes `BENCH_PR1.json` at the repo root with per-app
+//! events/sec and on-CPU times. Every rep must dispatch the *same*
+//! number of events as the warm-up (the engine is deterministic per
+//! seed) — the binary asserts that, so a throughput run doubles as a
+//! cheap determinism check.
 //!
 //! A second section sweeps raw queue ops at 1e5–1e7 pending entries,
-//! where the O(log n) heap and the O(1) wheel actually separate.
+//! where the O(log n) reference heap and the engine's O(1) timer wheel
+//! actually separate.
 //!
 //! Knobs: `OSN_SECS` — simulated seconds per app run (default 10;
 //! below ~5 the per-run times are too short to time reliably);
@@ -21,7 +20,6 @@
 use std::time::Instant;
 
 use osn_core::ExperimentConfig;
-use osn_kernel::config::QueueKind;
 use osn_kernel::hooks::NullProbe;
 use osn_kernel::node::Node;
 use osn_kernel::time::Nanos;
@@ -33,16 +31,13 @@ use serde::Serialize;
 struct AppRow {
     app: String,
     sim_secs: u64,
-    /// Events dispatched by the main loop (identical for both queues).
+    /// Events dispatched by the main loop (identical across reps).
     events: u64,
     /// Of those, stale `Advance` pops — dead queue traffic.
     stale_events: u64,
-    /// Best-of-reps on-CPU seconds (see `on_cpu_secs`).
-    heap_cpu_s: f64,
-    wheel_cpu_s: f64,
-    heap_events_per_sec: f64,
-    wheel_events_per_sec: f64,
-    speedup: f64,
+    /// Best-of-reps on-CPU seconds (see `timed`).
+    cpu_s: f64,
+    events_per_sec: f64,
 }
 
 #[derive(Serialize)]
@@ -59,12 +54,10 @@ struct DepthRow {
 struct Report {
     seed: u64,
     reps: usize,
-    /// Whole-engine runs: the queue is one term of the per-event cost
-    /// (the paper config holds only ~20 pending events), so this
-    /// speedup is much smaller than the queue-level one below.
+    /// Whole-engine runs on the timer wheel.
     apps: Vec<AppRow>,
-    /// Total events over total on-CPU time, wheel vs heap.
-    aggregate_speedup: f64,
+    /// Total events over total best-of-reps on-CPU time.
+    aggregate_events_per_sec: f64,
     /// Raw queue ops at depth — where the O(log n) vs O(1) asymptotics
     /// actually separate. Fill to `depth`, then a steady-state
     /// pop+push hold phase, timed together.
@@ -99,11 +92,11 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     }
 }
 
-/// One timed run: paper config for `app`, chosen queue, no tracer.
+/// One timed run: paper config for `app`, no tracer.
 /// Returns (on-CPU seconds, loop events, stale advance pops).
-fn timed_run(app: App, sim: Nanos, seed: u64, queue: QueueKind) -> (f64, u64, u64) {
+fn timed_run(app: App, sim: Nanos, seed: u64) -> (f64, u64, u64) {
     let config = ExperimentConfig::paper(app, sim).with_seed(seed);
-    let mut node = Node::new(config.node.clone().with_queue(queue));
+    let mut node = Node::new(config.node.clone());
     node.spawn_job(
         config.app.name(),
         osn_workloads::ranks(config.app, config.nranks, config.duration),
@@ -172,50 +165,31 @@ fn main() {
     let sim = Nanos::from_secs(sim_secs);
 
     let mut apps = Vec::new();
-    let (mut tot_heap_cpu, mut tot_wheel_cpu, mut tot_events) = (0.0f64, 0.0f64, 0u64);
+    let (mut tot_cpu, mut tot_events) = (0.0f64, 0u64);
     for &app in App::ALL.iter() {
-        // Warm-up (page in code + allocator), then timed reps of each
-        // queue interleaved so neither side owns the warmer cache.
-        let (_, ev_heap, stale) = timed_run(app, sim, seed, QueueKind::Heap);
-        let (_, ev_wheel, _) = timed_run(app, sim, seed, QueueKind::Wheel);
-        assert_eq!(
-            ev_heap,
-            ev_wheel,
-            "{}: heap and wheel dispatched different event counts",
-            app.name()
-        );
-        let mut heap_cpu = f64::INFINITY;
-        let mut wheel_cpu = f64::INFINITY;
+        // Warm-up (page in code + allocator), then timed reps.
+        let (_, events, stale) = timed_run(app, sim, seed);
+        let mut cpu_s = f64::INFINITY;
         for _ in 0..reps {
-            let (w, ev, _) = timed_run(app, sim, seed, QueueKind::Heap);
-            assert_eq!(ev, ev_heap);
-            heap_cpu = heap_cpu.min(w);
-            let (w, ev, _) = timed_run(app, sim, seed, QueueKind::Wheel);
-            assert_eq!(ev, ev_wheel);
-            wheel_cpu = wheel_cpu.min(w);
+            let (w, ev, _) = timed_run(app, sim, seed);
+            assert_eq!(ev, events, "{}: loop_events differ across reps", app.name());
+            cpu_s = cpu_s.min(w);
         }
-        let events = ev_heap;
         let row = AppRow {
             app: app.name().to_string(),
             sim_secs,
             events,
             stale_events: stale,
-            heap_cpu_s: heap_cpu,
-            wheel_cpu_s: wheel_cpu,
-            heap_events_per_sec: events as f64 / heap_cpu,
-            wheel_events_per_sec: events as f64 / wheel_cpu,
-            speedup: heap_cpu / wheel_cpu,
+            cpu_s,
+            events_per_sec: events as f64 / cpu_s,
         };
         println!(
-            "{:>10}: {:>9} events  heap {:>8.1} kev/s  wheel {:>8.1} kev/s  speedup {:.2}x",
+            "{:>10}: {:>9} events  {:>8.1} kev/s",
             row.app,
             row.events,
-            row.heap_events_per_sec / 1e3,
-            row.wheel_events_per_sec / 1e3,
-            row.speedup
+            row.events_per_sec / 1e3
         );
-        tot_heap_cpu += heap_cpu;
-        tot_wheel_cpu += wheel_cpu;
+        tot_cpu += cpu_s;
         tot_events += events;
         apps.push(row);
     }
@@ -246,12 +220,14 @@ fn main() {
         seed,
         reps,
         apps,
-        aggregate_speedup: tot_heap_cpu / tot_wheel_cpu,
+        aggregate_events_per_sec: tot_events as f64 / tot_cpu,
         queue_depth,
     };
     println!(
-        "aggregate: {} events, heap {:.2}s vs wheel {:.2}s -> {:.2}x",
-        tot_events, tot_heap_cpu, tot_wheel_cpu, report.aggregate_speedup
+        "aggregate: {} events in {:.2}s -> {:.1} kev/s",
+        tot_events,
+        tot_cpu,
+        report.aggregate_events_per_sec / 1e3
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR1.json");

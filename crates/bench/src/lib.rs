@@ -3,8 +3,9 @@
 //!
 //! Each `src/bin/figNN_*.rs` / `src/bin/tableN_*.rs` binary reruns (or
 //! loads from the shared on-disk cache) the needed traced runs and
-//! prints the same rows/series the paper reports. `cargo bench`
-//! additionally runs the Criterion micro-benchmarks in `benches/`.
+//! prints the same rows/series the paper reports. The `*_throughput`,
+//! `cluster_scale` and `capture_overhead` binaries measure the
+//! pipeline's own speed and write `BENCH_PR*.json` at the repo root.
 //!
 //! Environment knobs:
 //! * `OSN_SECS` — simulated seconds per application run (default 10).
@@ -84,7 +85,7 @@ pub fn load_or_run(app: App) -> AppRun {
     if !no_cache {
         if let (Ok(raw), Ok(meta_raw)) = (fs::read(&trace_path), fs::read(&meta_path)) {
             if let (Ok(trace), Ok(result)) = (
-                wire::decode(bytes::Bytes::from(raw)),
+                wire::decode(&raw),
                 serde_json::from_slice::<RunResult>(&meta_raw),
             ) {
                 let ranks: Vec<Tid> = result

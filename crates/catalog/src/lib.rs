@@ -23,6 +23,8 @@
 //! * [`client`] — a minimal blocking HTTP client (keep-alive GETs)
 //!   used by the tests, the throughput bench, and the CI smoke.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod catalog;
 pub mod client;
 pub mod http;

@@ -31,7 +31,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -142,7 +142,20 @@ struct State {
     counters: [Counter; 8],
 }
 
+/// Lock `m`, recovering the guard if a handler panicked while holding
+/// it: every critical section below leaves its map consistent (a single
+/// insert, remove or retain), so a poisoned lock is still a valid one
+/// and one panicking request must not turn every later one into a 500.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl State {
+    /// The current catalog (see [`lock`] for the poison policy).
+    fn catalog(&self) -> std::sync::RwLockReadGuard<'_, Catalog> {
+        self.catalog.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn bump(&self) -> u64 {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
@@ -161,22 +174,16 @@ impl State {
     /// Re-scan the root and swap the catalog in, purging cached
     /// readers/products whose store changed or vanished.
     fn rescan(&self) -> io::Result<ScanOutcome> {
-        let prev = self.catalog.read().expect("catalog lock").clone();
+        let prev = self.catalog().clone();
         let (next, outcome) = catalog::scan(&self.root, &prev)?;
-        let mut cat = self.catalog.write().expect("catalog lock");
+        let mut cat = self.catalog.write().unwrap_or_else(PoisonError::into_inner);
         let fresh = |id: &str, mtime_ns: u64, bytes: u64| {
             next.entries
                 .iter()
                 .any(|e| e.id == id && e.mtime_ns == mtime_ns && e.bytes == bytes)
         };
-        self.products
-            .lock()
-            .expect("products lock")
-            .retain(|id, c| fresh(id, c.mtime_ns, c.bytes));
-        self.readers
-            .lock()
-            .expect("readers lock")
-            .retain(|id, c| fresh(id, c.mtime_ns, c.bytes));
+        lock(&self.products).retain(|id, c| fresh(id, c.mtime_ns, c.bytes));
+        lock(&self.readers).retain(|id, c| fresh(id, c.mtime_ns, c.bytes));
         *cat = next;
         self.scans.fetch_add(1, Ordering::Relaxed);
         Ok(outcome)
@@ -325,22 +332,12 @@ impl Service {
 
     /// Indexed runs right now.
     pub fn runs(&self) -> usize {
-        self.state
-            .catalog
-            .read()
-            .expect("catalog lock")
-            .entries
-            .len()
+        self.state.catalog().entries.len()
     }
 
     /// Unindexable files right now.
     pub fn skipped(&self) -> usize {
-        self.state
-            .catalog
-            .read()
-            .expect("catalog lock")
-            .skipped
-            .len()
+        self.state.catalog().skipped.len()
     }
 
     /// Synchronous rescan — lets tests drive store appearance and
@@ -352,12 +349,7 @@ impl Service {
     /// Chunk accounting of the shared reader for `id`, if one is open:
     /// the residency gauge the bounded-memory tests assert on.
     pub fn store_stats(&self, id: &str) -> Option<ChunkStatsSnapshot> {
-        self.state
-            .readers
-            .lock()
-            .expect("readers lock")
-            .get(id)
-            .map(|c| c.reader.stats())
+        lock(&self.state.readers).get(id).map(|c| c.reader.stats())
     }
 
     /// Serve until shut down from another thread (never, in the CLI).
@@ -423,9 +415,7 @@ fn json_pretty<T: Serialize>(value: &T) -> Response {
 
 fn entry_for(state: &State, id: &str) -> Result<CatalogEntry, Response> {
     state
-        .catalog
-        .read()
-        .expect("catalog lock")
+        .catalog()
         .get(id)
         .cloned()
         .ok_or_else(|| Response::error(404, &format!("unknown run id {id:?}")))
@@ -436,7 +426,7 @@ fn entry_for(state: &State, id: &str) -> Result<CatalogEntry, Response> {
 /// scan answers `410 Gone` (the catalog entry outlives the file until
 /// the next rescan).
 fn reader_for(state: &State, entry: &CatalogEntry) -> Result<Arc<StoreReader>, Response> {
-    let mut readers = state.readers.lock().expect("readers lock");
+    let mut readers = lock(&state.readers);
     if let Some(cached) = readers.get_mut(&entry.id) {
         if cached.mtime_ns == entry.mtime_ns && cached.bytes == entry.bytes {
             cached.seq = state.bump();
@@ -487,7 +477,7 @@ fn reader_for(state: &State, entry: &CatalogEntry) -> Result<Arc<StoreReader>, R
 /// streamed analysis → `PaperReport` pretty JSON), so the cached
 /// report bytes are identical to the offline CLI's.
 fn products_for(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts>, Response> {
-    let mut products = state.products.lock().expect("products lock");
+    let mut products = lock(&state.products);
     if let Some(cached) = products.get_mut(&entry.id) {
         if cached.mtime_ns == entry.mtime_ns && cached.bytes == entry.bytes {
             cached.seq = state.bump();
@@ -540,7 +530,7 @@ fn products_for(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts>,
 // ---- endpoints -------------------------------------------------------
 
 fn handle_runs(state: &State, req: &Request) -> Response {
-    let catalog = state.catalog.read().expect("catalog lock");
+    let catalog = state.catalog();
     let mut runs: Vec<CatalogEntry> = catalog.entries.clone();
     let skipped = catalog.skipped.clone();
     drop(catalog);
@@ -793,7 +783,7 @@ fn handle_paraver(state: &State, id: &str) -> Result<Response, Response> {
 }
 
 fn handle_stats(state: &State) -> Response {
-    let catalog = state.catalog.read().expect("catalog lock");
+    let catalog = state.catalog();
     let runs = catalog.entries.len();
     let skipped = catalog.skipped.len();
     drop(catalog);
@@ -823,4 +813,56 @@ fn handle_stats(state: &State) -> Response {
         scans: state.scans.load(Ordering::Relaxed),
         endpoints,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use osn_core::{record_app, ExperimentConfig};
+    use osn_workloads::App;
+
+    /// A handler that panics while holding the shared locks must not
+    /// wedge the daemon: later requests recover the guards and answer
+    /// with the same bytes as the offline path.
+    #[test]
+    fn poisoned_locks_still_serve_reports() {
+        let dir = std::env::temp_dir().join(format!("osn-catalog-poison-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sphot.osn");
+        let mut config = ExperimentConfig::paper(App::Sphot, Nanos::from_millis(100)).with_seed(5);
+        config.node.cpus = 2;
+        config.nranks = 2;
+        record_app(config, &path, osn_core::store::Options::default()).unwrap();
+
+        let mut service_config = ServiceConfig::new(dir.clone());
+        service_config.rescan = None;
+        let service = Service::start(service_config).unwrap();
+        let id = service.state.catalog().entries[0].id.clone();
+
+        let state = Arc::clone(&service.state);
+        let panicked = std::thread::spawn(move || {
+            let _catalog = state.catalog.write().unwrap();
+            let _products = state.products.lock().unwrap();
+            let _readers = state.readers.lock().unwrap();
+            panic!("handler panic while holding the shared locks");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(service.state.products.is_poisoned());
+        assert!(service.state.readers.is_poisoned());
+        assert!(service.state.catalog.is_poisoned());
+
+        let (report, _meta, _recovery) = osn_core::recovered_report(&path).unwrap();
+        let offline = serde_json::to_vec_pretty(&PaperReport { apps: vec![report] }).unwrap();
+        let mut client = Client::connect(service.addr()).unwrap();
+        let (status, body) = client.get(&format!("/runs/{id}/report")).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, offline);
+        assert_eq!(client.get("/runs").unwrap().0, 200);
+        assert_eq!(client.get(&format!("/runs/{id}/slice")).unwrap().0, 200);
+
+        service.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

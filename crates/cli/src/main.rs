@@ -15,6 +15,8 @@
 //! osnoise cluster <app> [--nodes N] [--secs N]           tiered multi-node BSP campaign
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 use std::collections::HashMap;
 use std::process::ExitCode;
 

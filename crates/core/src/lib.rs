@@ -12,6 +12,8 @@
 //! println!("{}", report.render_breakdown());
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod campaign;
 pub mod capture;
 pub mod cluster;

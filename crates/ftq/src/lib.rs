@@ -15,6 +15,8 @@
 //! * [`procfs`] — fixture-testable parsers for the `/proc` counter
 //!   files the capture samples.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod capture;
 pub mod fwq;
 pub mod native;

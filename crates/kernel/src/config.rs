@@ -9,22 +9,6 @@ use crate::perturb::KernelPerturbations;
 use crate::sched::SchedParams;
 use crate::time::Nanos;
 
-/// Which future-event-set implementation the engine runs on.
-///
-/// Both yield bit-identical event order (ascending `(time, seq)`), so
-/// simulation results do not depend on this choice — the heap stays
-/// available for differential testing and as the reference
-/// implementation for the wheel's ordering contract.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum QueueKind {
-    /// Hierarchical timer wheel (`crate::wheel`): O(1) amortized push,
-    /// bitmap-indexed pop. The default.
-    #[default]
-    Wheel,
-    /// `BinaryHeap`-based queue: O(log n) push/pop reference.
-    Heap,
-}
-
 /// Full configuration of a simulated compute node.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NodeConfig {
@@ -73,9 +57,6 @@ pub struct NodeConfig {
     /// Extra rpciod nanoseconds per KiB of RPC payload (copy to the
     /// transmit path).
     pub rpciod_ns_per_kib: f64,
-    /// Event queue implementation (result-identical either way; see
-    /// [`QueueKind`]).
-    pub queue: QueueKind,
     /// Injected perturbations (DVFS throttling, hypervisor steal time,
     /// NUMA-asymmetric faults). Empty by default — and `serde(default)`
     /// so configs serialized before this field existed still load.
@@ -102,7 +83,6 @@ impl Default for NodeConfig {
             events_work: Nanos::from_micros(2),
             rpciod_work_per_rpc: Nanos::from_micros(5),
             rpciod_ns_per_kib: 40.0,
-            queue: QueueKind::default(),
             perturb: KernelPerturbations::default(),
         }
     }
@@ -127,11 +107,6 @@ impl NodeConfig {
 
     pub fn with_probe_overhead(mut self, overhead: Nanos) -> Self {
         self.probe_overhead = overhead;
-        self
-    }
-
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -189,5 +164,17 @@ mod tests {
         let stripped = format!("{}}}", &json[..idx]);
         let back: NodeConfig = serde_json::from_str(&stripped).unwrap();
         assert!(back.perturb.is_empty());
+    }
+
+    /// Configs and store footers written while the engine still had a
+    /// selectable `queue` field must keep loading; the field is ignored.
+    #[test]
+    fn retired_queue_field_still_deserializes() {
+        let json = serde_json::to_string(&NodeConfig::default().with_seed(11)).unwrap();
+        let old = json.replacen("{", "{\"queue\":\"Heap\",", 1);
+        assert!(old.contains("\"queue\":\"Heap\""));
+        let back: NodeConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.seed, 11);
+        assert_eq!(back.cpus, NodeConfig::default().cpus);
     }
 }

@@ -27,6 +27,8 @@
 //! assert!(result.stats.ticks > 0);
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod activity;
 pub mod config;
 pub mod cost;

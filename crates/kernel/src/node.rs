@@ -28,7 +28,7 @@ use crate::sched::CfsRq;
 use crate::softirq::SoftirqPending;
 use crate::task::{BlockReason, Body, Progress, Task, TaskMeta, TaskState};
 use crate::time::Nanos;
-use crate::wheel::Queue;
+use crate::wheel::TimerWheel;
 use crate::workload::{Action, Outcome, Workload, WorkloadCtx};
 
 use serde::{Deserialize, Serialize};
@@ -220,9 +220,8 @@ impl RunResult {
 pub struct Node {
     cfg: NodeConfig,
     clock: Nanos,
-    /// Future-event set; implementation chosen by `cfg.queue`, with an
-    /// ordering contract that makes the choice result-invisible.
-    queue: Queue<Ev>,
+    /// Future-event set, popped in ascending `(time, seq)` order.
+    queue: TimerWheel<Ev>,
     /// Monotonic push counter: the FIFO tie-break for same-time events.
     seq: u64,
     cpus: Vec<Cpu>,
@@ -260,14 +259,13 @@ impl Node {
         assert!(cfg.cpus > 0, "need at least one CPU");
         let seed = cfg.seed;
         let cfg_cpus = cfg.cpus;
-        let queue_kind = cfg.queue;
         let cpus = (0..cfg.cpus).map(|i| Cpu::new(CpuId(i))).collect();
         let nfs = cfg.nfs.clone();
         let perturb = crate::perturb::PerturbState::new(&cfg.perturb, seed, cfg.cpus as usize);
         let mut node = Node {
             cfg,
             clock: Nanos::ZERO,
-            queue: Queue::new(queue_kind),
+            queue: TimerWheel::new(),
             seq: 0,
             cpus,
             tasks: Vec::new(),

@@ -15,11 +15,11 @@
 //! ## Ordering contract (fidelity-critical)
 //!
 //! [`TimerWheel::pop`] yields entries in strictly ascending `(t, seq)`
-//! order — exactly the comparator the heap-based queue used. The
-//! engine assigns `seq` monotonically at push time, so FIFO tie-breaks
-//! between same-timestamp events are preserved bit-for-bit and every
-//! trace produced under the wheel is identical to the heap's (the
-//! differential tests in `tests/wheel_oracle.rs` enforce this).
+//! order — exactly the comparator of [`HeapQueue`], the engine's
+//! original queue. The engine assigns `seq` monotonically at push
+//! time, so FIFO tie-breaks between same-timestamp events are
+//! preserved bit-for-bit (the lockstep proptest in
+//! `tests/wheel_oracle.rs` checks the wheel against the heap).
 //!
 //! Buckets are coarser than event timestamps, so a drained level-0
 //! slot is sorted by `(t, seq)` into the *near buffer* — a small
@@ -28,83 +28,24 @@
 //! keeps same-time follow-up events (an `Advance` scheduled for "now")
 //! correct without re-sorting.
 
-use crate::config::QueueKind;
 use crate::time::Nanos;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The engine's future-event set, ordered by ascending `(t, seq)`.
+/// A future-event set ordered by ascending `(t, seq)`: the contract
+/// [`TimerWheel`] (the engine's queue) and [`HeapQueue`] (its test
+/// reference) share.
 ///
 /// `seq` is assigned by the caller (monotonically, per push) and acts
 /// as the FIFO tie-break for same-timestamp events; implementations
-/// MUST honour it so event order — and therefore every trace and
-/// statistic — is independent of the queue chosen.
+/// MUST honour it, so the wheel's pop order is checkable against the
+/// heap's entry for entry.
 pub trait EventQueue<T> {
     fn push(&mut self, t: Nanos, seq: u64, item: T);
     /// Remove and return the minimum entry by `(t, seq)`.
     fn pop(&mut self) -> Option<(Nanos, u64, T)>;
     fn len(&self) -> usize;
     fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Build the queue implementation selected by the node config.
-pub fn make_queue<T: 'static>(kind: QueueKind) -> Box<dyn EventQueue<T>> {
-    match kind {
-        QueueKind::Wheel => Box::new(TimerWheel::new()),
-        QueueKind::Heap => Box::new(HeapQueue::new()),
-    }
-}
-
-/// The two queue implementations behind one enum, so the engine's
-/// per-event push/pop dispatch is a predictable two-way branch the
-/// compiler can inline through, instead of a virtual call (the wheel's
-/// pop fast path is a handful of instructions — a call boundary there
-/// is measurable at millions of events per second).
-// One Queue exists per engine, so the wheel's footprint inside the
-// enum costs nothing per event; boxing it would put a pointer chase on
-// the push/pop fast path instead.
-#[allow(clippy::large_enum_variant)]
-pub enum Queue<T> {
-    Wheel(TimerWheel<T>),
-    Heap(HeapQueue<T>),
-}
-
-impl<T> Queue<T> {
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Wheel => Queue::Wheel(TimerWheel::new()),
-            QueueKind::Heap => Queue::Heap(HeapQueue::new()),
-        }
-    }
-
-    #[inline]
-    pub fn push(&mut self, t: Nanos, seq: u64, item: T) {
-        match self {
-            Queue::Wheel(q) => q.push(t, seq, item),
-            Queue::Heap(q) => EventQueue::push(q, t, seq, item),
-        }
-    }
-
-    #[inline]
-    pub fn pop(&mut self) -> Option<(Nanos, u64, T)> {
-        match self {
-            Queue::Wheel(q) => q.pop(),
-            Queue::Heap(q) => EventQueue::pop(q),
-        }
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Queue::Wheel(q) => q.len(),
-            Queue::Heap(q) => EventQueue::len(q),
-        }
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -133,7 +74,9 @@ impl<T> Ord for HeapEntry<T> {
 }
 
 /// Reference queue: `BinaryHeap` of `Reverse`-ordered entries — the
-/// engine's original event set, kept for differential testing.
+/// engine's original event set, kept as the oracle for the wheel's
+/// ordering contract (`tests/wheel_oracle.rs`) and as the baseline of
+/// `engine_throughput`'s queue-depth sweep.
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Reverse<HeapEntry<T>>>,
 }

@@ -2,6 +2,8 @@
 //! format (`.prv` + `.pcf` + `.row`) and CSV ("Matlab module") exports
 //! — the visualization pipeline of the paper's §III.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod matlab;
 pub mod pcf;
 pub mod prv;

@@ -31,6 +31,8 @@
 //! index by scanning forward and drops a torn final chunk, charging
 //! its events to the per-CPU loss counters.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod chunk;
 pub mod mmap;
 pub mod reader;

@@ -1,8 +1,11 @@
 //! Reading side of the store: strict opening via the footer index
 //! ([`StoreReader::open`]), truncation-tolerant opening via a forward
 //! chunk scan ([`StoreReader::recover`]), full materialization back to
-//! a [`Trace`], and the bounded-memory per-CPU chunk cursor
-//! ([`CpuStream`]) that the streamed analysis path consumes.
+//! a [`Trace`], and the bounded-memory per-CPU chunk cursors: typed
+//! events ([`CpuStream`], the catalog's slice path) and column blocks
+//! ([`ColumnChunks`], the streamed analysis path). Every payload is
+//! decoded by the one column decoder,
+//! [`crate::chunk::decode_chunk_columns`].
 
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -15,9 +18,7 @@ use osn_kernel::time::Nanos;
 use osn_trace::wire::fnv1a64;
 use osn_trace::{Event, EventColumns, Trace};
 
-use crate::chunk::{
-    decode_chunk, decode_chunk_columns, ChunkHeader, ChunkMeta, CHUNK_HEADER_BYTES,
-};
+use crate::chunk::{decode_chunk_columns, ChunkHeader, ChunkMeta, CHUNK_HEADER_BYTES};
 use crate::mmap::Mmap;
 use crate::{
     StoreError, END_MAGIC, FILE_HEADER_BYTES, FILE_MAGIC, FOOTER_MAGIC, STORE_VERSION,
@@ -389,9 +390,21 @@ impl StoreReader {
 
     /// Fetch and decode one chunk (random access; checksum-verified).
     pub fn read_chunk(&self, meta: &ChunkMeta) -> Result<Vec<Event>, StoreError> {
-        let events = fetch_chunk(&self.data, meta)?;
+        let mut cols = EventColumns::new(CpuId(meta.cpu));
+        self.decode_into(meta, &mut cols, &mut Vec::new())?;
+        Ok(cols.events().collect())
+    }
+
+    /// Fetch, verify and decode one chunk into `cols`, counting it.
+    fn decode_into(
+        &self,
+        meta: &ChunkMeta,
+        cols: &mut EventColumns,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        fetch_chunk(&self.data, meta, cols, scratch)?;
         self.stats.decoded.fetch_add(1, Ordering::AcqRel);
-        Ok(events)
+        Ok(())
     }
 
     /// A bounded-memory cursor over one CPU's events: holds at most
@@ -405,18 +418,21 @@ impl StoreReader {
     /// Like [`StoreReader::cpu_stream`], but seeded only with the
     /// chunks whose `[t_first, t_last]` span overlaps `[lo, hi]` (via
     /// the [`StoreReader::chunks_for`] index lookup — no file access to
-    /// skip a chunk). Events outside the range at the edges of the
-    /// first/last chunk are still yielded; callers filter by timestamp.
-    /// Same bounded-memory contract: at most one decoded chunk
-    /// resident, tracked by the reader's [`ChunkStats`].
+    /// skip a chunk). Within a decoded chunk, records outside
+    /// `[lo, hi]` are skipped on the timestamp column before any
+    /// [`Event`] is built. Same bounded-memory contract: at most one
+    /// decoded chunk resident, tracked by the reader's [`ChunkStats`].
     pub fn cpu_stream_range(&self, cpu: CpuId, range: Option<(Nanos, Nanos)>) -> CpuStream {
         let metas: Vec<ChunkMeta> = self.chunks_for(cpu, range).copied().collect();
         CpuStream {
             data: Arc::clone(&self.data),
             metas,
             next_chunk: 0,
-            buf: Vec::new(),
+            cols: EventColumns::new(cpu),
+            scratch: Vec::new(),
             pos: 0,
+            end: 0,
+            window: range.map_or((0, u64::MAX), |(lo, hi)| (lo.0, hi.0)),
             resident: false,
             stats: Arc::clone(&self.stats),
         }
@@ -450,6 +466,8 @@ impl StoreReader {
     /// like `TraceSession::stop` merges its rings.
     pub fn read_trace(&self) -> Result<Trace, StoreError> {
         let mut streams: Vec<Vec<Event>> = Vec::with_capacity(self.ncpus);
+        let mut cols = EventColumns::default();
+        let mut scratch = Vec::new();
         for c in 0..self.ncpus {
             let positions = &self.per_cpu[c];
             let total: usize = positions
@@ -458,7 +476,8 @@ impl StoreReader {
                 .sum();
             let mut stream = Vec::with_capacity(total);
             for &i in positions {
-                stream.extend(self.read_chunk(&self.chunks[i as usize])?);
+                self.decode_into(&self.chunks[i as usize], &mut cols, &mut scratch)?;
+                stream.extend(cols.events());
             }
             streams.push(stream);
         }
@@ -472,8 +491,15 @@ pub struct CpuStream {
     data: Arc<StoreData>,
     metas: Vec<ChunkMeta>,
     next_chunk: usize,
-    buf: Vec<Event>,
+    /// The current chunk, decoded into a reused column block; records
+    /// `pos..end` are the ones still to yield.
+    cols: EventColumns,
+    scratch: Vec<u8>,
     pos: usize,
+    end: usize,
+    /// Inclusive `[lo, hi]` timestamp window (everything for a full
+    /// stream).
+    window: (u64, u64),
     resident: bool,
     stats: Arc<ChunkStats>,
 }
@@ -485,9 +511,11 @@ impl CpuStream {
         self.metas.len()
     }
 
-    /// Total events this stream will yield if no chunk is corrupt.
+    /// Total events this stream will yield if no chunk is corrupt (for
+    /// a range stream, an upper bound: chunks not yet decoded count
+    /// whole).
     pub fn remaining_events(&self) -> u64 {
-        let buffered = (self.buf.len() - self.pos) as u64;
+        let buffered = (self.end - self.pos) as u64;
         self.metas[self.next_chunk..]
             .iter()
             .map(|m| m.count as u64)
@@ -500,8 +528,9 @@ impl CpuStream {
             self.stats.release();
             self.resident = false;
         }
-        self.buf.clear();
+        self.cols.clear();
         self.pos = 0;
+        self.end = 0;
     }
 }
 
@@ -510,8 +539,8 @@ impl Iterator for CpuStream {
 
     fn next(&mut self) -> Option<Event> {
         loop {
-            if self.pos < self.buf.len() {
-                let e = self.buf[self.pos];
+            if self.pos < self.end {
+                let e = self.cols.event(self.pos);
                 self.pos += 1;
                 return Some(e);
             }
@@ -521,13 +550,14 @@ impl Iterator for CpuStream {
             }
             let meta = self.metas[self.next_chunk];
             self.next_chunk += 1;
-            match fetch_chunk(&self.data, &meta) {
-                Ok(events) => {
+            match fetch_chunk(&self.data, &meta, &mut self.cols, &mut self.scratch) {
+                Ok(()) => {
                     self.stats.decoded.fetch_add(1, Ordering::AcqRel);
                     self.stats.acquire();
                     self.resident = true;
-                    self.buf = events;
-                    self.pos = 0;
+                    let (lo, hi) = self.window;
+                    self.pos = self.cols.t.partition_point(|&t| t < lo);
+                    self.end = self.cols.t.partition_point(|&t| t <= hi);
                 }
                 Err(_) => {
                     // Poison: record and end the stream. Consumers
@@ -581,12 +611,7 @@ impl ColumnChunks {
         }
         let meta = self.metas[self.next];
         self.next += 1;
-        let step = || -> Result<(), StoreError> {
-            let raw = self.data.chunk_bytes(&meta, &mut self.scratch)?;
-            let payload = verify_chunk(raw, &meta)?;
-            decode_chunk_columns(&meta, payload, &mut self.cols)
-        }();
-        match step {
+        match fetch_chunk(&self.data, &meta, &mut self.cols, &mut self.scratch) {
             Ok(()) => {
                 self.stats.decoded.fetch_add(1, Ordering::AcqRel);
                 self.stats.acquire();
@@ -631,12 +656,17 @@ fn verify_chunk<'a>(raw: &'a [u8], meta: &ChunkMeta) -> Result<&'a [u8], StoreEr
     Ok(payload)
 }
 
-/// Read, verify, and decode one chunk from the file (or map).
-fn fetch_chunk(data: &StoreData, meta: &ChunkMeta) -> Result<Vec<Event>, StoreError> {
-    let mut scratch = Vec::new();
-    let raw = data.chunk_bytes(meta, &mut scratch)?;
+/// Read, verify, and decode one chunk from the file (or map) into
+/// `cols`; `scratch` backs the read when the file is not mapped.
+fn fetch_chunk(
+    data: &StoreData,
+    meta: &ChunkMeta,
+    cols: &mut EventColumns,
+    scratch: &mut Vec<u8>,
+) -> Result<(), StoreError> {
+    let raw = data.chunk_bytes(meta, scratch)?;
     let payload = verify_chunk(raw, meta)?;
-    decode_chunk(meta, payload)
+    decode_chunk_columns(meta, payload, cols)
 }
 
 fn read_file_header(file: &File) -> Result<FileHeader, StoreError> {

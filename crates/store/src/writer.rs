@@ -5,13 +5,11 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use osn_kernel::ids::CpuId;
 use osn_trace::wire::fnv1a64;
 use osn_trace::{Event, EventSink, Trace};
-
-use parking_lot::Mutex;
 
 use crate::chunk::{encode_chunk, ChunkMeta, CHUNK_HEADER_BYTES};
 use crate::{END_MAGIC, FILE_FLAG_COMPRESSED, FILE_MAGIC, FOOTER_MAGIC, STORE_VERSION};
@@ -275,7 +273,12 @@ impl SpillWriter {
     /// counters and metadata, then write the footer. Panics if called
     /// twice (the writer is consumed by the first call).
     pub fn finish(self, lost: &[u64], meta: Vec<u8>) -> std::io::Result<StoreSummary> {
-        let mut writer = self.inner.lock().take().expect("store already finished");
+        let mut writer = self
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("store already finished");
         writer.set_lost(lost);
         writer.set_metadata(meta);
         writer.finish()
@@ -286,6 +289,7 @@ impl EventSink for SpillWriter {
     fn append(&mut self, cpu: CpuId, events: &[Event]) -> std::io::Result<()> {
         self.inner
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .as_mut()
             .expect("append after finish")
             .append(cpu, events)

@@ -199,3 +199,33 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// A range stream builds events only for records inside `[lo, hi]`,
+/// even within the edge chunks the index seek has to decode.
+#[test]
+fn range_stream_yields_only_in_window_events() {
+    let events: Vec<Event> = (0..100u64)
+        .map(|i| Event {
+            t: Nanos(10 * i),
+            cpu: CpuId(0),
+            tid: Tid(1),
+            kind: EventKind::KernelEnter(Activity::TimerInterrupt),
+        })
+        .collect();
+    let trace = Trace::from_streams(vec![events.clone()], vec![0]);
+    let path = scratch_path();
+    let opts = StoreOptions::default().with_chunk_capacity(16);
+    write_store(&path, &trace, b"", opts).expect("write");
+    let reader = StoreReader::open(&path).expect("open");
+
+    let (lo, hi) = (Nanos(105), Nanos(405));
+    let stream = reader.cpu_stream_range(CpuId(0), Some((lo, hi)));
+    assert_eq!(stream.chunk_count(), 3, "edge chunks straddle the window");
+    let got: Vec<Event> = stream.collect();
+    let want: Vec<Event> = events
+        .into_iter()
+        .filter(|e| e.t >= lo && e.t <= hi)
+        .collect();
+    assert_eq!(got, want);
+    let _ = std::fs::remove_file(&path);
+}

@@ -1,4 +1,5 @@
-//! Property tests for the varint/delta chunk codec's edge cases:
+//! Property tests for the chunk codecs' edge cases, each checked as an
+//! encode → decode round trip through the store's single decoder:
 //! max-length LEB128 encodings, zero-delta timestamp runs, and
 //! truncated-varint tails hiding inside checksum-valid payloads (which
 //! must surface as typed errors, never panics).
@@ -7,7 +8,7 @@ use proptest::prelude::*;
 
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
-use osn_store::chunk::{decode_chunk, decode_chunk_columns, encode_chunk, ChunkMeta};
+use osn_store::chunk::{decode_chunk_columns, encode_chunk, ChunkMeta};
 use osn_store::varint::{get_uvarint, put_uvarint};
 use osn_store::StoreError;
 use osn_trace::{Event, EventColumns, EventKind};
@@ -21,11 +22,20 @@ fn mark(t: u64, value: u64) -> Event {
     }
 }
 
-/// Encode `events` compressed and return `(meta, payload)`.
-fn compressed_payload(events: &[Event]) -> (ChunkMeta, Vec<u8>) {
+/// Encode `events` with the chosen codec and return `(meta, payload)`.
+fn encoded(events: &[Event], compress: bool) -> (ChunkMeta, Vec<u8>) {
     let mut payload = Vec::new();
-    let header = encode_chunk(events, 0, true, &mut payload);
+    let header = encode_chunk(events, 0, compress, &mut payload);
     (ChunkMeta::from_header(0, &header), payload)
+}
+
+/// Encode under `compress`, decode through the store's one decoder,
+/// and return the block.
+fn roundtrip(events: &[Event], compress: bool) -> EventColumns {
+    let (meta, payload) = encoded(events, compress);
+    let mut cols = EventColumns::new(CpuId(0));
+    decode_chunk_columns(&meta, &payload, &mut cols).expect("decode");
+    cols
 }
 
 proptest! {
@@ -58,18 +68,16 @@ proptest! {
         value in any::<u64>(),
     ) {
         let events: Vec<Event> = (0..run).map(|i| mark(t0, value ^ i as u64)).collect();
-        let (meta, payload) = compressed_payload(&events);
-        let back = decode_chunk(&meta, &payload).expect("decode");
-        prop_assert_eq!(&back, &events);
-        let mut cols = EventColumns::new(CpuId(0));
-        decode_chunk_columns(&meta, &payload, &mut cols).expect("columns");
-        prop_assert!(cols.t.iter().all(|&t| t == t0));
-        prop_assert_eq!(cols.events().collect::<Vec<_>>(), events);
+        for compress in [false, true] {
+            let cols = roundtrip(&events, compress);
+            prop_assert!(cols.t.iter().all(|&t| t == t0));
+            prop_assert_eq!(cols.events().collect::<Vec<_>>(), events.clone());
+        }
     }
 
     /// A payload cut mid-varint — with `payload_len` and the checksum
     /// recomputed so the *chunk framing* is valid — must come back as a
-    /// typed corrupt-chunk error from both decoders, never a panic or
+    /// typed corrupt-chunk error, never a panic or
     /// a silently short result. This models a recorder that died while
     /// `write(2)` was mid-payload and a footer rebuilt around the torn
     /// tail.
@@ -81,17 +89,13 @@ proptest! {
         let events: Vec<Event> = (0..n as u64)
             .map(|i| mark(i * 1000, u64::MAX - i))
             .collect();
-        let (meta, payload) = compressed_payload(&events);
+        let (meta, payload) = encoded(&events, true);
         // Cut strictly inside the payload (at least one byte lost).
         let cut = 1 + ((payload.len() - 1) as f64 * frac) as usize;
         let truncated = &payload[..cut.min(payload.len() - 1)];
         let mut meta = meta;
         meta.payload_len = truncated.len() as u32;
 
-        match decode_chunk(&meta, truncated) {
-            Err(StoreError::CorruptChunk { .. }) => {}
-            other => prop_assert!(false, "event decode: want CorruptChunk, got {other:?}"),
-        }
         let mut cols = EventColumns::new(CpuId(0));
         match decode_chunk_columns(&meta, truncated, &mut cols) {
             Err(StoreError::CorruptChunk { .. }) => {}
@@ -114,8 +118,9 @@ proptest! {
                 mark(t, t)
             })
             .collect();
-        let (meta, payload) = compressed_payload(&events);
-        let back = decode_chunk(&meta, &payload).expect("decode");
-        prop_assert_eq!(back, events);
+        for compress in [false, true] {
+            let cols = roundtrip(&events, compress);
+            prop_assert_eq!(cols.events().collect::<Vec<_>>(), events.clone());
+        }
     }
 }

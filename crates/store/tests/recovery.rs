@@ -7,7 +7,7 @@ use osn_kernel::activity::Activity;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 use osn_store::writer::write_store;
-use osn_store::{StoreOptions, StoreReader, CHUNK_HEADER_BYTES};
+use osn_store::{StoreError, StoreOptions, StoreReader, CHUNK_HEADER_BYTES};
 use osn_trace::{Event, EventKind, Trace};
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -50,6 +50,47 @@ fn clean_file_recovers_clean() {
     assert_eq!(back.events, trace.events);
     assert_eq!(back.lost, vec![3]);
     assert_eq!(reader.metadata(), b"meta");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// One flipped payload byte mid-file (bit rot, not a crash): every read
+/// path goes through the same checksum and decoder, and each reports
+/// it — `read_trace` as a typed error, the event stream by ending early
+/// with a counted decode error, the column cursor as an `Err` item.
+#[test]
+fn flipped_payload_byte_fails_every_read_path() {
+    let path = scratch("flipped");
+    let trace = synthetic_trace(100);
+    write_store(
+        &path,
+        &trace,
+        b"meta",
+        StoreOptions::default().with_chunk_capacity(16),
+    )
+    .unwrap();
+    let victim = StoreReader::open(&path).unwrap().chunks()[2];
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[victim.offset as usize + CHUNK_HEADER_BYTES + 1] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let reader = StoreReader::open(&path).unwrap();
+    assert!(matches!(
+        reader.read_trace(),
+        Err(StoreError::CorruptChunk { .. })
+    ));
+
+    let yielded = reader.cpu_stream(CpuId(0)).count();
+    assert_eq!(yielded, 2 * 16, "stream must stop at the corrupt chunk");
+    assert_eq!(reader.stats().decode_errors, 1);
+
+    let mut cursor = reader.column_chunks(CpuId(0));
+    assert!(cursor.next_chunk().unwrap().is_ok());
+    assert!(cursor.next_chunk().unwrap().is_ok());
+    assert!(matches!(
+        cursor.next_chunk(),
+        Some(Err(StoreError::CorruptChunk { .. }))
+    ));
+    assert!(cursor.next_chunk().is_none(), "an Err ends the cursor");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -20,6 +20,8 @@
 //! assert_eq!(trace.total_lost(), 0);
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod capture;
 pub mod columns;
 pub mod event;

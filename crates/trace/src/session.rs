@@ -9,15 +9,13 @@
 //! consumer daemon.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use osn_kernel::activity::{Activity, SoftirqVec};
 use osn_kernel::hooks::{Probe, SwitchState};
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
-
-use parking_lot::Mutex;
 
 use crate::event::{Event, EventKind, Trace};
 use crate::ringbuf::{ring, Consumer, Producer};
@@ -288,7 +286,7 @@ impl TraceSession {
             loop {
                 let mut drained = 0;
                 {
-                    let mut sink = sink2.lock();
+                    let mut sink = sink2.lock().unwrap_or_else(PoisonError::into_inner);
                     for (i, c) in consumers.iter_mut().enumerate() {
                         drained += c.drain_into(&mut sink[i]);
                     }
@@ -387,7 +385,8 @@ impl TraceSession {
         let per_cpu: Vec<Vec<Event>> = if let Some(col) = self.collector.take() {
             col.stop.store(true, Ordering::Release);
             let mut consumers = col.handle.join().expect("collector panicked");
-            let mut per_cpu: Vec<Vec<Event>> = std::mem::take(&mut *col.sink.lock());
+            let mut per_cpu: Vec<Vec<Event>> =
+                std::mem::take(&mut *col.sink.lock().unwrap_or_else(PoisonError::into_inner));
             // Final sweep for records published after the last poll.
             for (i, c) in consumers.iter_mut().enumerate() {
                 c.drain_into(&mut per_cpu[i]);
@@ -467,7 +466,7 @@ mod tests {
 
     impl EventSink for VecSink {
         fn append(&mut self, cpu: CpuId, events: &[Event]) -> std::io::Result<()> {
-            self.0.lock()[cpu.index()].extend_from_slice(events);
+            self.0.lock().unwrap()[cpu.index()].extend_from_slice(events);
             Ok(())
         }
     }
@@ -482,7 +481,7 @@ mod tests {
         tracer.app_mark(Nanos(3), CpuId(0), Tid(1), 0, 30);
         let lost = session.stop_spill().unwrap();
         assert_eq!(lost, vec![0, 0]);
-        let streams = streams.lock();
+        let streams = streams.lock().unwrap();
         assert_eq!(streams[0].len(), 2);
         assert_eq!(streams[1].len(), 1);
         assert!(streams[0].windows(2).all(|w| w[0].t <= w[1].t));
@@ -514,7 +513,7 @@ mod tests {
         // (The spin-retry producer bumps the loss counter on every
         // rejected push, so only delivery is asserted here.)
         session.stop_spill().unwrap();
-        let streams = streams.lock();
+        let streams = streams.lock().unwrap();
         assert_eq!(streams[0].len(), 10_000);
         assert!(streams[0].windows(2).all(|w| w[1].t.0 == w[0].t.0 + 1));
     }

@@ -19,8 +19,6 @@
 //! The `(code, tid, a, b)` kind packing is shared with the chunked
 //! store format (`osn-store`) via [`pack_record`]/[`unpack_record`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use osn_kernel::activity::Activity;
 use osn_kernel::hooks::SwitchState;
 use osn_kernel::ids::{CpuId, Tid};
@@ -187,26 +185,52 @@ pub fn unpack_record(c: u16, tid: u32, a: u64, b: u64) -> Result<(Tid, EventKind
     Ok((ctx_tid, kind))
 }
 
-fn encode_record(buf: &mut BytesMut, e: &Event) {
-    buf.put_u64_le(e.t.as_nanos());
-    buf.put_u16_le(e.cpu.0);
+fn encode_record(buf: &mut Vec<u8>, e: &Event) {
     let (c, tid, a, b) = pack_record(e);
-    buf.put_u16_le(c);
-    buf.put_u32_le(tid);
-    buf.put_u64_le(a);
-    buf.put_u64_le(b);
+    buf.extend_from_slice(&e.t.as_nanos().to_le_bytes());
+    buf.extend_from_slice(&e.cpu.0.to_le_bytes());
+    buf.extend_from_slice(&c.to_le_bytes());
+    buf.extend_from_slice(&tid.to_le_bytes());
+    buf.extend_from_slice(&a.to_le_bytes());
+    buf.extend_from_slice(&b.to_le_bytes());
 }
 
-fn decode_record(buf: &mut Bytes) -> Result<Event, WireError> {
-    if buf.remaining() < RECORD_BYTES {
-        return Err(WireError::Truncated);
+/// Little-endian reads off the front of a byte slice; a short read is
+/// [`WireError::Truncated`]. `remaining` lets callers check declared
+/// lengths before allocating for them.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn remaining(&self) -> usize {
+        self.0.len()
     }
-    let t = Nanos(buf.get_u64_le());
-    let cpu = CpuId(buf.get_u16_le());
-    let c = buf.get_u16_le();
-    let tid = buf.get_u32_le();
-    let a = buf.get_u64_le();
-    let b = buf.get_u64_le();
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u16(&mut self) -> Result<u16, WireError> {
+        self.take().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.take().map(u64::from_le_bytes)
+    }
+}
+
+fn decode_record(buf: &mut Reader) -> Result<Event, WireError> {
+    let t = Nanos(buf.u64()?);
+    let cpu = CpuId(buf.u16()?);
+    let c = buf.u16()?;
+    let tid = buf.u32()?;
+    let a = buf.u64()?;
+    let b = buf.u64()?;
     let (ctx_tid, kind) = unpack_record(c, tid, a, b)?;
     Ok(Event {
         t,
@@ -221,44 +245,25 @@ pub fn encoded_len(trace: &Trace) -> usize {
     MAGIC.len() + 8 + trace.lost.len() * 8 + 8 + trace.events.len() * RECORD_BYTES + CHECKSUM_BYTES
 }
 
-/// Append the full wire image of `trace` to `buf` (header, lost
-/// counters, every record, then the image checksum, batched in one
-/// pass). Reserves the exact size up front so the emission loop never
-/// reallocates.
-pub fn encode_into(trace: &Trace, buf: &mut BytesMut) {
-    buf.reserve(encoded_len(trace));
-    let start = buf.len();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(trace.lost.len() as u32);
+/// Serialize a trace to its full wire image: header, lost counters,
+/// every record, then the image checksum. The buffer is allocated at
+/// its exact final size, so the emission loop never reallocates.
+pub fn encode(trace: &Trace) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(encoded_len(trace));
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(trace.lost.len() as u32).to_le_bytes());
     for &l in &trace.lost {
-        buf.put_u64_le(l);
+        buf.extend_from_slice(&l.to_le_bytes());
     }
-    buf.put_u64_le(trace.events.len() as u64);
+    buf.extend_from_slice(&(trace.events.len() as u64).to_le_bytes());
     for e in &trace.events {
-        encode_record(buf, e);
+        encode_record(&mut buf, e);
     }
-    let sum = fnv1a64(&buf[start..]);
-    buf.put_u64_le(sum);
-}
-
-/// Serialize a trace to bytes.
-///
-/// Batches the whole emission through a thread-local scratch
-/// [`BytesMut`]: repeated encodes on one thread (campaign loops,
-/// benchmarks) recycle the scratch's capacity instead of growing a
-/// fresh buffer each call.
-pub fn encode(trace: &Trace) -> Bytes {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<BytesMut> =
-            std::cell::RefCell::new(BytesMut::new());
-    }
-    SCRATCH.with(|scratch| {
-        let mut buf = scratch.borrow_mut();
-        debug_assert!(buf.is_empty(), "scratch left dirty by a previous encode");
-        encode_into(trace, &mut buf);
-        buf.split().freeze()
-    })
+    let sum = fnv1a64(&buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    debug_assert_eq!(buf.len(), encoded_len(trace));
+    buf
 }
 
 /// Deserialize a trace from bytes.
@@ -266,24 +271,21 @@ pub fn encode(trace: &Trace) -> Bytes {
 /// Current images (v2) are checksum-verified before any structural
 /// parsing; legacy v1 images (pre-checksum) take an explicit fallback
 /// path. Any other version is a typed [`WireError::VersionMismatch`].
-pub fn decode(mut buf: Bytes) -> Result<Trace, WireError> {
-    let full = buf.clone();
+pub fn decode(full: &[u8]) -> Result<Trace, WireError> {
+    let mut buf = Reader(full);
     if buf.remaining() < MAGIC.len() + 8 {
         return Err(WireError::Truncated);
     }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &buf.take::<8>()? != MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = buf.u32()?;
     match version {
         VERSION => {
             // Verify the trailing image checksum over everything that
             // precedes it before trusting any declared length.
-            let body_len = full.len() - CHECKSUM_BYTES;
-            let expect = u64::from_le_bytes(full[body_len..].try_into().unwrap());
-            if fnv1a64(&full[..body_len]) != expect {
+            let (body, sum) = full.split_at(full.len() - CHECKSUM_BYTES);
+            if fnv1a64(body) != u64::from_le_bytes(sum.try_into().unwrap()) {
                 return Err(WireError::ChecksumMismatch);
             }
         }
@@ -295,7 +297,7 @@ pub fn decode(mut buf: Bytes) -> Result<Trace, WireError> {
             })
         }
     }
-    let ncpus = buf.get_u32_le() as usize;
+    let ncpus = buf.u32()? as usize;
     // Validate declared lengths against the actual payload before any
     // allocation: a corrupted (or hostile) header must not drive a
     // multi-gigabyte `Vec::with_capacity`.
@@ -306,9 +308,10 @@ pub fn decode(mut buf: Bytes) -> Result<Trace, WireError> {
     {
         return Err(WireError::Truncated);
     }
-    let lost: Vec<u64> = (0..ncpus).map(|_| buf.get_u64_le()).collect();
-    let count = buf.get_u64_le();
-    let count: usize = count.try_into().map_err(|_| WireError::Truncated)?;
+    let lost = (0..ncpus)
+        .map(|_| buf.u64())
+        .collect::<Result<Vec<u64>, _>>()?;
+    let count: usize = buf.u64()?.try_into().map_err(|_| WireError::Truncated)?;
     if count
         .checked_mul(RECORD_BYTES)
         .is_none_or(|need| buf.remaining() < need)
@@ -392,7 +395,7 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let trace = sample_trace();
         let bytes = encode(&trace);
-        let back = decode(bytes).unwrap();
+        let back = decode(&bytes).unwrap();
         assert_eq!(back.lost, trace.lost);
         assert_eq!(back.events, trace.events);
     }
@@ -411,18 +414,18 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let trace = sample_trace();
-        let mut bytes = encode(&trace).to_vec();
+        let mut bytes = encode(&trace);
         bytes[0] = b'X';
-        assert_eq!(decode(Bytes::from(bytes)).unwrap_err(), WireError::BadMagic);
+        assert_eq!(decode(&bytes).unwrap_err(), WireError::BadMagic);
     }
 
     #[test]
     fn future_version_rejected_typed() {
         let trace = sample_trace();
-        let mut bytes = encode(&trace).to_vec();
+        let mut bytes = encode(&trace);
         bytes[8] = 99;
         assert_eq!(
-            decode(Bytes::from(bytes)).unwrap_err(),
+            decode(&bytes).unwrap_err(),
             WireError::VersionMismatch {
                 found: 99,
                 supported: VERSION
@@ -435,10 +438,10 @@ mod tests {
         // A v1 image is exactly a v2 image with the version field
         // rewritten and the trailing checksum stripped.
         let trace = sample_trace();
-        let mut bytes = encode(&trace).to_vec();
+        let mut bytes = encode(&trace);
         bytes[8] = LEGACY_VERSION as u8;
         bytes.truncate(bytes.len() - CHECKSUM_BYTES);
-        let back = decode(Bytes::from(bytes)).unwrap();
+        let back = decode(&bytes).unwrap();
         assert_eq!(back.lost, trace.lost);
         assert_eq!(back.events, trace.events);
     }
@@ -446,14 +449,11 @@ mod tests {
     #[test]
     fn checksum_detects_payload_corruption() {
         let trace = sample_trace();
-        let mut bytes = encode(&trace).to_vec();
+        let mut bytes = encode(&trace);
         // Flip one bit inside the first record's timestamp.
         let rec0 = MAGIC.len() + 4 + 4 + trace.lost.len() * 8 + 8;
         bytes[rec0] ^= 0x40;
-        assert_eq!(
-            decode(Bytes::from(bytes)).unwrap_err(),
-            WireError::ChecksumMismatch
-        );
+        assert_eq!(decode(&bytes).unwrap_err(), WireError::ChecksumMismatch);
     }
 
     #[test]
@@ -464,21 +464,22 @@ mod tests {
         // the body of a v2 image surfaces as a checksum failure (the
         // trailing 8 bytes are no longer the image checksum).
         for cut in [3, 12] {
-            let sliced = bytes.slice(0..cut);
             assert_eq!(
-                decode(sliced).unwrap_err(),
+                decode(&bytes[..cut]).unwrap_err(),
                 WireError::Truncated,
                 "cut={cut}"
             );
         }
-        let sliced = bytes.slice(0..bytes.len() - 1);
-        assert_eq!(decode(sliced).unwrap_err(), WireError::ChecksumMismatch);
+        assert_eq!(
+            decode(&bytes[..bytes.len() - 1]).unwrap_err(),
+            WireError::ChecksumMismatch
+        );
     }
 
     #[test]
     fn empty_trace_roundtrips() {
         let trace = Trace::from_raw_parts(vec![], vec![]);
-        let back = decode(encode(&trace)).unwrap();
+        let back = decode(&encode(&trace)).unwrap();
         assert!(back.events.is_empty());
         assert!(back.lost.is_empty());
     }
@@ -506,8 +507,17 @@ mod tests {
             })
             .collect();
         let trace = Trace::from_raw_parts(events, vec![0]);
-        let back = decode(encode(&trace)).unwrap();
+        let back = decode(&encode(&trace)).unwrap();
         assert_eq!(back.events, trace.events);
+    }
+
+    /// Pins the byte image of `sample_trace()`: any change to the
+    /// header, record layout, kind packing or checksum shows up here.
+    #[test]
+    fn sample_image_is_pinned() {
+        let bytes = encode(&sample_trace());
+        assert_eq!(bytes.len(), encoded_len(&sample_trace()));
+        assert_eq!(fnv1a64(&bytes), 0x1c38_e8c7_314a_0c1d);
     }
 
     #[test]
@@ -527,7 +537,7 @@ pub fn write_trace_file(path: &std::path::Path, trace: &Trace) -> std::io::Resul
 /// Read a trace from a wire-format file.
 pub fn read_trace_file(path: &std::path::Path) -> std::io::Result<Trace> {
     let raw = std::fs::read(path)?;
-    decode(Bytes::from(raw)).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    decode(&raw).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]

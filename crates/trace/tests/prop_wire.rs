@@ -72,7 +72,7 @@ proptest! {
         lost in prop::collection::vec(any::<u64>(), 0..16),
     ) {
         let trace = Trace::from_raw_parts(events, lost);
-        let decoded = decode(encode(&trace)).expect("own encoding must decode");
+        let decoded = decode(&encode(&trace)).expect("own encoding must decode");
         prop_assert_eq!(decoded.events, trace.events);
         prop_assert_eq!(decoded.lost, trace.lost);
     }
@@ -81,7 +81,7 @@ proptest! {
     /// a structured error or a valid trace.
     #[test]
     fn decode_arbitrary_bytes_never_panics(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode(bytes::Bytes::from(data));
+        let _ = decode(&data);
     }
 
     /// Flipping any single byte of a valid encoding either still
@@ -93,9 +93,9 @@ proptest! {
         xor in 1u8..,
     ) {
         let trace = Trace::from_raw_parts(events, vec![0]);
-        let mut bytes = encode(&trace).to_vec();
+        let mut bytes = encode(&trace);
         let idx = flip_at.index(bytes.len());
         bytes[idx] ^= xor;
-        let _ = decode(bytes::Bytes::from(bytes));
+        let _ = decode(&bytes);
     }
 }

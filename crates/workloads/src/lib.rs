@@ -7,6 +7,8 @@
 //! page-fault rate/kind/placement, I/O intensity, phase structure — not
 //! its numerics; see DESIGN.md for the calibration table.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod helper;
 pub mod injector;
 pub mod phases;

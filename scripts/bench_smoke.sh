@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke check for the simulator's performance trajectory: build, run
 # the test suite, then short benchmark runs that regenerate
-# BENCH_PR1.json (per-app events/sec heap vs wheel, plus the
+# BENCH_PR1.json (per-app engine events/sec, plus the heap-vs-wheel
 # queue-depth sweep), BENCH_PR3.json (sharded/fused analysis engine
 # vs the sequential reference, campaign + rank sweep — every timed rep
 # also differentially checks the reports are bit-identical),

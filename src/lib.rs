@@ -36,6 +36,8 @@
 //! println!("rank 0 experienced {noise} of OS noise");
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub use osn_analysis as analysis;
 pub use osn_catalog as catalog;
 pub use osn_core as core;

@@ -25,7 +25,7 @@ fn wire_roundtrip_on_a_real_trace() {
     let encoded = wire::encode(&run.trace);
     // 32-byte records + header: sanity on size.
     assert!(encoded.len() > run.trace.len() * 32);
-    let decoded = wire::decode(encoded).expect("own trace must decode");
+    let decoded = wire::decode(&encoded).expect("own trace must decode");
     assert_eq!(decoded.events, run.trace.events);
     assert_eq!(decoded.lost, run.trace.lost);
 
@@ -143,7 +143,7 @@ fn ftq_series_survives_the_wire() {
     let trace = session.stop();
 
     let direct = series_from_trace(&trace, &params).expect("series");
-    let roundtripped = wire::decode(wire::encode(&trace)).unwrap();
+    let roundtripped = wire::decode(&wire::encode(&trace)).unwrap();
     let indirect = series_from_trace(&roundtripped, &params).expect("series");
     assert_eq!(direct, indirect);
     assert_eq!(direct.ops.len(), 200);

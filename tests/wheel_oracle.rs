@@ -2,16 +2,12 @@
 //!
 //! The wheel's contract is that it is *observationally identical* to
 //! the reference `BinaryHeap` queue: same `(t, seq)` pop order for any
-//! causally-valid push/pop interleaving, and therefore bit-identical
-//! traces and statistics for whole simulated campaigns. Both halves
-//! are checked here — a property-based lockstep oracle on the queue
-//! itself, and an end-to-end heap-vs-wheel run of the paper setup.
+//! causally-valid push/pop interleaving. The engine runs on the wheel
+//! alone, so this property-based lockstep oracle against the heap is
+//! what pins its event order — and with it every trace and statistic.
 
-use osnoise::core::{run_app, ExperimentConfig};
-use osnoise::kernel::config::QueueKind;
 use osnoise::kernel::time::Nanos;
 use osnoise::kernel::wheel::{EventQueue, HeapQueue, TimerWheel};
-use osnoise::workloads::App;
 
 use proptest::prelude::*;
 
@@ -81,33 +77,4 @@ proptest! {
             }
         }
     }
-}
-
-/// End-to-end determinism: the paper experiment produces bit-identical
-/// traces, task tables, and statistics whichever queue drives it.
-#[test]
-fn heap_and_wheel_runs_are_bit_identical() {
-    let run_with = |queue: QueueKind| {
-        let mut config = ExperimentConfig::paper(App::Amg, Nanos::from_secs(1)).with_seed(0xC0FFEE);
-        config.node.queue = queue;
-        run_app(config)
-    };
-    let wheel = run_with(QueueKind::Wheel);
-    let heap = run_with(QueueKind::Heap);
-
-    assert_eq!(wheel.result.end_time, heap.result.end_time);
-    assert_eq!(wheel.trace.events.len(), heap.trace.events.len());
-    assert_eq!(wheel.trace.events, heap.trace.events, "traces diverge");
-    assert_eq!(wheel.ranks, heap.ranks);
-    // NodeStats has no PartialEq; its JSON image is a faithful stand-in.
-    assert_eq!(
-        serde_json::to_string(&wheel.result.stats).unwrap(),
-        serde_json::to_string(&heap.result.stats).unwrap(),
-        "statistics diverge"
-    );
-    assert_eq!(
-        serde_json::to_string(&wheel.result.tasks).unwrap(),
-        serde_json::to_string(&heap.result.tasks).unwrap(),
-        "task tables diverge"
-    );
 }
