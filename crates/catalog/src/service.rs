@@ -8,7 +8,7 @@
 //! * `/runs/{id}/report` ≡ `serde_json::to_vec_pretty` of the
 //!   [`PaperReport`] built by [`osn_core::recovered_report`] (what
 //!   `osnoise analyze --json` writes);
-//! * `/runs/{id}/slice` events ≡ a filtered [`StoreReader::cpu_stream`]
+//! * `/runs/{id}/slice` events ≡ a filtered [`StoreReader::column_chunks`]
 //!   walk ([`slice_events`] is the shared implementation);
 //! * `/runs/{id}/histogram` ≡ [`osn_analysis::class_histogram`];
 //! * `/compare` ≡ [`NoiseSignature`] distance/drift;
@@ -16,7 +16,7 @@
 //!
 //! Bounded memory per endpoint:
 //!
-//! * slice streams hold ≤ 1 decoded chunk per CPU stream at a time
+//! * slice cursors hold ≤ 1 decoded chunk per CPU at a time
 //!   (the reader's [`osn_store::ChunkStatsSnapshot`] gauge proves it)
 //!   and only chunks
 //!   overlapping `[t0, t1)` are ever decoded (footer-index seek);
@@ -581,11 +581,12 @@ pub fn event_matches_class(e: &Event, class: EventClass) -> bool {
 }
 
 /// The slice query's library path, shared verbatim by the endpoint:
-/// for each selected CPU, seed a bounded stream with only the chunks
-/// overlapping `[t0, t1)` (footer-index binary search — skipped chunks
-/// are never read), filter by timestamp and class, and k-way merge to
-/// global `(t, cpu)` order. Returns `(events, chunks_decoded,
-/// chunks_total)`.
+/// for each selected CPU, walk a column cursor seeded with only the
+/// chunks overlapping `[t0, t1)` (footer-index binary search — skipped
+/// chunks are never read), narrow each block to `[t0, t1)` with two
+/// binary searches on its timestamp column, build `Event`s for those
+/// records only, filter by class, and k-way merge to global
+/// `(t, cpu)` order. Returns `(events, chunks_decoded, chunks_total)`.
 pub fn slice_events(
     reader: &StoreReader,
     t0: Nanos,
@@ -602,19 +603,23 @@ pub fn slice_events(
     let mut streams: Vec<Vec<Event>> = Vec::with_capacity(cpus.len());
     for c in &cpus {
         chunks_total += reader.chunks_for(*c, None).count();
-        if t1 <= t0 {
-            streams.push(Vec::new());
-            continue;
+        let mut stream = Vec::new();
+        if t1 > t0 {
+            let mut cursor = reader.column_chunks_range(*c, t0, Nanos(t1.as_nanos() - 1));
+            // A corrupt chunk ends the walk; the caller sees it in
+            // `decode_errors`.
+            while let Some(Ok(cols)) = cursor.next_chunk() {
+                chunks_decoded += 1;
+                let lo = cols.t.partition_point(|&t| t < t0.as_nanos());
+                let hi = cols.t.partition_point(|&t| t < t1.as_nanos());
+                stream.extend(
+                    (lo..hi)
+                        .map(|i| cols.event(i))
+                        .filter(|e| class.is_none_or(|cl| event_matches_class(e, cl))),
+                );
+            }
         }
-        let stream = reader.cpu_stream_range(*c, Some((t0, Nanos(t1.as_nanos() - 1))));
-        chunks_decoded += stream.chunk_count();
-        streams.push(
-            stream
-                .filter(|e| {
-                    e.t >= t0 && e.t < t1 && class.is_none_or(|cl| event_matches_class(e, cl))
-                })
-                .collect(),
-        );
+        streams.push(stream);
     }
     (
         osn_trace::merge_streams(streams),

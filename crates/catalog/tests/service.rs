@@ -131,7 +131,7 @@ fn service_end_to_end() {
         "report bytes differ from offline path"
     );
 
-    // -- /runs/{id}/slice: ≡ filtered cpu_stream walk, bounded decode
+    // -- /runs/{id}/slice: ≡ filtered full cursor walk, bounded decode
     let (reader_a, meta_a, analysis_a) = offline_analysis(&path_a);
     let span = reader_a.span().unwrap();
     let quarter = (span.1.as_nanos() - span.0.as_nanos()) / 4;
@@ -141,16 +141,22 @@ fn service_end_to_end() {
         .unwrap();
     assert_eq!(status, 200);
     let slice: SliceResponse = serde_json::from_slice(&body).unwrap();
-    // Expected events: a *full* walk of every cpu_stream, filtered by
-    // timestamp — the unindexed reference the seek path must match.
+    // Expected events: a *full* walk of every CPU's column cursor,
+    // filtered by timestamp — the unindexed reference the seek path
+    // must match.
     let mut streams: Vec<Vec<Event>> = Vec::new();
     for c in 0..reader_a.ncpus() {
-        streams.push(
-            reader_a
-                .cpu_stream(CpuId(c as u16))
-                .filter(|e| e.t.as_nanos() >= t0 && e.t.as_nanos() < t1)
-                .collect(),
-        );
+        let mut cursor = reader_a.column_chunks(CpuId(c as u16));
+        let mut stream = Vec::new();
+        while let Some(block) = cursor.next_chunk() {
+            stream.extend(
+                block
+                    .unwrap()
+                    .events()
+                    .filter(|e| e.t.as_nanos() >= t0 && e.t.as_nanos() < t1),
+            );
+        }
+        streams.push(stream);
     }
     let expected_events = osn_trace::merge_streams(streams);
     assert!(!expected_events.is_empty(), "window should contain events");

@@ -1,23 +1,13 @@
 //! `osnoise` — command-line front end for the OS-noise reproduction.
-//!
-//! ```text
-//! osnoise campaign [--secs N] [--seed S] [--json FILE]   full Sequoia campaign: Fig 3 + Tables I-VI
-//! osnoise app <amg|irs|lammps|sphot|umt> [--secs N]      one application, detailed report
-//! osnoise ftq [--samples N] [--seed S]                   FTQ vs LTTng-noise (Fig 1, §III-C)
-//! osnoise export <app> --out DIR [--secs N]              Paraver .prv/.pcf/.row + CSV exports
-//! osnoise disambiguate <app> [--tolerance NS]            §V-A confusable pairs (Fig 10)
-//! osnoise overhead [--secs N]                            §III-A instrumentation overhead
-//! osnoise record <app> <out.osn> [--secs N]              trace to a chunked store file (streaming)
-//! osnoise analyze <in.osn> [--json FILE]                 out-of-core report from a store file
-//! osnoise compare <a.osn> <b.osn>                        side-by-side signature table (modeled vs native)
-//! osnoise info <path>... [--json FILE]                   store layout/contents (files or dirs)
-//! osnoise serve <dir> [--addr A] [--threads N]           catalog + HTTP query service
-//! osnoise cluster <app> [--nodes N] [--secs N]           tiered multi-node BSP campaign
-//! ```
+//! [`COMMANDS`] declares every subcommand with its positionals and
+//! typed flags; run `osnoise` without arguments for the usage text
+//! generated from it. Exit codes: 0 success, 1 runtime failure, 2
+//! usage error.
 
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
-use std::collections::HashMap;
+mod args;
+
 use std::process::ExitCode;
 
 use osn_core::analysis::chart::NoiseChart;
@@ -30,121 +20,94 @@ use osn_core::paraver;
 use osn_core::trace::overhead::{measure_overhead_avg, LTTNG_CLASS_OVERHEAD};
 use osn_core::workloads::App;
 use osn_core::{
-    fig10_pairs, parse_tier, run_app, run_cluster_opts, run_cluster_stored_opts, ClusterConfig,
-    ExperimentConfig, PaperReport, RunOpts,
+    fig10_pairs, parse_tier, run_app, run_cluster_opts, run_cluster_stored, AppReport,
+    ClusterConfig, ExperimentConfig, PaperReport, RunOpts,
+};
+use serde::Serialize;
+
+use args::{command, failed, flag, Args, Command, Error, Flag, Kind, POSITIVE, UINT};
+
+// The upper bounds keep `Nanos::from_secs`/`from_micros` from overflowing.
+const SECS: Flag = flag("secs", "N", Kind::Int(0, u64::MAX / 1_000_000_000));
+const GRANULARITY: Flag = flag("granularity-us", "G", Kind::Int(1, u64::MAX / 1_000));
+const SEED: Flag = flag("seed", "S", UINT);
+const JSON: Flag = flag("json", "FILE", Kind::Text);
+const STORE: Flag = flag("store", "DIR", Kind::Text);
+const CHUNK: Flag = flag("chunk", "EVENTS", Kind::Int(1, u32::MAX as u64));
+const CODEC: Flag = flag("codec", "", Kind::Choice(&["raw", "delta"]));
+const SAMPLES: Flag = flag("samples", "N", Kind::Int(1, u32::MAX as u64));
+const TOLERANCE: Flag = flag("tolerance", "NS", UINT);
+const AGAINST: Flag = flag("against", "SEED", UINT);
+const EXPORT_OUT: Flag = Flag {
+    required: true,
+    ..flag("out", "DIR", Kind::Text)
 };
 
-struct Args {
-    positional: Vec<String>,
-    flags: HashMap<String, String>,
-}
+const COMMANDS: &[Command] = &[
+    command("campaign", "", &[SECS, SEED, JSON, STORE], cmd_campaign),
+    command("app", "<app>", &[SECS, SEED], cmd_app),
+    command(
+        "record",
+        "<app> <out.osn>",
+        &[SECS, SEED, CHUNK, CODEC],
+        cmd_record,
+    ),
+    command("capture", "", CAPTURE_FLAGS, cmd_capture),
+    command("analyze", "<in.osn>", &[JSON], cmd_analyze),
+    command("compare", "<a.osn> <b.osn>", &[], cmd_compare),
+    command("info", "<path>...", &[JSON], cmd_info),
+    command("serve", "<dir>", SERVE_FLAGS, cmd_serve),
+    command("ftq", "", &[SAMPLES, SEED], cmd_ftq),
+    command("export", "<app>", &[EXPORT_OUT, SECS, SEED], cmd_export),
+    command(
+        "disambiguate",
+        "<app>",
+        &[TOLERANCE, SECS, SEED],
+        cmd_disambiguate,
+    ),
+    command("overhead", "", &[SECS, SEED], cmd_overhead),
+    command("scale", "<app>", &[GRANULARITY, SECS, SEED], cmd_scale),
+    command("signature", "<app>", &[AGAINST, SECS, SEED], cmd_signature),
+    command("cluster", "<app>", CLUSTER_FLAGS, cmd_cluster),
+];
 
-impl Args {
-    fn parse() -> Args {
-        let mut positional = Vec::new();
-        let mut flags = HashMap::new();
-        let mut iter = std::env::args().skip(1).peekable();
-        while let Some(arg) = iter.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                let value = iter.next().unwrap_or_default();
-                flags.insert(name.to_string(), value);
-            } else {
-                positional.push(arg);
-            }
-        }
-        Args { positional, flags }
-    }
+const CAPTURE_FLAGS: &[Flag] = &[
+    flag("duration", "D", Kind::Duration),
+    flag("quantum", "Q", Kind::Duration),
+    flag("out", "FILE.osn", Kind::Text),
+    JSON,
+    CHUNK,
+    CODEC,
+];
 
-    fn secs(&self) -> Nanos {
-        Nanos::from_secs(
-            self.flags
-                .get("secs")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(10u64)
-                .max(1),
-        )
-    }
+const SERVE_FLAGS: &[Flag] = &[
+    flag("addr", "HOST:PORT", Kind::Text),
+    flag("threads", "N", UINT),
+    flag("rescan-ms", "MS", UINT),
+    flag("cache", "N", UINT),
+];
 
-    fn seed(&self) -> u64 {
-        self.flags
-            .get("seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0x0511_2011)
-    }
+const CLUSTER_FLAGS: &[Flag] = &[
+    flag("nodes", "N", POSITIVE),
+    SECS,
+    SEED,
+    GRANULARITY,
+    flag("cpus", "C", Kind::Int(1, u16::MAX as u64)),
+    flag("workers", "W", POSITIVE),
+    flag("max-phases", "P", UINT),
+    flag("stagger", "", Kind::Choice(&["on", "off"])),
+    flag("tier", "mechanistic|auto|sampled:<frac>", Kind::Text),
+    flag("progress", "N", UINT),
+    JSON,
+    STORE,
+    flag("inject", "SPEC", Kind::Text),
+    CHUNK,
+    CODEC,
+];
 
-    /// A flag that must be a positive integer: `Ok(None)` when it is
-    /// absent, a usage error (exit 2) naming the flag and its value
-    /// when it is zero, negative or not a number.
-    fn positive<T: std::str::FromStr + PartialOrd + Default>(
-        &self,
-        name: &str,
-    ) -> Result<Option<T>, ExitCode> {
-        let Some(raw) = self.flags.get(name) else {
-            return Ok(None);
-        };
-        match raw.parse::<T>() {
-            Ok(v) if v > T::default() => Ok(Some(v)),
-            _ => {
-                eprintln!("bad --{name} `{raw}`: expected a positive integer");
-                Err(ExitCode::from(2))
-            }
-        }
-    }
-}
+const ABOUT: &str = "osnoise — quantitative per-event OS-noise analysis (IPDPS'11 reproduction)";
 
-fn parse_app(name: &str) -> Option<App> {
-    App::ALL.into_iter().find(|a| a.name() == name)
-}
-
-fn main() -> ExitCode {
-    let args = Args::parse();
-    let command = args.positional.first().map(String::as_str);
-    match command {
-        Some("campaign") => cmd_campaign(&args),
-        Some("app") => cmd_app(&args),
-        Some("ftq") => cmd_ftq(&args),
-        Some("export") => cmd_export(&args),
-        Some("disambiguate") => cmd_disambiguate(&args),
-        Some("overhead") => cmd_overhead(&args),
-        Some("scale") => cmd_scale(&args),
-        Some("signature") => cmd_signature(&args),
-        Some("record") => cmd_record(&args),
-        Some("capture") => cmd_capture(&args),
-        Some("analyze") => cmd_analyze(&args),
-        Some("compare") => cmd_compare(&args),
-        Some("info") => cmd_info(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("cluster") => cmd_cluster(&args),
-        _ => {
-            eprintln!("{}", HELP);
-            ExitCode::FAILURE
-        }
-    }
-}
-
-const HELP: &str = "osnoise — quantitative per-event OS-noise analysis (IPDPS'11 reproduction)
-
-USAGE:
-  osnoise campaign [--secs N] [--seed S] [--json FILE] [--store DIR]
-  osnoise app <amg|irs|lammps|sphot|umt> [--secs N] [--seed S]
-  osnoise record <app> <out.osn> [--secs N] [--seed S] [--chunk EVENTS] [--codec raw|delta]
-  osnoise capture [--duration D] [--quantum Q] [--out FILE.osn] [--json FILE]
-  osnoise analyze <in.osn> [--json FILE]
-  osnoise compare <a.osn> <b.osn>
-  osnoise info <path>... [--json FILE]
-  osnoise serve <dir> [--addr HOST:PORT] [--threads N] [--rescan-ms MS] [--cache N]
-  osnoise ftq [--samples N] [--seed S]
-  osnoise export <app> --out DIR [--secs N]
-  osnoise disambiguate <app> [--tolerance NS] [--secs N]
-  osnoise overhead [--secs N]
-  osnoise scale <app> [--granularity-us G] [--secs N]
-  osnoise signature <app> [--against SEED] [--secs N]
-  osnoise cluster <app> [--nodes N] [--secs N] [--seed S] [--granularity-us G]
-                  [--cpus C] [--workers W] [--max-phases P] [--stagger on|off]
-                  [--tier mechanistic|auto|sampled:<frac>] [--progress N]
-                  [--json FILE] [--store DIR] [--inject SPEC]
-
-CAPTURE:
+const NOTES: &str = "CAPTURE:
   `osnoise capture` runs the native FTQ loop on THIS host (not the
   simulator): per-quantum gaps above the calibrated threshold are
   classified from /proc counter deltas (tick / interrupt / preemption /
@@ -186,9 +149,105 @@ INJECTION:
     partition:node=N,at=50ms,dur=100ms,delay=2ms  network partition
     jitter:mean=50us[,node=N]                     network jitter";
 
-fn cmd_campaign(args: &Args) -> ExitCode {
-    let mut config = CampaignConfig::paper(args.secs());
-    config.seed = args.seed();
+fn main() -> ExitCode {
+    let apps: Vec<&str> = App::ALL.iter().map(|a| a.name()).collect();
+    let usage = args::usage(COMMANDS);
+    let help = format!(
+        "{ABOUT}\n<app> is one of {}.\n\n{usage}\n\n{NOTES}",
+        apps.join(", ")
+    );
+    let result = args::parse(COMMANDS, &help, std::env::args().skip(1))
+        .and_then(|args| (args.command.run)(&args));
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Error::Usage(message)) => {
+            eprintln!("{message}");
+            ExitCode::from(2)
+        }
+        Err(Error::Failed(message)) => {
+            if !message.is_empty() {
+                eprintln!("{message}");
+            }
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn secs(args: &Args) -> Nanos {
+    Nanos::from_secs(args.int("secs").unwrap_or(10).max(1))
+}
+
+fn seed(args: &Args) -> u64 {
+    args.int("seed").unwrap_or(0x0511_2011)
+}
+
+/// The `<app>` positional, the first after the subcommand.
+fn app(args: &Args) -> Result<App, Error> {
+    let name = &args.positionals()[0];
+    App::ALL
+        .into_iter()
+        .find(|a| a.name() == name)
+        .ok_or_else(|| args.usage(format!("unknown app `{name}`")))
+}
+
+/// The paper configuration of `<app>` for `--secs` and `--seed`.
+fn experiment(args: &Args) -> Result<ExperimentConfig, Error> {
+    Ok(ExperimentConfig::paper(app(args)?, secs(args)).with_seed(seed(args)))
+}
+
+fn store_options(args: &Args) -> osn_core::store::Options {
+    let mut opts = osn_core::store::Options::default();
+    if let Some(chunk) = args.int("chunk") {
+        opts = opts.with_chunk_capacity(chunk as usize);
+    }
+    if args.text("codec") == Some("raw") {
+        opts = opts.with_compress(false);
+    }
+    opts
+}
+
+/// Pretty JSON: the bytes `osnoise serve` answers with.
+fn to_json<T: Serialize>(value: &T) -> Result<String, Error> {
+    serde_json::to_string_pretty(value).map_err(failed("serialization failed"))
+}
+
+fn write_json<T: Serialize>(path: &str, value: &T) -> Result<(), Error> {
+    std::fs::write(path, to_json(value)?).map_err(failed(format!("cannot write {path}")))
+}
+
+/// What recovering a damaged store cost, for `analyze` and `info`.
+fn recovery_note(r: &osn_core::store::RecoveryReport) -> String {
+    format!(
+        "{} torn chunk(s), {} event(s) lost, {} byte(s) dropped{}",
+        r.torn_chunks,
+        r.torn_events,
+        r.dropped_bytes,
+        if r.footer_ok { "" } else { ", footer missing" },
+    )
+}
+
+/// The per-event statistics table shared by `app` and `analyze`.
+fn print_event_stats(report: &AppReport) {
+    println!("== per-event statistics (observed process) ==");
+    for class in EventClass::ALL {
+        let s = report.stats(class);
+        if s.count == 0 {
+            continue;
+        }
+        println!(
+            "  {:<24} {:>8.0}/s avg {:>10} max {:>12} min {:>8}",
+            class.name(),
+            s.freq_per_sec,
+            s.avg.to_string(),
+            s.max.to_string(),
+            s.min.to_string()
+        );
+    }
+}
+
+fn cmd_campaign(args: &Args) -> Result<(), Error> {
+    let mut config = CampaignConfig::paper(secs(args));
+    config.seed = seed(args);
     let (runs, report) = campaign_report(&config);
     println!(
         "== Fig 3: OS noise breakdown ==\n{}",
@@ -204,70 +263,33 @@ fn cmd_campaign(args: &Args) -> ExitCode {
     ] {
         println!("== {} ==\n{}", label, report.render_table(class));
     }
-    if let Some(path) = args.flags.get("json") {
-        match serde_json::to_vec_pretty(&report) {
-            Ok(bytes) => {
-                if let Err(e) = std::fs::write(path, bytes) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("report written to {path}");
-            }
-            Err(e) => {
-                eprintln!("serialization failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    if let Some(path) = args.text("json") {
+        write_json(path, &report)?;
+        println!("report written to {path}");
+    }
+    if let Some(dir) = args.text("store") {
+        let paths = osn_core::persist_campaign(&runs, dir.as_ref(), Default::default())
+            .map_err(failed(format!("cannot persist campaign to {dir}")))?;
+        for p in &paths {
+            println!("wrote {}", p.display());
         }
     }
-    if let Some(dir) = args.flags.get("store") {
-        let dir = std::path::Path::new(dir);
-        match osn_core::persist_campaign(&runs, dir, osn_core::store::Options::default()) {
-            Ok(paths) => {
-                for p in &paths {
-                    println!("wrote {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot persist campaign to {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_app(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| parse_app(n)) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let config = ExperimentConfig::paper(app, args.secs()).with_seed(args.seed());
-    let run = run_app(config);
+fn cmd_app(args: &Args) -> Result<(), Error> {
+    let run = run_app(experiment(args)?);
     let report = PaperReport::build(std::slice::from_ref(&run));
     println!(
         "{} — {} ranks, wall {}, {} trace events ({} lost)",
-        app.name().to_uppercase(),
+        run.config.app.name().to_uppercase(),
         run.ranks.len(),
         run.wall(),
         run.trace.len(),
         run.trace.total_lost()
     );
     println!("\n== noise breakdown ==\n{}", report.render_breakdown());
-    println!("== per-event statistics (observed process) ==");
-    for class in EventClass::ALL {
-        let s = report.apps[0].stats(class);
-        if s.count == 0 {
-            continue;
-        }
-        println!(
-            "  {:<24} {:>8.0}/s avg {:>10} max {:>12} min {:>8}",
-            class.name(),
-            s.freq_per_sec,
-            s.avg.to_string(),
-            s.max.to_string(),
-            s.min.to_string()
-        );
-    }
+    print_event_stats(&report.apps[0]);
     let observed = run.observed_rank();
     if let Some(meta) = run.result.tasks.iter().find(|m| m.tid == observed) {
         println!("\n== observed process detail ==");
@@ -276,17 +298,12 @@ fn cmd_app(args: &Args) -> ExitCode {
             osn_core::analysis::report::task_report(&run.analysis, meta)
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_ftq(args: &Args) -> ExitCode {
-    let samples: u32 = args
-        .flags
-        .get("samples")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3000);
-    let (params, node) = fig1_config(samples);
-    let exp = run_ftq(params, node.with_seed(args.seed()));
+fn cmd_ftq(args: &Args) -> Result<(), Error> {
+    let (params, node) = fig1_config(args.int("samples").unwrap_or(3000) as u32);
+    let exp = run_ftq(params, node.with_seed(seed(args)));
     let (ftq_total, traced_total) = exp.comparison.totals();
     println!(
         "FTQ: {} quanta of {}",
@@ -307,24 +324,13 @@ fn cmd_ftq(args: &Args) -> ExitCode {
             println!("  {c:?} = {d}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_export(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| parse_app(n)) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let Some(out) = args.flags.get("out") else {
-        eprintln!("--out DIR is required");
-        return ExitCode::FAILURE;
-    };
-    let out = std::path::Path::new(out);
-    if let Err(e) = std::fs::create_dir_all(out) {
-        eprintln!("cannot create {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    let config = ExperimentConfig::paper(app, args.secs()).with_seed(args.seed());
+fn cmd_export(args: &Args) -> Result<(), Error> {
+    let config = experiment(args)?;
+    let out = std::path::Path::new(args.text("out").expect("--out is required"));
+    std::fs::create_dir_all(out).map_err(failed(format!("cannot create {}", out.display())))?;
     let run = run_app(config);
 
     let prv = paraver::write_full_prv(
@@ -343,7 +349,7 @@ fn cmd_export(args: &Args) -> ExitCode {
         &run.ranks,
         EventClass::PageFault,
     ));
-    let name = app.name();
+    let name = run.config.app.name();
     for (file, contents) in [
         (format!("{name}.prv"), prv),
         (format!("{name}.pcf"), pcf),
@@ -352,32 +358,20 @@ fn cmd_export(args: &Args) -> ExitCode {
         (format!("{name}_faults.csv"), fault_csv),
     ] {
         let path = out.join(&file);
-        if let Err(e) = std::fs::write(&path, contents) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, contents)
+            .map_err(failed(format!("cannot write {}", path.display())))?;
         println!("wrote {}", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_disambiguate(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| parse_app(n)) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let tolerance = Nanos(
-        args.flags
-            .get("tolerance")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(60),
-    );
-    let config = ExperimentConfig::paper(app, args.secs()).with_seed(args.seed());
-    let run = run_app(config);
+fn cmd_disambiguate(args: &Args) -> Result<(), Error> {
+    let tolerance = Nanos(args.int("tolerance").unwrap_or(60));
+    let run = run_app(experiment(args)?);
     let pairs = fig10_pairs(&run, tolerance, 12);
     println!(
         "confusable pairs in {} (|Δ| <= {tolerance}): {}",
-        app.name().to_uppercase(),
+        run.config.app.name().to_uppercase(),
         pairs.len()
     );
     for p in &pairs {
@@ -389,21 +383,17 @@ fn cmd_disambiguate(args: &Args) -> ExitCode {
             p.b_class.name()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_signature(args: &Args) -> ExitCode {
+fn cmd_signature(args: &Args) -> Result<(), Error> {
     use osn_core::analysis::NoiseSignature;
-    let Some(app) = args.positional.get(1).and_then(|n| parse_app(n)) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let config = ExperimentConfig::paper(app, args.secs()).with_seed(args.seed());
-    let run = run_app(config);
+    let config = experiment(args)?;
+    let run = run_app(config.clone());
     let signature = NoiseSignature::build(&run.analysis, &run.ranks);
     println!(
         "{} noise signature (total {}):",
-        app.name().to_uppercase(),
+        config.app.name().to_uppercase(),
         signature.total_noise
     );
     for e in &signature.entries {
@@ -418,16 +408,11 @@ fn cmd_signature(args: &Args) -> ExitCode {
             e.share * 100.0
         );
     }
-    if let Some(other_seed) = args
-        .flags
-        .get("against")
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        let other = run_app(ExperimentConfig::paper(app, args.secs()).with_seed(other_seed));
+    if let Some(other_seed) = args.int("against") {
+        let other = run_app(config.with_seed(other_seed));
         let other_sig = NoiseSignature::build(&other.analysis, &other.ranks);
         println!(
-            "
-composition distance to seed {}: {:.4}",
+            "\ncomposition distance to seed {}: {:.4}",
             other_seed,
             signature.distance(&other_sig)
         );
@@ -444,29 +429,21 @@ composition distance to seed {}: {:.4}",
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_scale(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| parse_app(n)) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let granularity = match args.positive("granularity-us") {
-        Ok(us) => Nanos::from_micros(us.unwrap_or(1_000)),
-        Err(code) => return code,
-    };
-    let config = ExperimentConfig::paper(app, args.secs()).with_seed(args.seed());
-    let run = run_app(config);
+fn cmd_scale(args: &Args) -> Result<(), Error> {
+    let granularity = Nanos::from_micros(args.int("granularity-us").unwrap_or(1_000));
+    let run = run_app(experiment(args)?);
     let model = osn_core::ScaleModel::from_run(&run, granularity);
     println!(
         "{}: mean noise per {} window = {}",
-        app.name().to_uppercase(),
+        run.config.app.name().to_uppercase(),
         granularity,
         model.mean_window_noise()
     );
     println!("predicted BSP iteration slowdown (barrier per window):");
-    for p in model.curve(&[1, 8, 64, 512, 4096, 32768, 262144], 2_000, args.seed()) {
+    for p in model.curve(&[1, 8, 64, 512, 4096, 32768, 262144], 2_000, seed(args)) {
         println!(
             "  {:>7} nodes: {:>8.4}x slowdown, {:>6.2}% efficiency (E[max noise] {})",
             p.nodes,
@@ -475,94 +452,35 @@ fn cmd_scale(args: &Args) -> ExitCode {
             p.expected_max_noise
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn store_options(args: &Args) -> osn_core::store::Options {
-    let mut opts = osn_core::store::Options::default();
-    if let Some(chunk) = args.flags.get("chunk").and_then(|s| s.parse().ok()) {
-        opts = opts.with_chunk_capacity(chunk);
-    }
-    if args.flags.get("codec").is_some_and(|c| c == "raw") {
-        opts = opts.with_compress(false);
-    }
-    opts
+fn cmd_record(args: &Args) -> Result<(), Error> {
+    let config = experiment(args)?;
+    let path = std::path::Path::new(&args.positionals()[1]);
+    let (meta, summary) =
+        osn_core::record_app(config, path, store_options(args)).map_err(failed("record failed"))?;
+    println!(
+        "recorded {} — {} ({} ranks): {} events in {} chunks, {} bytes",
+        path.display(),
+        meta.config.app.name(),
+        meta.ranks.len(),
+        summary.events,
+        summary.chunks,
+        summary.bytes,
+    );
+    Ok(())
 }
 
-fn cmd_record(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| parse_app(n)) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let Some(out) = args.positional.get(2) else {
-        eprintln!(
-            "record needs an output path: osnoise record {} <out.osn>",
-            app.name()
-        );
-        return ExitCode::FAILURE;
-    };
-    let config = ExperimentConfig::paper(app, args.secs()).with_seed(args.seed());
-    let path = std::path::Path::new(out);
-    match osn_core::record_app(config, path, store_options(args)) {
-        Ok((meta, summary)) => {
-            println!(
-                "recorded {} — {} ({} ranks): {} events in {} chunks, {} bytes",
-                path.display(),
-                meta.config.app.name(),
-                meta.ranks.len(),
-                summary.events,
-                summary.chunks,
-                summary.bytes,
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("record failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_capture(args: &Args) -> ExitCode {
-    let duration = match args.flags.get("duration") {
-        Some(d) => match osn_core::parse_duration(d) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("capture: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Nanos::from_secs(2),
-    };
-    let quantum = match args.flags.get("quantum") {
-        Some(q) => match osn_core::parse_duration(q) {
-            Ok(q) => q,
-            Err(e) => {
-                eprintln!("capture: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Nanos::from_millis(1),
-    };
-    let out = args
-        .flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("capture.osn");
+fn cmd_capture(args: &Args) -> Result<(), Error> {
     let cfg = osn_core::ftq::CaptureConfig {
-        duration,
-        quantum,
+        duration: args.duration("duration").unwrap_or(Nanos::from_secs(2)),
+        quantum: args.duration("quantum").unwrap_or(Nanos::from_millis(1)),
         ..osn_core::ftq::CaptureConfig::default()
     };
-    let path = std::path::Path::new(out);
-    let (capture, meta, summary) = match osn_core::capture_to_store(cfg, path, store_options(args))
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("capture failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let path = std::path::Path::new(args.text("out").unwrap_or("capture.osn"));
+    let (capture, meta, summary) = osn_core::capture_to_store(cfg, path, store_options(args))
+        .map_err(failed("capture failed"))?;
     let r = &capture.report;
     println!(
         "captured {} — {} quanta of {} in {} ({} events, {} chunks, {} bytes)",
@@ -603,62 +521,26 @@ fn cmd_capture(args: &Args) -> ExitCode {
     if !meta.is_native() {
         eprintln!("warning: captured store is missing its native source marker");
     }
-    if let Some(json) = args.flags.get("json") {
-        match serde_json::to_vec_pretty(r) {
-            Ok(bytes) => {
-                if let Err(e) = std::fs::write(json, bytes) {
-                    eprintln!("cannot write {json}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("serialization failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = args.text("json") {
+        write_json(path, r)?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_analyze(args: &Args) -> ExitCode {
-    let Some(path) = args.positional.get(1) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let path = std::path::Path::new(path);
-    let (report, meta, recovery) = match osn_core::recovered_report(path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot analyze {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_analyze(args: &Args) -> Result<(), Error> {
+    let path = &args.positionals()[0];
+    let (report, meta, recovery) = osn_core::recovered_report(path.as_ref())
+        .map_err(failed(format!("cannot analyze {path}")))?;
     if !recovery.clean() {
-        println!(
-            "note: recovered a damaged store — {} torn chunk(s), {} event(s) lost, {} byte(s) dropped{}",
-            recovery.torn_chunks,
-            recovery.torn_events,
-            recovery.dropped_bytes,
-            if recovery.footer_ok { "" } else { ", footer missing" },
-        );
+        let note = recovery_note(&recovery);
+        println!("note: recovered a damaged store — {note}");
     }
     let full = PaperReport {
         apps: vec![report.clone()],
     };
-    if let Some(out) = args.flags.get("json") {
+    if let Some(out) = args.text("json") {
         // The same bytes `osnoise serve` answers on /runs/{id}/report.
-        match serde_json::to_vec_pretty(&full) {
-            Ok(bytes) => {
-                if let Err(e) = std::fs::write(out, bytes) {
-                    eprintln!("cannot write {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("serialization failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        write_json(out, &full)?;
     }
     println!(
         "{} — {} ranks, wall {} (streamed out-of-core analysis)",
@@ -667,48 +549,23 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         report.wall
     );
     println!("\n== noise breakdown ==\n{}", full.render_breakdown());
-    println!("== per-event statistics (observed process) ==");
-    for class in EventClass::ALL {
-        let s = report.stats(class);
-        if s.count == 0 {
-            continue;
-        }
-        println!(
-            "  {:<24} {:>8.0}/s avg {:>10} max {:>12} min {:>8}",
-            class.name(),
-            s.freq_per_sec,
-            s.avg.to_string(),
-            s.max.to_string(),
-            s.min.to_string()
-        );
-    }
-    ExitCode::SUCCESS
+    print_event_stats(&report);
+    Ok(())
 }
 
-fn cmd_compare(args: &Args) -> ExitCode {
+fn cmd_compare(args: &Args) -> Result<(), Error> {
     use osn_core::analysis::{comparison_table, NoiseSignature};
-    let (Some(path_a), Some(path_b)) = (args.positional.get(1), args.positional.get(2)) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let load = |p: &str| -> Option<(String, NoiseSignature)> {
-        let run = match osn_core::load_run(std::path::Path::new(p)) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("cannot load {p}: {e}");
-                return None;
-            }
-        };
+    let (path_a, path_b) = (&args.positionals()[0], &args.positionals()[1]);
+    let load = |p: &str| -> Result<(String, NoiseSignature), Error> {
+        let run = osn_core::load_run(p.as_ref()).map_err(failed(format!("cannot load {p}")))?;
         let label = if run.app == App::Native {
             "native".to_string()
         } else {
             format!("model:{}", run.app.name())
         };
-        Some((label, NoiseSignature::build(&run.analysis, &run.ranks)))
+        Ok((label, NoiseSignature::build(&run.analysis, &run.ranks)))
     };
-    let (Some((label_a, sig_a)), Some((label_b, sig_b))) = (load(path_a), load(path_b)) else {
-        return ExitCode::FAILURE;
-    };
+    let ((label_a, sig_a), (label_b, sig_b)) = (load(path_a)?, load(path_b)?);
     // Same-app comparisons (e.g. two native captures) still need
     // distinguishable column headers.
     let (label_a, label_b) = if label_a == label_b {
@@ -718,7 +575,7 @@ fn cmd_compare(args: &Args) -> ExitCode {
     };
     println!("{} = {}   {} = {}\n", label_a, path_a, label_b, path_b);
     print!("{}", comparison_table(&label_a, &sig_a, &label_b, &sig_b));
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Expand one `info` argument: a `.osn` file stands alone, a directory
@@ -849,17 +706,7 @@ fn info_detail(
         Err(e) => println!("  run:             (unreadable metadata: {e})"),
     }
     if !recovery.clean() {
-        println!(
-            "  recovery:        {} torn chunk(s), {} event(s) lost, {} byte(s) dropped{}",
-            recovery.torn_chunks,
-            recovery.torn_events,
-            recovery.dropped_bytes,
-            if recovery.footer_ok {
-                ""
-            } else {
-                ", footer missing"
-            },
-        );
+        println!("  recovery:        {}", recovery_note(recovery));
     }
 }
 
@@ -897,18 +744,13 @@ fn info_row(
     }
 }
 
-fn cmd_info(args: &Args) -> ExitCode {
-    if args.positional.len() < 2 {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    }
+fn cmd_info(args: &Args) -> Result<(), Error> {
     let mut paths = Vec::new();
-    for input in &args.positional[1..] {
+    for input in args.positionals() {
         collect_store_paths(input, &mut paths);
     }
     if paths.is_empty() {
-        eprintln!("no .osn stores found");
-        return ExitCode::FAILURE;
+        return Err(Error::Failed("no .osn stores found".into()));
     }
     let stores: Vec<StoreInfo> = paths
         .into_iter()
@@ -918,182 +760,110 @@ fn cmd_info(args: &Args) -> ExitCode {
         })
         .collect();
 
-    if let Some(out) = args.flags.get("json") {
-        let json = match serde_json::to_string_pretty(&info_json(&stores)) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("serialization failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let written = if out.is_empty() || out == "-" {
-            println!("{json}");
-            Ok(())
-        } else {
-            std::fs::write(out, json.as_bytes())
-        };
-        if let Err(e) = written {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::FAILURE;
+    match args.text("json") {
+        Some("" | "-") => println!("{}", to_json(&info_json(&stores))?),
+        Some(out) => write_json(out, &info_json(&stores))?,
+        None if stores.len() == 1 => {
+            let (path, opened) = &stores[0];
+            let (reader, recovery) = opened
+                .as_ref()
+                .map_err(failed(format!("cannot open {}", path.display())))?;
+            info_detail(path, reader, recovery);
         }
-    } else if stores.len() == 1 {
-        match &stores[0].1 {
-            Ok((reader, recovery)) => info_detail(&stores[0].0, reader, recovery),
-            Err(e) => {
-                eprintln!("cannot open {}: {e}", stores[0].0.display());
-                return ExitCode::FAILURE;
+        None => {
+            for (path, opened) in &stores {
+                info_row(path, opened);
             }
         }
-    } else {
-        for (path, opened) in &stores {
-            info_row(path, opened);
-        }
     }
-    if stores.iter().any(|(_, opened)| opened.is_err()) {
-        return ExitCode::FAILURE;
+    // Unreadable stores were reported in their rows.
+    match stores.iter().any(|(_, opened)| opened.is_err()) {
+        true => Err(Error::Failed(String::new())),
+        false => Ok(()),
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_serve(args: &Args) -> ExitCode {
-    let Some(dir) = args.positional.get(1) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let mut config = osn_catalog::ServiceConfig::new(std::path::PathBuf::from(dir));
-    if let Some(addr) = args.flags.get("addr") {
-        config.addr = addr.clone();
+fn cmd_serve(args: &Args) -> Result<(), Error> {
+    let dir = &args.positionals()[0];
+    let mut config = osn_catalog::ServiceConfig::new(dir.into());
+    if let Some(addr) = args.text("addr") {
+        config.addr = addr.to_string();
     }
-    if let Some(threads) = args.flags.get("threads").and_then(|s| s.parse().ok()) {
-        config.threads = std::cmp::max(threads, 1);
+    if let Some(threads) = args.int("threads") {
+        config.threads = threads.max(1) as usize;
     }
-    if let Some(ms) = args
-        .flags
-        .get("rescan-ms")
-        .and_then(|s| s.parse::<u64>().ok())
-    {
+    if let Some(ms) = args.int("rescan-ms") {
         config.rescan = (ms > 0).then(|| std::time::Duration::from_millis(ms));
     }
-    if let Some(cache) = args.flags.get("cache").and_then(|s| s.parse().ok()) {
-        config.cache_runs = std::cmp::max(cache, 1);
+    if let Some(cache) = args.int("cache") {
+        config.cache_runs = cache.max(1) as usize;
     }
-    match osn_catalog::Service::start(config) {
-        Ok(service) => {
-            println!(
-                "catalog: {} run(s) indexed, {} skipped",
-                service.runs(),
-                service.skipped()
-            );
-            println!("serving on http://{}", service.addr());
-            use std::io::Write;
-            std::io::stdout().flush().ok();
-            service.join();
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot serve {dir}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let service =
+        osn_catalog::Service::start(config).map_err(failed(format!("cannot serve {dir}")))?;
+    println!(
+        "catalog: {} run(s) indexed, {} skipped",
+        service.runs(),
+        service.skipped()
+    );
+    println!("serving on http://{}", service.addr());
+    use std::io::Write;
+    std::io::stdout().flush().ok();
+    service.join();
+    Ok(())
 }
 
-fn cmd_cluster(args: &Args) -> ExitCode {
-    let Some(app) = args.positional.get(1).and_then(|n| parse_app(n)) else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let flags = (|| -> Result<_, ExitCode> {
-        Ok((
-            args.positive("nodes")?,
-            args.positive("granularity-us")?,
-            args.positive("cpus")?,
-            args.positive("workers")?,
-        ))
-    })();
-    let (nodes, granularity_us, cpus, workers) = match flags {
-        Ok(flags) => flags,
-        Err(code) => return code,
-    };
-    let mut config = ClusterConfig::new(app, nodes.unwrap_or(8), args.secs());
-    config.seed = args.seed();
-    config.granularity = Nanos::from_micros(granularity_us.unwrap_or(1_000));
-    config.cpus = cpus;
-    config.workers = workers;
-    if let Some(phases) = args.flags.get("max-phases").and_then(|s| s.parse().ok()) {
-        config.max_phases = phases;
+fn cmd_cluster(args: &Args) -> Result<(), Error> {
+    let mut config = ClusterConfig::new(
+        app(args)?,
+        args.int("nodes").unwrap_or(8) as usize,
+        secs(args),
+    );
+    config.seed = seed(args);
+    config.granularity = Nanos::from_micros(args.int("granularity-us").unwrap_or(1_000));
+    config.cpus = args.int("cpus").map(|c| c as u16);
+    config.workers = args.int("workers").map(|w| w as usize);
+    if let Some(phases) = args.int("max-phases") {
+        config.max_phases = phases as usize;
     }
-    if args.flags.get("stagger").is_some_and(|s| s == "off") {
-        config.stagger = false;
+    config.stagger = args.text("stagger") != Some("off");
+    if let Some(spec) = args.text("inject") {
+        config.inject.specs = osn_core::parse_inject_spec(spec)
+            .map_err(|e| args.usage(format!("bad --inject `{spec}`: {e}")))?;
     }
-    if let Some(spec) = args.flags.get("inject") {
-        match osn_core::parse_inject_spec(spec) {
-            Ok(specs) => config.inject.specs = specs,
-            Err(e) => {
-                eprintln!("bad --inject spec: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(tier) = args.flags.get("tier") {
-        match parse_tier(tier) {
-            Ok(tier) => config.tier = tier,
-            Err(e) => {
-                eprintln!("bad --tier: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(tier) = args.text("tier") {
+        config.tier =
+            parse_tier(tier).map_err(|e| args.usage(format!("bad --tier `{tier}`: {e}")))?;
     }
     let opts = RunOpts {
-        progress_every: Some(
-            args.flags
-                .get("progress")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-        ),
+        progress_every: Some(args.int("progress").unwrap_or(0) as usize),
     };
-    let report = if let Some(dir) = args.flags.get("store") {
-        let dir = std::path::Path::new(dir);
-        match run_cluster_stored_opts(&config, dir, store_options(args), opts) {
-            Ok((report, paths)) => {
-                for p in &paths {
-                    println!("wrote {}", p.display());
-                }
-                report
+    let report = match args.text("store") {
+        Some(dir) => {
+            let (report, paths) =
+                run_cluster_stored(&config, dir.as_ref(), store_options(args), opts)
+                    .map_err(failed(format!("cannot run stored cluster in {dir}")))?;
+            for p in &paths {
+                println!("wrote {}", p.display());
             }
-            Err(e) => {
-                eprintln!("cannot run stored cluster in {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
+            report
         }
-    } else {
-        run_cluster_opts(&config, opts).report
+        None => run_cluster_opts(&config, opts).report,
     };
     print!("{}", report.render());
-    if let Some(path) = args.flags.get("json") {
-        match serde_json::to_vec_pretty(&report) {
-            Ok(bytes) => {
-                if let Err(e) = std::fs::write(path, bytes) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("report written to {path}");
-            }
-            Err(e) => {
-                eprintln!("serialization failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = args.text("json") {
+        write_json(path, &report)?;
+        println!("report written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_overhead(args: &Args) -> ExitCode {
-    let dur = args.secs().min(Nanos::from_secs(5));
+fn cmd_overhead(args: &Args) -> Result<(), Error> {
+    let dur = secs(args).min(Nanos::from_secs(5));
     let mut total = 0.0;
     for app in App::ALL {
-        let config = ExperimentConfig::paper(app, dur).with_seed(args.seed());
+        let config = ExperimentConfig::paper(app, dur).with_seed(seed(args));
         let nranks = config.nranks;
-        let seeds: Vec<u64> = (0..6).map(|i| args.seed() + i * 7919).collect();
+        let seeds: Vec<u64> = (0..6).map(|i| seed(args).wrapping_add(i * 7919)).collect();
         let report = measure_overhead_avg(&config.node, LTTNG_CLASS_OVERHEAD, &seeds, |node_cfg| {
             let mut node = Node::new(node_cfg);
             node.spawn_job(app.name(), osn_core::workloads::ranks(app, nranks, dur));
@@ -1118,5 +888,5 @@ fn cmd_overhead(args: &Args) -> ExitCode {
         "average: {:.4}% (paper: ~0.28%)",
         total / App::ALL.len() as f64
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -3,8 +3,9 @@
 //! in a tempdir, asserting on exit status and a few load-bearing lines
 //! of output.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn osnoise(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_osnoise"))
@@ -23,11 +24,109 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Run `osnoise`, failing the test if it is still running after
+/// `secs` seconds (a usage error must not start any work).
+fn osnoise_within(args: &[&str], secs: u64) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_osnoise"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn osnoise");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child.try_wait().expect("wait osnoise").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("osnoise {args:?} still running after {secs} s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect osnoise output")
+}
+
 #[test]
 fn no_arguments_prints_help_and_fails() {
     let out = osnoise(&[]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
+    assert_eq!(out.status.code(), Some(2));
+    let help = String::from_utf8_lossy(&out.stderr);
+    assert!(help.contains("USAGE"), "{help}");
+    // The usage lines come from the command table, the prose stays.
+    assert!(
+        help.contains("osnoise record <app> <out.osn> [--secs N]"),
+        "{help}"
+    );
+    assert!(help.contains("[--codec raw|delta]"), "{help}");
+    assert!(help.contains("osnoise export <app> --out DIR"), "{help}");
+    assert!(help.contains("INJECTION:"), "{help}");
+}
+
+/// Each line must exit 2 with a message naming the flag and its value
+/// — none of them may run with a default, crash, or hang.
+#[test]
+fn bad_flags_are_usage_errors() {
+    let dir = tmpdir("usage");
+    let store = dir.join("x.osn");
+    let store = store.to_str().unwrap();
+    let factor0 = "straggler:node=0,factor=0";
+    let factor_neg = "straggler:node=0,factor=-1";
+    let cluster = [
+        "cluster", "sphot", "--nodes", "2", "--secs", "1", "--cpus", "2",
+    ];
+    let cases: Vec<(Vec<&str>, [&str; 2])> = vec![
+        (
+            vec!["record", "sphot", store, "--chunk", "0"],
+            ["--chunk", "`0`"],
+        ),
+        (vec!["app", "umt", "--secs", "abc"], ["--secs", "`abc`"]),
+        (
+            vec!["app", "umt", "--secs", "18446744074"],
+            ["--secs", "`18446744074`"],
+        ),
+        (vec!["app", "umt", "--seed", "xyz"], ["--seed", "`xyz`"]),
+        (vec!["app", "umt", "--sec", "1"], ["--sec ", "unknown flag"]),
+        (
+            vec!["record", "sphot", store, "--codec", "delat"],
+            ["--codec", "`delat`"],
+        ),
+        (
+            vec!["cluster", "umt", "--stagger", "of"],
+            ["--stagger", "`of`"],
+        ),
+        (
+            vec!["serve", ".", "--threads", "abc"],
+            ["--threads", "`abc`"],
+        ),
+        (vec!["info", ".", "--json"], ["--json", "needs a value"]),
+        (vec!["capture", "--quantum", "5"], ["--quantum", "`5`"]),
+        (vec!["ftq", "--samples", "0"], ["--samples", "`0`"]),
+        (
+            [&cluster[..], &["--inject", factor0]].concat(),
+            ["--inject", factor0],
+        ),
+        (
+            [&cluster[..], &["--inject", factor_neg]].concat(),
+            ["--inject", factor_neg],
+        ),
+        (
+            [&cluster[..], &["--tier", "sampled:2"]].concat(),
+            ["--tier", "`sampled:2`"],
+        ),
+    ];
+    for (args, needles) in cases {
+        let out = osnoise_within(&args, 20);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        for needle in needles {
+            assert!(
+                stderr.contains(needle),
+                "{args:?}: missing {needle:?} in {stderr}"
+            );
+        }
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    assert!(!Path::new(store).exists(), "a usage error must not write");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -84,6 +183,19 @@ fn record_analyze_info_roundtrip() {
     let text = stdout(&out);
     assert!(text.contains("chunks:"), "{text}");
     assert!(text.contains("sphot"), "{text}");
+
+    // `--json -` prints the JSON to stdout.
+    let out = osnoise(&["info", store_str, "--json", "-"]);
+    assert!(
+        out.status.success(),
+        "info --json - failed: {}",
+        stdout(&out)
+    );
+    assert!(
+        stdout(&out).starts_with("[\n  {\n    \"path\""),
+        "{}",
+        stdout(&out)
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -254,10 +254,12 @@ pub fn parse_duration(s: &str) -> Result<Nanos, String> {
         .trim()
         .parse()
         .map_err(|_| format!("bad duration value `{s}`"))?;
-    if !value.is_finite() || value < 0.0 {
+    let ns = (value * mult).round();
+    // `u64::MAX as f64` is 2^64, the first value that would saturate.
+    if !(0.0..u64::MAX as f64).contains(&ns) {
         return Err(format!("duration `{s}` out of range"));
     }
-    Ok(Nanos((value * mult).round() as u64))
+    Ok(Nanos(ns as u64))
 }
 
 /// Parse an `--inject` spec: `;`-separated injections, each
@@ -301,6 +303,12 @@ fn parse_one_injection(s: &str) -> Result<Injection, String> {
     let dur = |v: String| parse_duration(&v);
     let num =
         |v: String| -> Result<f64, String> { v.parse().map_err(|_| format!("bad number `{v}`")) };
+    // A slowdown factor scales simulated time: zero, negative or
+    // non-finite would stall the run instead of slowing it.
+    let factor = |v: String| match num(v.clone())? {
+        f if f.is_finite() && f > 0.0 => Ok(f),
+        _ => Err(format!("factor `{v}` must be a positive finite number")),
+    };
     let idx = |v: String| -> Result<usize, String> {
         v.parse().map_err(|_| format!("bad node index `{v}`"))
     };
@@ -310,7 +318,7 @@ fn parse_one_injection(s: &str) -> Result<Injection, String> {
             node: get("node").map(str::to_owned).map(idx).transpose()?,
             period: dur(req(get("period"), "period")?)?,
             duty: num(req(get("duty"), "duty")?)?,
-            factor: num(req(get("factor"), "factor")?)?,
+            factor: factor(req(get("factor"), "factor")?)?,
         },
         "steal" => Injection::Steal {
             node: get("node").map(str::to_owned).map(idx).transpose()?,
@@ -322,7 +330,7 @@ fn parse_one_injection(s: &str) -> Result<Injection, String> {
             split_cpu: req(get("split"), "split")?
                 .parse()
                 .map_err(|_| "bad `split=` cpu index".to_string())?,
-            factor: num(req(get("factor"), "factor")?)?,
+            factor: factor(req(get("factor"), "factor")?)?,
         },
         "crash" => Injection::Crash {
             node: idx(req(get("node"), "node")?)?,
@@ -331,7 +339,7 @@ fn parse_one_injection(s: &str) -> Result<Injection, String> {
         },
         "straggler" => Injection::Straggler {
             node: idx(req(get("node"), "node")?)?,
-            factor: num(req(get("factor"), "factor")?)?,
+            factor: factor(req(get("factor"), "factor")?)?,
         },
         "partition" => Injection::Partition {
             node: idx(req(get("node"), "node")?)?,
@@ -1256,19 +1264,10 @@ pub fn run_cluster_opts(config: &ClusterConfig, opts: RunOpts) -> ClusterOutcome
 /// `dir/node-<i>.osn` while it runs (the [`record_app`] path: the
 /// traces are never memory-resident), then rebuild the rank series by
 /// streamed out-of-core analysis of each store file. The report is
-/// byte-identical to [`run_cluster`]'s on the same config.
+/// byte-identical to [`run_cluster`]'s on the same config. Only the
+/// plan's mechanistic nodes are recorded (synthetic ranks have no
+/// trace), so a tiered 100k-rank campaign spills a sample-sized store.
 pub fn run_cluster_stored(
-    config: &ClusterConfig,
-    dir: &Path,
-    opts: StoreOptions,
-) -> io::Result<(ClusterReport, Vec<PathBuf>)> {
-    run_cluster_stored_opts(config, dir, opts, RunOpts::default())
-}
-
-/// [`run_cluster_stored`] with runtime options. Only the plan's
-/// mechanistic nodes are recorded (synthetic ranks have no trace), so
-/// a tiered 100k-rank campaign spills a sample-sized store.
-pub fn run_cluster_stored_opts(
     config: &ClusterConfig,
     dir: &Path,
     opts: StoreOptions,
@@ -1569,6 +1568,74 @@ mod tests {
             parse_inject_spec("steal:interval").is_err(),
             "key without value"
         );
+        // A zero factor used to stall the run; 1e30s used to saturate.
+        for spec in [
+            "dvfs:period=10ms,duty=0.2,factor=0",
+            "numa:split=1,factor=-1",
+            "straggler:node=0,factor=0",
+            "straggler:node=0,factor=-1",
+            "straggler:node=0,factor=nan",
+            "jitter:mean=1e30s",
+        ] {
+            assert!(parse_inject_spec(spec).is_err(), "{spec} accepted");
+        }
+        assert!(parse_duration("18446744073709551616ns").is_err());
+        assert!(parse_duration("18446744073s").is_ok(), "just below 2^64 ns");
+    }
+
+    /// `;`-joined `kind:key=value,...` clauses over the grammar's kinds
+    /// and keys with in- and out-of-range values, some keys dropped, and
+    /// an arbitrary character spliced in now and then.
+    fn arbitrary_spec() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        const KINDS: &str = "dvfs period duty factor node|steal interval duration node|\
+            numa split factor node|crash node at down|straggler node factor|\
+            partition node at dur delay|jitter mean node|sampled|auto|bogus key";
+        const VALUES: &str = "0 1 -1 0.5 1e30 nan inf 2ms 1e30s -3ns 18446744073709551616ns";
+        prop::collection::vec((any::<u64>(), any::<u32>()), 0..3).prop_map(|clauses| {
+            let (kinds, values): (Vec<&str>, Vec<&str>) =
+                (KINDS.split('|').collect(), VALUES.split(' ').collect());
+            let clause = |(draws, noise): (u64, u32)| {
+                let mut words = kinds[draws as usize % kinds.len()].split(' ');
+                let kind = words.next().unwrap_or_default();
+                let pairs: Vec<String> = (words.enumerate())
+                    .map(|(i, key)| (key, (draws >> (8 + 8 * i)) as usize % 16))
+                    .filter(|&(_, v)| v < values.len())
+                    .map(|(key, v)| format!("{key}={}", values[v]))
+                    .collect();
+                let mut clause = format!("{kind}:{}", pairs.join(","));
+                if noise % 4 == 0 {
+                    let c = char::from_u32((noise >> 2) % 0x11_0000).unwrap_or('?');
+                    clause.insert((noise >> 8) as usize % (clause.len() + 1), c);
+                }
+                clause
+            };
+            let clauses: Vec<String> = clauses.into_iter().map(clause).collect();
+            clauses.join(";")
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// The `--inject`, duration and tier grammars return `Ok` or
+        /// `Err` on any input, never panic, and never accept a factor
+        /// that would stall a run.
+        #[test]
+        fn grammar_parsers_never_panic(s in arbitrary_spec()) {
+            for part in s.split([';', ',', '=']).chain([s.as_str()]) {
+                let _ = parse_duration(part);
+                let _ = parse_tier(part);
+            }
+            for spec in parse_inject_spec(&s).unwrap_or_default() {
+                if let Injection::Dvfs { factor, .. }
+                | Injection::Numa { factor, .. }
+                | Injection::Straggler { factor, .. } = spec
+                {
+                    assert!(factor.is_finite() && factor > 0.0, "{s}: factor {factor}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::time::Duration;
 use osn_analysis::NoiseAnalysis;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::node::{Node, RunResult};
-use osn_store::{read_store, SpillWriter, StoreOptions, StoreReader, StoreSummary, StoreWriter};
+use osn_store::{SpillWriter, StoreOptions, StoreReader, StoreSummary, StoreWriter};
 use osn_trace::columns::code as columns_code;
 use osn_trace::session::{EventMask, TraceSession};
 use osn_trace::Event;
@@ -134,8 +134,9 @@ pub fn record_app(
 /// Materialize a stored run: read the trace back (byte-identical to
 /// the in-memory original), parse the metadata, and re-analyze.
 pub fn load_run(path: &Path) -> io::Result<AppRun> {
-    let (trace, meta_bytes) = read_store(path)?;
-    let meta = StoredRunMeta::from_bytes(&meta_bytes)?;
+    let reader = StoreReader::open(path)?;
+    let trace = reader.read_trace()?;
+    let meta = StoredRunMeta::from_bytes(reader.metadata())?;
     let analysis = NoiseAnalysis::analyze(&trace, &meta.result.tasks, meta.result.end_time);
     Ok(AppRun {
         app: meta.config.app,

@@ -17,7 +17,7 @@
 //!    the run and re-deriving the report out-of-core is byte-identical
 //!    to the in-memory path.
 
-use osn_core::cluster::{run_cluster, run_cluster_stored, ClusterConfig};
+use osn_core::cluster::{run_cluster, run_cluster_stored, ClusterConfig, RunOpts};
 use osn_core::store::Options;
 use osn_kernel::time::Nanos;
 use osn_workloads::App;
@@ -178,7 +178,8 @@ fn stored_path_report_matches_in_memory() {
     let c = config(App::Sphot, 3, 9);
     let in_memory = serde_json::to_string(&run_cluster(&c).report).unwrap();
     let dir = tmpdir("stored");
-    let (stored, paths) = run_cluster_stored(&c, &dir, Options::default()).unwrap();
+    let (stored, paths) =
+        run_cluster_stored(&c, &dir, Options::default(), RunOpts::default()).unwrap();
     assert_eq!(paths.len(), 3);
     for p in &paths {
         assert!(p.exists(), "{} missing", p.display());

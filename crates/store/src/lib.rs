@@ -7,7 +7,7 @@
 //! time range without scanning the file. Traces no longer have to fit
 //! in RAM — a session can spill chunks while the run is producing
 //! ([`writer::SpillWriter`]), and analysis can stream chunks back one
-//! at a time ([`reader::CpuStream`]), bounded-memory, with results
+//! at a time ([`reader::ColumnChunks`]), bounded-memory, with results
 //! bit-identical to the in-memory path.
 //!
 //! File layout (all integers little-endian):
@@ -40,7 +40,7 @@ pub mod varint;
 pub mod writer;
 
 pub use chunk::{ChunkHeader, ChunkMeta, CHUNK_HEADER_BYTES};
-pub use reader::{read_store, ChunkStatsSnapshot, CpuStream, RecoveryReport, StoreReader};
+pub use reader::{ChunkStatsSnapshot, ColumnChunks, RecoveryReport, StoreReader};
 pub use writer::{write_store, SpillWriter, StoreOptions, StoreSummary, StoreWriter};
 
 /// File magic, first 8 bytes of every store.

@@ -1,9 +1,9 @@
 //! Reading side of the store: strict opening via the footer index
 //! ([`StoreReader::open`]), truncation-tolerant opening via a forward
 //! chunk scan ([`StoreReader::recover`]), full materialization back to
-//! a [`Trace`], and the bounded-memory per-CPU chunk cursors: typed
-//! events ([`CpuStream`], the catalog's slice path) and column blocks
-//! ([`ColumnChunks`], the streamed analysis path). Every payload is
+//! a [`Trace`], and the one bounded-memory per-CPU chunk cursor,
+//! [`ColumnChunks`], which lends column blocks to both the streamed
+//! analysis path and the catalog's slice path. Every payload is
 //! decoded by the one column decoder,
 //! [`crate::chunk::decode_chunk_columns`].
 
@@ -28,9 +28,9 @@ use crate::{
 /// Bytes per footer-index entry.
 const INDEX_ENTRY_BYTES: usize = 36;
 
-/// Shared gauge of decoded-chunk residency. Every [`CpuStream`] holds
-/// at most one decoded chunk; `peak_resident` across all concurrent
-/// streams is therefore bounded by the number of streams — the
+/// Shared gauge of decoded-chunk residency. Every [`ColumnChunks`]
+/// holds at most one decoded chunk; `peak_resident` across all
+/// concurrent cursors is therefore bounded by the number of cursors — the
 /// invariant the out-of-core analysis differential test asserts.
 #[derive(Debug, Default)]
 pub struct ChunkStats {
@@ -63,14 +63,14 @@ impl ChunkStats {
 /// Point-in-time view of a reader's chunk accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkStatsSnapshot {
-    /// Decoded chunks currently held by live [`CpuStream`]s.
+    /// Decoded chunks currently held by live [`ColumnChunks`] cursors.
     pub resident: usize,
     /// High-water mark of `resident` since the last reset.
     pub peak_resident: usize,
-    /// Total chunks decoded (streams + random access).
+    /// Total chunks decoded (cursors + full materialization).
     pub decoded: usize,
-    /// Chunks that failed validation during streaming (a poisoned
-    /// stream ends early; callers must treat nonzero as failure).
+    /// Chunks that failed validation during a cursor walk (a poisoned
+    /// cursor ends early; callers must treat nonzero as failure).
     pub decode_errors: usize,
 }
 
@@ -388,69 +388,30 @@ impl StoreReader {
         window.iter().map(|&i| &self.chunks[i as usize])
     }
 
-    /// Fetch and decode one chunk (random access; checksum-verified).
-    pub fn read_chunk(&self, meta: &ChunkMeta) -> Result<Vec<Event>, StoreError> {
-        let mut cols = EventColumns::new(CpuId(meta.cpu));
-        self.decode_into(meta, &mut cols, &mut Vec::new())?;
-        Ok(cols.events().collect())
-    }
-
-    /// Fetch, verify and decode one chunk into `cols`, counting it.
-    fn decode_into(
-        &self,
-        meta: &ChunkMeta,
-        cols: &mut EventColumns,
-        scratch: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        fetch_chunk(&self.data, meta, cols, scratch)?;
-        self.stats.decoded.fetch_add(1, Ordering::AcqRel);
-        Ok(())
-    }
-
-    /// A bounded-memory cursor over one CPU's events: holds at most
-    /// one decoded chunk at a time (tracked by the reader's
-    /// [`ChunkStats`]). A chunk that fails validation poisons the
-    /// stream: it ends early and `stats().decode_errors` goes nonzero.
-    pub fn cpu_stream(&self, cpu: CpuId) -> CpuStream {
-        self.cpu_stream_range(cpu, None)
-    }
-
-    /// Like [`StoreReader::cpu_stream`], but seeded only with the
-    /// chunks whose `[t_first, t_last]` span overlaps `[lo, hi]` (via
-    /// the [`StoreReader::chunks_for`] index lookup — no file access to
-    /// skip a chunk). Within a decoded chunk, records outside
-    /// `[lo, hi]` are skipped on the timestamp column before any
-    /// [`Event`] is built. Same bounded-memory contract: at most one
-    /// decoded chunk resident, tracked by the reader's [`ChunkStats`].
-    pub fn cpu_stream_range(&self, cpu: CpuId, range: Option<(Nanos, Nanos)>) -> CpuStream {
-        let metas: Vec<ChunkMeta> = self.chunks_for(cpu, range).copied().collect();
-        CpuStream {
-            data: Arc::clone(&self.data),
-            metas,
-            next_chunk: 0,
-            cols: EventColumns::new(cpu),
-            scratch: Vec::new(),
-            pos: 0,
-            end: 0,
-            window: range.map_or((0, u64::MAX), |(lo, hi)| (lo.0, hi.0)),
-            resident: false,
-            stats: Arc::clone(&self.stats),
-        }
-    }
-
-    /// A bounded-memory *columnar* cursor over one CPU's chunks: each
+    /// A bounded-memory columnar cursor over one CPU's chunks: each
     /// call to [`ColumnChunks::next_chunk`] decodes the next chunk —
     /// straight out of the memory map when available — into a reused
-    /// [`EventColumns`] block. This is the zero-copy analysis path: no
-    /// `Event` structs are materialized, and one block's worth of
-    /// columns is the only resident decoded state (tracked by the
-    /// reader's [`ChunkStats`], same contract as
-    /// [`StoreReader::cpu_stream`]).
+    /// [`EventColumns`] block. No `Event` structs are materialized, and
+    /// one block's worth of columns is the only resident decoded state
+    /// (tracked by the reader's [`ChunkStats`]). A chunk that fails
+    /// validation ends the cursor and counts in `stats().decode_errors`.
     pub fn column_chunks(&self, cpu: CpuId) -> ColumnChunks {
-        let metas: Vec<ChunkMeta> = self.chunks_for(cpu, None).copied().collect();
+        self.cursor(cpu, None)
+    }
+
+    /// Like [`StoreReader::column_chunks`], but seeded only with the
+    /// chunks whose `[t_first, t_last]` span overlaps `[lo, hi]` (the
+    /// [`StoreReader::chunks_for`] index lookup — a skipped chunk is
+    /// never read). Blocks are lent whole: records outside `[lo, hi]`
+    /// in the edge chunks are the caller's to narrow on `cols.t`.
+    pub fn column_chunks_range(&self, cpu: CpuId, lo: Nanos, hi: Nanos) -> ColumnChunks {
+        self.cursor(cpu, Some((lo, hi)))
+    }
+
+    fn cursor(&self, cpu: CpuId, range: Option<(Nanos, Nanos)>) -> ColumnChunks {
         ColumnChunks {
             data: Arc::clone(&self.data),
-            metas,
+            metas: self.chunks_for(cpu, range).copied().collect(),
             next: 0,
             cols: EventColumns::new(cpu),
             scratch: Vec::new(),
@@ -475,105 +436,14 @@ impl StoreReader {
                 .map(|&i| self.chunks[i as usize].count as usize)
                 .sum();
             let mut stream = Vec::with_capacity(total);
-            for &i in positions {
-                self.decode_into(&self.chunks[i as usize], &mut cols, &mut scratch)?;
+            for meta in positions.iter().map(|&i| &self.chunks[i as usize]) {
+                fetch_chunk(&self.data, meta, &mut cols, &mut scratch)?;
+                self.stats.decoded.fetch_add(1, Ordering::AcqRel);
                 stream.extend(cols.events());
             }
             streams.push(stream);
         }
         Ok(Trace::from_streams(streams, self.lost.clone()))
-    }
-}
-
-/// A bounded-memory iterator over one CPU's stored events. See
-/// [`StoreReader::cpu_stream`].
-pub struct CpuStream {
-    data: Arc<StoreData>,
-    metas: Vec<ChunkMeta>,
-    next_chunk: usize,
-    /// The current chunk, decoded into a reused column block; records
-    /// `pos..end` are the ones still to yield.
-    cols: EventColumns,
-    scratch: Vec<u8>,
-    pos: usize,
-    end: usize,
-    /// Inclusive `[lo, hi]` timestamp window (everything for a full
-    /// stream).
-    window: (u64, u64),
-    resident: bool,
-    stats: Arc<ChunkStats>,
-}
-
-impl CpuStream {
-    /// Chunks this stream was seeded with (for range streams: only the
-    /// chunks overlapping the requested window — the decode budget).
-    pub fn chunk_count(&self) -> usize {
-        self.metas.len()
-    }
-
-    /// Total events this stream will yield if no chunk is corrupt (for
-    /// a range stream, an upper bound: chunks not yet decoded count
-    /// whole).
-    pub fn remaining_events(&self) -> u64 {
-        let buffered = (self.end - self.pos) as u64;
-        self.metas[self.next_chunk..]
-            .iter()
-            .map(|m| m.count as u64)
-            .sum::<u64>()
-            + buffered
-    }
-
-    fn release(&mut self) {
-        if self.resident {
-            self.stats.release();
-            self.resident = false;
-        }
-        self.cols.clear();
-        self.pos = 0;
-        self.end = 0;
-    }
-}
-
-impl Iterator for CpuStream {
-    type Item = Event;
-
-    fn next(&mut self) -> Option<Event> {
-        loop {
-            if self.pos < self.end {
-                let e = self.cols.event(self.pos);
-                self.pos += 1;
-                return Some(e);
-            }
-            self.release();
-            if self.next_chunk >= self.metas.len() {
-                return None;
-            }
-            let meta = self.metas[self.next_chunk];
-            self.next_chunk += 1;
-            match fetch_chunk(&self.data, &meta, &mut self.cols, &mut self.scratch) {
-                Ok(()) => {
-                    self.stats.decoded.fetch_add(1, Ordering::AcqRel);
-                    self.stats.acquire();
-                    self.resident = true;
-                    let (lo, hi) = self.window;
-                    self.pos = self.cols.t.partition_point(|&t| t < lo);
-                    self.end = self.cols.t.partition_point(|&t| t <= hi);
-                }
-                Err(_) => {
-                    // Poison: record and end the stream. Consumers
-                    // check `decode_errors` after draining.
-                    self.stats.decode_errors.fetch_add(1, Ordering::AcqRel);
-                    self.next_chunk = self.metas.len();
-                    return None;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for CpuStream {
-    fn drop(&mut self) {
-        self.release();
     }
 }
 
@@ -591,11 +461,6 @@ pub struct ColumnChunks {
 }
 
 impl ColumnChunks {
-    /// Total events across the chunks not yet decoded.
-    pub fn remaining_events(&self) -> u64 {
-        self.metas[self.next..].iter().map(|m| m.count as u64).sum()
-    }
-
     /// Decode the next chunk into the reused column block and lend it
     /// out. `None` when the CPU's chunks are exhausted; an `Err` item
     /// (recorded in `stats().decode_errors`) ends the cursor — later
@@ -787,11 +652,4 @@ fn parse_footer(file: &File, file_len: u64, ncpus: usize) -> Result<Footer, Stor
         meta,
         chunks,
     })
-}
-
-/// One-call convenience: open strictly and materialize the trace.
-pub fn read_store(path: &Path) -> Result<(Trace, Vec<u8>), StoreError> {
-    let reader = StoreReader::open(path)?;
-    let trace = reader.read_trace()?;
-    Ok((trace, reader.meta))
 }

@@ -91,6 +91,25 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
 
 const THREADS: usize = 4;
 
+/// One CPU's records through the column cursor: every chunk, or with
+/// `range` only the index-seeded chunks, narrowed to `[lo, hi]` on the
+/// timestamp column.
+fn walk(reader: &StoreReader, cpu: u16, range: Option<(Nanos, Nanos)>) -> Vec<Event> {
+    let mut cursor = match range {
+        None => reader.column_chunks(CpuId(cpu)),
+        Some((lo, hi)) => reader.column_chunks_range(CpuId(cpu), lo, hi),
+    };
+    let (lo, hi) = range.map_or((0, u64::MAX), |(lo, hi)| (lo.as_nanos(), hi.as_nanos()));
+    let mut out = Vec::new();
+    while let Some(block) = cursor.next_chunk() {
+        let cols = block.expect("valid store");
+        let start = cols.t.partition_point(|&t| t < lo);
+        let end = cols.t.partition_point(|&t| t <= hi);
+        out.extend((start..end).map(|i| cols.event(i)));
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -132,7 +151,7 @@ proptest! {
 
         // Sequential reference walks.
         let full: Vec<Vec<Event>> = (0..ncpus)
-            .map(|c| reader.cpu_stream(CpuId(c as u16)).collect())
+            .map(|c| walk(&reader, c as u16, None))
             .collect();
         let (t0, t1) = match reader.span() {
             Some((lo, hi)) => {
@@ -145,17 +164,12 @@ proptest! {
         };
         let in_range = |e: &Event| e.t >= t0 && e.t <= t1;
         let sliced: Vec<Vec<Event>> = (0..ncpus)
-            .map(|c| {
-                reader
-                    .cpu_stream_range(CpuId(c as u16), Some((t0, t1)))
-                    .filter(in_range)
-                    .collect()
-            })
+            .map(|c| walk(&reader, c as u16, Some((t0, t1))))
             .collect();
         let merged = reader.read_trace().expect("read").events;
 
         // The index seek may only skip chunks, never events: a range
-        // stream filtered to [t0, t1] equals the filtered full walk.
+        // walk narrowed to [t0, t1] equals the filtered full walk.
         for c in 0..ncpus {
             let reference: Vec<Event> = full[c].iter().filter(|e| in_range(e)).copied().collect();
             prop_assert_eq!(&sliced[c], &reference, "cpu {} range seek lost events", c);
@@ -169,13 +183,9 @@ proptest! {
                 let merged = &merged;
                 s.spawn(move || {
                     for c in 0..ncpus {
-                        let stream: Vec<Event> =
-                            reader.cpu_stream(CpuId(c as u16)).collect();
+                        let stream = walk(&reader, c as u16, None);
                         assert_eq!(&stream, &full[c], "concurrent full stream diverged");
-                        let slice: Vec<Event> = reader
-                            .cpu_stream_range(CpuId(c as u16), Some((t0, t1)))
-                            .filter(in_range)
-                            .collect();
+                        let slice = walk(&reader, c as u16, Some((t0, t1)));
                         assert_eq!(&slice, &sliced[c], "concurrent slice diverged");
                     }
                     let trace = reader.read_trace().expect("concurrent read_trace");
@@ -200,7 +210,7 @@ proptest! {
     }
 }
 
-/// A range stream builds events only for records inside `[lo, hi]`,
+/// A range walk builds events only for records inside `[lo, hi]`,
 /// even within the edge chunks the index seek has to decode.
 #[test]
 fn range_stream_yields_only_in_window_events() {
@@ -219,9 +229,14 @@ fn range_stream_yields_only_in_window_events() {
     let reader = StoreReader::open(&path).expect("open");
 
     let (lo, hi) = (Nanos(105), Nanos(405));
-    let stream = reader.cpu_stream_range(CpuId(0), Some((lo, hi)));
-    assert_eq!(stream.chunk_count(), 3, "edge chunks straddle the window");
-    let got: Vec<Event> = stream.collect();
+    let mut cursor = reader.column_chunks_range(CpuId(0), lo, hi);
+    let mut seeded = 0;
+    while let Some(block) = cursor.next_chunk() {
+        block.expect("valid store");
+        seeded += 1;
+    }
+    assert_eq!(seeded, 3, "edge chunks straddle the window");
+    let got = walk(&reader, 0, Some((lo, hi)));
     let want: Vec<Event> = events
         .into_iter()
         .filter(|e| e.t >= lo && e.t <= hi)

@@ -79,8 +79,12 @@ fn flipped_payload_byte_fails_every_read_path() {
         Err(StoreError::CorruptChunk { .. })
     ));
 
-    let yielded = reader.cpu_stream(CpuId(0)).count();
-    assert_eq!(yielded, 2 * 16, "stream must stop at the corrupt chunk");
+    let mut cursor = reader.column_chunks(CpuId(0));
+    let mut yielded = 0;
+    while let Some(Ok(cols)) = cursor.next_chunk() {
+        yielded += cols.len();
+    }
+    assert_eq!(yielded, 2 * 16, "cursor must stop at the corrupt chunk");
     assert_eq!(reader.stats().decode_errors, 1);
 
     let mut cursor = reader.column_chunks(CpuId(0));

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke check for the simulator's performance trajectory: build, run
-# the test suite, then short benchmark runs that regenerate
-# BENCH_PR1.json (per-app engine events/sec, plus the heap-vs-wheel
+# the test suite, then short benchmark runs of every bench — the ones
+# behind BENCH_PR1.json (per-app engine events/sec, plus the heap-vs-wheel
 # queue-depth sweep), BENCH_PR3.json (sharded/fused analysis engine
 # vs the sequential reference, campaign + rank sweep — every timed rep
 # also differentially checks the reports are bit-identical),
@@ -12,6 +12,10 @@
 # for CI and for a quick local sanity run after touching the engine or
 # analysis hot paths.
 #
+# The benches write their BENCH_PR*.json at the repo root; smoke-length
+# numbers are not baselines, so the committed files are saved before
+# the runs and restored on exit, however the script exits.
+#
 # Each binary's output is scanned for "panicked at": a panic on a
 # spawned thread can reach stderr without failing the process, and a
 # bench that half-ran must not pass the smoke check.
@@ -20,6 +24,14 @@
 # short but long enough that per-run timing is meaningful), OSN_REPS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+baseline="$(mktemp -d)"
+restore() {
+    cp "$baseline"/BENCH_PR*.json . 2>/dev/null || true
+    rm -rf "$baseline"
+}
+trap restore EXIT
+cp BENCH_PR*.json "$baseline"/
 
 cargo build --release
 cargo test -q
@@ -38,8 +50,7 @@ run_bench() {
     rm -f "$log"
 }
 
-# Columnar-path smoke (before the published runs, which overwrite the
-# BENCH jsons with real numbers): a tiny campaign with 256-event
+# Columnar-path smoke (before the full-length runs): a tiny campaign with 256-event
 # chunks drives the mmap'd columnar cursors across many chunk
 # boundaries; every rep asserts the streamed report is byte-identical
 # to the in-memory one, so a release-profile-only divergence in the
@@ -95,4 +106,4 @@ grep -q "barrier paid by injected fault class" "$inject_dir/out-1.txt" || {
 rm -rf "$inject_dir"
 echo "== bench_smoke: fault injection OK"
 
-echo "bench_smoke: OK (see BENCH_PR1.json, BENCH_PR3.json, BENCH_PR4.json, BENCH_PR5.json, BENCH_PR6.json, BENCH_PR8.json, BENCH_PR9.json, BENCH_PR10.json)"
+echo "bench_smoke: OK (smoke numbers printed above; committed BENCH_PR*.json restored on exit)"
