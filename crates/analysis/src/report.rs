@@ -10,7 +10,7 @@ use osn_kernel::time::Nanos;
 
 use crate::chart::NoiseChart;
 use crate::noise::NoiseAnalysis;
-use crate::stats::{class_stats, EventClass};
+use crate::stats::all_class_stats;
 
 /// Render a full report for one task.
 pub fn task_report(analysis: &NoiseAnalysis, meta: &TaskMeta) -> String {
@@ -51,8 +51,7 @@ pub fn task_report(analysis: &NoiseAnalysis, meta: &TaskMeta) -> String {
     }
 
     let _ = writeln!(out, "  by event class (freq over own wall time):");
-    for class in EventClass::ALL {
-        let s = class_stats(analysis, &[meta.tid], class);
+    for (class, s) in all_class_stats(analysis, &[meta.tid]) {
         if s.count == 0 {
             continue;
         }

@@ -18,7 +18,7 @@ use osn_kernel::time::Nanos;
 use serde::{Deserialize, Serialize};
 
 use crate::noise::NoiseAnalysis;
-use crate::stats::{class_stats, EventClass, EventStats};
+use crate::stats::{all_class_stats, EventClass};
 
 /// One class's entry in a signature.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -38,12 +38,10 @@ pub struct NoiseSignature {
 }
 
 impl NoiseSignature {
-    /// Build from an analysis over the given tasks.
+    /// Build from an analysis over the given tasks: one pass over their
+    /// interruption components ([`all_class_stats`]).
     pub fn build(analysis: &NoiseAnalysis, tids: &[Tid]) -> NoiseSignature {
-        let stats: Vec<(EventClass, EventStats)> = EventClass::ALL
-            .iter()
-            .map(|c| (*c, class_stats(analysis, tids, *c)))
-            .collect();
+        let stats = all_class_stats(analysis, tids);
         let total: Nanos = stats.iter().map(|(_, s)| s.total).sum();
         let entries = stats
             .into_iter()

@@ -235,13 +235,43 @@ pub fn class_samples_timed(
 /// wall basis is the longest rank extent (the application's runtime).
 pub fn class_stats(analysis: &NoiseAnalysis, tids: &[Tid], class: EventClass) -> EventStats {
     let samples = class_samples(analysis, tids, class);
-    let wall = tids
+    EventStats::from_samples(&samples, wall_of(analysis, tids))
+}
+
+/// Every class's [`class_stats`] row, in [`EventClass::ALL`] order,
+/// from one pass over the tasks' interruption components instead of
+/// one pass per class. Bit-identical to the per-class calls: every
+/// `ClassAccum` moment is order-independent.
+pub fn all_class_stats(analysis: &NoiseAnalysis, tids: &[Tid]) -> Vec<(EventClass, EventStats)> {
+    use crate::noise::Component;
+
+    let mut accs = [ClassAccum::EMPTY; EventClass::ALL.len()];
+    for tn in tids.iter().filter_map(|t| analysis.tasks.get(t)) {
+        for i in &tn.interruptions {
+            for (c, d) in &i.components {
+                if let Component::Activity(a) = c {
+                    if let Some(class) = EventClass::of(*a) {
+                        accs[class as usize].push(*d);
+                    }
+                }
+            }
+        }
+    }
+    let wall = wall_of(analysis, tids);
+    EventClass::ALL
         .iter()
+        .map(|c| (*c, accs[*c as usize].finish(wall)))
+        .collect()
+}
+
+/// The wall basis of a job's statistics: the longest extent among its
+/// tasks (the application's runtime).
+fn wall_of(analysis: &NoiseAnalysis, tids: &[Tid]) -> Nanos {
+    tids.iter()
         .filter_map(|t| analysis.tasks.get(t))
         .map(|tn| tn.wall)
         .max()
-        .unwrap_or(Nanos::ZERO);
-    EventStats::from_samples(&samples, wall)
+        .unwrap_or(Nanos::ZERO)
 }
 
 /// Query-shaped entry point: one class's table row *and* its
@@ -259,13 +289,7 @@ pub fn class_histogram(
     pct: f64,
 ) -> (EventStats, crate::histogram::Histogram) {
     let samples = class_samples(analysis, tids, class);
-    let wall = tids
-        .iter()
-        .filter_map(|t| analysis.tasks.get(t))
-        .map(|tn| tn.wall)
-        .max()
-        .unwrap_or(Nanos::ZERO);
-    let stats = EventStats::from_samples(&samples, wall);
+    let stats = EventStats::from_samples(&samples, wall_of(analysis, tids));
     let histogram = crate::histogram::Histogram::build(&samples, bins, pct);
     (stats, histogram)
 }
@@ -396,12 +420,7 @@ pub fn job_stats(analysis: &NoiseAnalysis, ranks: &[Tid], observed: &[Tid]) -> J
         scan(tid, false, true);
     }
 
-    let wall = observed
-        .iter()
-        .filter_map(|t| analysis.tasks.get(t))
-        .map(|tn| tn.wall)
-        .max()
-        .unwrap_or(Nanos::ZERO);
+    let wall = wall_of(analysis, observed);
     let classes = EventClass::ALL
         .iter()
         .map(|c| (*c, accs[*c as usize].finish(wall)))

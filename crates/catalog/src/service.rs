@@ -11,7 +11,8 @@
 //! * `/runs/{id}/slice` events ≡ a filtered [`StoreReader::column_chunks`]
 //!   walk ([`slice_events`] is the shared implementation);
 //! * `/runs/{id}/histogram` ≡ [`osn_analysis::class_histogram`];
-//! * `/compare` ≡ [`NoiseSignature`] distance/drift;
+//! * `/compare` ≡ [`NoiseSignature`] distance/drift of the two runs'
+//!   signatures, built once with the run's other products;
 //! * `/runs/{id}/paraver` ≡ [`osn_paraver::write_full_prv`].
 //!
 //! Bounded memory per endpoint:
@@ -21,7 +22,9 @@
 //!   and only chunks
 //!   overlapping `[t0, t1)` are ever decoded (footer-index seek);
 //! * report/histogram/compare serve from the products cache — at most
-//!   `cache_runs` analyses resident, LRU-evicted;
+//!   `cache_runs` analyses resident, LRU-evicted; each run's products
+//!   are built once outside the cache lock, so a cold build holds up
+//!   only the requests for that run;
 //! * paraver materializes one trace for the duration of the request
 //!   (the one endpoint that is O(store) by nature; documented in
 //!   DESIGN.md).
@@ -31,17 +34,19 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use osn_analysis::{class_histogram, Drift, EventClass, EventStats, Histogram, NoiseSignature};
 use osn_core::report::PaperReport;
 use osn_core::{analyze_store, StoredRunMeta};
+use osn_kernel::activity::Activity;
 use osn_kernel::ids::CpuId;
 use osn_kernel::time::Nanos;
 use osn_store::{ChunkStatsSnapshot, StoreError, StoreReader};
-use osn_trace::{Event, EventKind};
+use osn_trace::columns::code;
+use osn_trace::{Event, EventColumns, EventKind};
 
 use serde::{Deserialize, Serialize};
 
@@ -78,19 +83,26 @@ impl ServiceConfig {
 
 /// Everything derived from one store that report-shaped endpoints
 /// need, built once and cached: the parsed footer meta, the streamed
-/// analysis, the pretty report bytes, and the shared reader handle.
+/// analysis, the pretty report bytes, the ranks' noise signature, and
+/// the shared reader handle.
 struct RunProducts {
     meta: StoredRunMeta,
     analysis: osn_analysis::NoiseAnalysis,
     report_json: Arc<Vec<u8>>,
+    signature: NoiseSignature,
     reader: Arc<StoreReader>,
 }
+
+/// One run's products slot: inserted under the map lock, filled once
+/// outside it. Concurrent misses on one run wait on its slot; misses on
+/// other runs and warm hits never wait on a build.
+type ProductsSlot = Arc<OnceLock<Result<Arc<RunProducts>, Response>>>;
 
 struct CachedProducts {
     mtime_ns: u64,
     bytes: u64,
     seq: u64,
-    products: Arc<RunProducts>,
+    slot: ProductsSlot,
 }
 
 struct CachedReader {
@@ -475,16 +487,60 @@ fn reader_for(state: &State, entry: &CatalogEntry) -> Result<Arc<StoreReader>, R
 /// Cached analysis products for `entry`, built on first use with the
 /// exact pipeline `osnoise analyze` runs (recover → parse footer →
 /// streamed analysis → `PaperReport` pretty JSON), so the cached
-/// report bytes are identical to the offline CLI's.
+/// report bytes are identical to the offline CLI's. A failed build is
+/// not cached: its slot is dropped and the next request retries.
 fn products_for(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts>, Response> {
+    let slot = products_slot(state, entry);
+    let built = slot.get_or_init(|| build_products(state, entry));
+    if built.is_err() {
+        let mut products = lock(&state.products);
+        if products
+            .get(&entry.id)
+            .is_some_and(|c| Arc::ptr_eq(&c.slot, &slot))
+        {
+            products.remove(&entry.id);
+        }
+    }
+    built.clone()
+}
+
+/// The products slot for `entry`: the cached one if the store is
+/// unchanged, else a fresh empty slot inserted in its place (evicting
+/// the least recently used runs past `cache_runs`). Holds the map lock
+/// only for this lookup, never across a build.
+fn products_slot(state: &State, entry: &CatalogEntry) -> ProductsSlot {
     let mut products = lock(&state.products);
     if let Some(cached) = products.get_mut(&entry.id) {
         if cached.mtime_ns == entry.mtime_ns && cached.bytes == entry.bytes {
             cached.seq = state.bump();
-            return Ok(Arc::clone(&cached.products));
+            return Arc::clone(&cached.slot);
         }
         products.remove(&entry.id);
     }
+    while products.len() >= state.cache_runs {
+        let Some(oldest) = products
+            .iter()
+            .min_by_key(|(_, c)| c.seq)
+            .map(|(id, _)| id.clone())
+        else {
+            break;
+        };
+        products.remove(&oldest);
+    }
+    let slot = ProductsSlot::default();
+    products.insert(
+        entry.id.clone(),
+        CachedProducts {
+            mtime_ns: entry.mtime_ns,
+            bytes: entry.bytes,
+            seq: state.bump(),
+            slot: Arc::clone(&slot),
+        },
+    );
+    slot
+}
+
+fn build_products(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts>, Response> {
     let reader = reader_for(state, entry)?;
     let meta = StoredRunMeta::from_bytes(reader.metadata())
         .map_err(|e| Response::error(500, &format!("bad footer meta for {:?}: {e}", entry.id)))?;
@@ -499,32 +555,14 @@ fn products_for(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts>,
     let paper = PaperReport { apps: vec![report] };
     let report_json = serde_json::to_vec_pretty(&paper)
         .map_err(|e| Response::error(500, &format!("serialization failed: {e}")))?;
-    let built = Arc::new(RunProducts {
+    let signature = NoiseSignature::build(&analysis, &meta.ranks);
+    Ok(Arc::new(RunProducts {
         meta,
         analysis,
         report_json: Arc::new(report_json),
+        signature,
         reader,
-    });
-    while products.len() >= state.cache_runs {
-        let Some(oldest) = products
-            .iter()
-            .min_by_key(|(_, c)| c.seq)
-            .map(|(id, _)| id.clone())
-        else {
-            break;
-        };
-        products.remove(&oldest);
-    }
-    products.insert(
-        entry.id.clone(),
-        CachedProducts {
-            mtime_ns: entry.mtime_ns,
-            bytes: entry.bytes,
-            seq: state.bump(),
-            products: Arc::clone(&built),
-        },
-    );
-    Ok(built)
+    }))
 }
 
 // ---- endpoints -------------------------------------------------------
@@ -580,13 +618,21 @@ pub fn event_matches_class(e: &Event, class: EventClass) -> bool {
     }
 }
 
+/// [`event_matches_class`] for record `i` of a decoded block, read off
+/// its `code` and `a` columns without building the [`Event`].
+fn record_matches_class(cols: &EventColumns, i: usize, class: EventClass) -> bool {
+    matches!(cols.code[i], code::ENTER | code::EXIT)
+        && Activity::from_code(cols.a[i] as u16).is_some_and(|a| class.matches(a))
+}
+
 /// The slice query's library path, shared verbatim by the endpoint:
 /// for each selected CPU, walk a column cursor seeded with only the
 /// chunks overlapping `[t0, t1)` (footer-index binary search — skipped
 /// chunks are never read), narrow each block to `[t0, t1)` with two
-/// binary searches on its timestamp column, build `Event`s for those
-/// records only, filter by class, and k-way merge to global
-/// `(t, cpu)` order. Returns `(events, chunks_decoded, chunks_total)`.
+/// binary searches on its timestamp column, filter those records by
+/// class on the `code`/`a` columns, build `Event`s for the matches
+/// only, and k-way merge to global `(t, cpu)` order. Returns
+/// `(events, chunks_decoded, chunks_total)`.
 pub fn slice_events(
     reader: &StoreReader,
     t0: Nanos,
@@ -614,8 +660,8 @@ pub fn slice_events(
                 let hi = cols.t.partition_point(|&t| t < t1.as_nanos());
                 stream.extend(
                     (lo..hi)
-                        .map(|i| cols.event(i))
-                        .filter(|e| class.is_none_or(|cl| event_matches_class(e, cl))),
+                        .filter(|&i| class.is_none_or(|cl| record_matches_class(cols, i, cl)))
+                        .map(|i| cols.event(i)),
                 );
             }
         }
@@ -755,19 +801,18 @@ fn handle_compare(state: &State, req: &Request) -> Result<Response, Response> {
     let b_entry = entry_for(state, b_id)?;
     let a = products_for(state, &a_entry)?;
     let b = products_for(state, &b_entry)?;
-    let a_sig = NoiseSignature::build(&a.analysis, &a.meta.ranks);
-    let b_sig = NoiseSignature::build(&b.analysis, &b.meta.ranks);
+    let (a_sig, b_sig) = (&a.signature, &b.signature);
     Ok(json_pretty(&CompareResponse {
         a: a_entry.id.clone(),
         b: b_entry.id.clone(),
         same_config: a_entry.config_hash == b_entry.config_hash,
-        distance: a_sig.distance(&b_sig),
+        distance: a_sig.distance(b_sig),
         threshold,
         a_total_ns: a_sig.total_noise.as_nanos(),
         b_total_ns: b_sig.total_noise.as_nanos(),
-        drift: a_sig.drift(&b_sig, threshold),
-        a_signature: a_sig,
-        b_signature: b_sig,
+        drift: a_sig.drift(b_sig, threshold),
+        a_signature: a_sig.clone(),
+        b_signature: b_sig.clone(),
     }))
 }
 
@@ -866,6 +911,106 @@ mod tests {
         assert_eq!(body, offline);
         assert_eq!(client.get("/runs").unwrap().0, 200);
         assert_eq!(client.get(&format!("/runs/{id}/slice")).unwrap().0, 200);
+
+        service.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Products are built outside the map lock: a cold build in flight
+    /// holds up neither a warm query of another run nor the map, and N
+    /// simultaneous cold misses on one run analyze it once and all
+    /// answer the offline bytes.
+    #[test]
+    fn cold_builds_run_outside_the_cache_lock() {
+        const N: usize = 6;
+        let dir = std::env::temp_dir().join(format!("osn-catalog-cold-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut paths = Vec::new();
+        for (name, seed) in [("warm", 5), ("held", 6), ("cold", 7)] {
+            let path = dir.join(format!("{name}.osn"));
+            let mut config =
+                ExperimentConfig::paper(App::Sphot, Nanos::from_millis(100)).with_seed(seed);
+            config.node.cpus = 2;
+            config.nranks = 2;
+            record_app(config, &path, osn_core::store::Options::default()).unwrap();
+            paths.push(path);
+        }
+
+        let mut service_config = ServiceConfig::new(dir.clone());
+        service_config.rescan = None;
+        service_config.threads = N;
+        let service = Service::start(service_config).unwrap();
+        let state = &service.state;
+        let entry = |name: &str| {
+            state
+                .catalog()
+                .entries
+                .iter()
+                .find(|e| e.path.contains(name))
+                .unwrap()
+                .clone()
+        };
+        let (warm, held, cold) = (entry("warm"), entry("held"), entry("cold"));
+        let warm_products = products_for(state, &warm).unwrap();
+
+        // Hold `held`'s build open, then query the warm run meanwhile.
+        let slot = products_slot(state, &held);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (slot, held) = (&slot, &held);
+        std::thread::scope(|s| {
+            let building = s.spawn(move || {
+                slot.get_or_init(|| {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    build_products(state, held)
+                })
+                .is_ok()
+            });
+            started_rx.recv().unwrap();
+            // Release the build before asserting, so a failure cannot
+            // leave the builder blocked.
+            let again = products_for(state, &warm);
+            let cached = lock(&state.products).len();
+            release_tx.send(()).unwrap();
+            assert!(building.join().unwrap());
+            assert!(
+                Arc::ptr_eq(&again.unwrap(), &warm_products),
+                "warm hit rebuilt"
+            );
+            assert_eq!(cached, 2, "map lock is free");
+        });
+        let built = slot.get().unwrap().as_ref().unwrap();
+        assert!(Arc::ptr_eq(&products_for(state, held).unwrap(), built));
+
+        // N clients miss the same cold run at once. One analysis decodes
+        // a fixed number of chunks, so the shared reader's count shows
+        // how many ran.
+        let (reader, _recovery) = StoreReader::recover(&paths[2]).unwrap();
+        let meta = StoredRunMeta::from_bytes(reader.metadata()).unwrap();
+        analyze_store(&reader, &meta.result).unwrap();
+        let one_analysis = reader.stats().decoded;
+        assert!(one_analysis > 0);
+        let (report, _meta, _recovery) = osn_core::recovered_report(&paths[2]).unwrap();
+        let offline = serde_json::to_vec_pretty(&PaperReport { apps: vec![report] }).unwrap();
+        let barrier = std::sync::Barrier::new(N);
+        let addr = service.addr();
+        std::thread::scope(|s| {
+            for _ in 0..N {
+                s.spawn(|| {
+                    let mut client = Client::connect(addr).unwrap();
+                    barrier.wait();
+                    let (status, body) = client.get(&format!("/runs/{}/report", cold.id)).unwrap();
+                    assert_eq!(status, 200);
+                    assert_eq!(body, offline);
+                });
+            }
+        });
+        assert_eq!(
+            service.store_stats(&cold.id).unwrap().decoded,
+            one_analysis,
+            "cold run analyzed once"
+        );
 
         service.shutdown();
         std::fs::remove_dir_all(&dir).ok();

@@ -9,9 +9,10 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use osn_analysis::{class_histogram, EventClass, NoiseSignature};
+use osn_analysis::{class_histogram, class_stats, EventClass, NoiseSignature, SignatureEntry};
 use osn_catalog::service::{
-    slice_events, CompareResponse, HistogramResponse, RunsResponse, SliceResponse, StatsResponse,
+    event_matches_class, slice_events, CompareResponse, HistogramResponse, RunsResponse,
+    SliceResponse, StatsResponse,
 };
 use osn_catalog::{Client, Service, ServiceConfig};
 use osn_core::report::PaperReport;
@@ -52,6 +53,60 @@ fn store_opts() -> Options {
 fn offline_report_bytes(path: &std::path::Path) -> Vec<u8> {
     let (report, _meta, _recovery) = osn_core::recovered_report(path).unwrap();
     serde_json::to_vec_pretty(&PaperReport { apps: vec![report] }).unwrap()
+}
+
+/// Per-class reference for a signature: ten separate `class_stats`
+/// passes, the assembly the one-pass `NoiseSignature::build` replaced.
+fn reference_signature(
+    analysis: &osn_analysis::NoiseAnalysis,
+    ranks: &[osn_kernel::ids::Tid],
+) -> NoiseSignature {
+    let stats: Vec<_> = EventClass::ALL
+        .iter()
+        .map(|c| (*c, class_stats(analysis, ranks, *c)))
+        .collect();
+    let total: Nanos = stats.iter().map(|(_, s)| s.total).sum();
+    NoiseSignature {
+        entries: stats
+            .into_iter()
+            .map(|(class, s)| SignatureEntry {
+                class,
+                freq_per_sec: s.freq_per_sec,
+                mean_ns: s.avg.as_nanos() as f64,
+                share: if total.is_zero() {
+                    0.0
+                } else {
+                    s.total.as_nanos() as f64 / total.as_nanos() as f64
+                },
+            })
+            .collect(),
+        total_noise: total,
+    }
+}
+
+/// Every in-window event of the store from a full, unindexed walk of
+/// each CPU's column cursor, filtered on the typed events and merged —
+/// the reference the seeking, column-filtering slice path must match.
+fn full_walk_slice(
+    reader: &StoreReader,
+    t0: u64,
+    t1: u64,
+    class: Option<EventClass>,
+) -> Vec<Event> {
+    let mut streams: Vec<Vec<Event>> = Vec::new();
+    for c in 0..reader.ncpus() {
+        let mut cursor = reader.column_chunks(CpuId(c as u16));
+        let mut stream = Vec::new();
+        while let Some(block) = cursor.next_chunk() {
+            stream.extend(block.unwrap().events().filter(|e| {
+                e.t.as_nanos() >= t0
+                    && e.t.as_nanos() < t1
+                    && class.is_none_or(|cl| event_matches_class(e, cl))
+            }));
+        }
+        streams.push(stream);
+    }
+    osn_trace::merge_streams(streams)
 }
 
 fn offline_analysis(
@@ -144,21 +199,7 @@ fn service_end_to_end() {
     // Expected events: a *full* walk of every CPU's column cursor,
     // filtered by timestamp — the unindexed reference the seek path
     // must match.
-    let mut streams: Vec<Vec<Event>> = Vec::new();
-    for c in 0..reader_a.ncpus() {
-        let mut cursor = reader_a.column_chunks(CpuId(c as u16));
-        let mut stream = Vec::new();
-        while let Some(block) = cursor.next_chunk() {
-            stream.extend(
-                block
-                    .unwrap()
-                    .events()
-                    .filter(|e| e.t.as_nanos() >= t0 && e.t.as_nanos() < t1),
-            );
-        }
-        streams.push(stream);
-    }
-    let expected_events = osn_trace::merge_streams(streams);
+    let expected_events = full_walk_slice(&reader_a, t0, t1, None);
     assert!(!expected_events.is_empty(), "window should contain events");
     assert_eq!(slice.events, expected_events);
     assert_eq!(slice.count, expected_events.len());
@@ -203,6 +244,31 @@ fn service_end_to_end() {
     assert_eq!(slice.events, lib_events);
     assert!(slice.events.iter().all(|e| e.cpu == CpuId(0)));
 
+    // A wide class slice filters on the columns; its bytes must equal a
+    // response built from event-side filtering of the full walk.
+    let (status, body) = client
+        .get(&format!(
+            "/runs/{id_a}/slice?t0={t0}&t1={t1}&class=timer_interrupt"
+        ))
+        .unwrap();
+    assert_eq!(status, 200);
+    let timers = full_walk_slice(&reader_a, t0, t1, Some(EventClass::TimerInterrupt));
+    assert!(!timers.is_empty(), "window should hold timer interrupts");
+    let slice: SliceResponse = serde_json::from_slice(&body).unwrap();
+    let expected_timer_slice = serde_json::to_vec_pretty(&SliceResponse {
+        run: id_a.clone(),
+        t0,
+        t1,
+        cpu: None,
+        class: Some("timer_interrupt".to_string()),
+        chunks_total: slice.chunks_total,
+        chunks_decoded: slice.chunks_decoded,
+        count: timers.len(),
+        events: timers,
+    })
+    .unwrap();
+    assert_eq!(body, expected_timer_slice);
+
     // -- /runs/{id}/histogram: ≡ class_histogram ---------------------
     let (status, body) = client
         .get(&format!("/runs/{id_a}/histogram?class=page_fault&bins=32"))
@@ -237,6 +303,26 @@ fn service_end_to_end() {
         !cmp.same_config,
         "different app/seed must differ in config hash"
     );
+    // The whole body equals a response built from per-class reference
+    // signatures, byte for byte.
+    let (ref_a, ref_b) = (
+        reference_signature(&analysis_a, &meta_a.ranks),
+        reference_signature(&analysis_b, &meta_b.ranks),
+    );
+    let expected_cmp = serde_json::to_vec_pretty(&CompareResponse {
+        a: id_a.clone(),
+        b: id_b.clone(),
+        same_config: false,
+        distance: ref_a.distance(&ref_b),
+        threshold: 0.5,
+        a_total_ns: ref_a.total_noise.as_nanos(),
+        b_total_ns: ref_b.total_noise.as_nanos(),
+        drift: ref_a.drift(&ref_b, 0.5),
+        a_signature: ref_a,
+        b_signature: ref_b,
+    })
+    .unwrap();
+    assert_eq!(body, expected_cmp, "/compare bytes differ from reference");
 
     // -- /runs/{id}/paraver: ≡ write_full_prv ------------------------
     let trace = reader_a.read_trace().unwrap();

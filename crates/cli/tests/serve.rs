@@ -1,14 +1,16 @@
 //! End-to-end daemon smoke: spawn the real `osnoise serve` on an
 //! ephemeral port, hit every endpoint once with the catalog client,
 //! and prove `/runs/{id}/report` answers byte-for-byte what
-//! `osnoise analyze --json` writes.
+//! `osnoise analyze --json` writes. The store is recorded at the
+//! default chunk capacity, long enough to span several chunks per CPU,
+//! so a narrow slice must skip chunks.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 
-use osn_catalog::service::RunsResponse;
+use osn_catalog::service::{CompareResponse, RunsResponse, SliceResponse};
 use osn_catalog::Client;
 
 fn osnoise(args: &[&str]) -> Output {
@@ -39,17 +41,15 @@ fn serve_answers_analyze_bytes() {
     let dir = tmpdir("e2e");
     let stores = dir.join("stores");
     std::fs::create_dir_all(&stores).unwrap();
-    let store = stores.join("sphot.osn");
+    let store = stores.join("amg.osn");
     let out = osnoise(&[
         "record",
-        "sphot",
+        "amg",
         store.to_str().unwrap(),
         "--secs",
         "1",
         "--seed",
         "5",
-        "--chunk",
-        "4096",
     ]);
     assert!(out.status.success(), "record failed");
 
@@ -96,7 +96,7 @@ fn serve_answers_analyze_bytes() {
     let runs: RunsResponse = serde_json::from_slice(&body).unwrap();
     assert_eq!(runs.count, 1, "one recorded store indexed");
     let id = runs.runs[0].id.clone();
-    assert_eq!(runs.runs[0].app, "sphot");
+    assert_eq!(runs.runs[0].app, "amg");
     assert_eq!(runs.runs[0].seed, 5);
 
     let (status, body) = client.get(&format!("/runs/{id}/report")).unwrap();
@@ -117,6 +117,31 @@ fn serve_answers_analyze_bytes() {
         assert_eq!(status, 200, "GET {target} failed");
         assert!(!body.is_empty(), "GET {target} returned nothing");
     }
+
+    // A narrow window decodes only the chunks it overlaps.
+    let (status, body) = client
+        .get(&format!("/runs/{id}/slice?t0=0&t1=2000000"))
+        .unwrap();
+    assert_eq!(status, 200);
+    let slice: SliceResponse = serde_json::from_slice(&body).unwrap();
+    assert!(
+        slice.chunks_total >= 2 * runs.runs[0].ncpus,
+        "store should span at least two default chunks per CPU: {} chunks",
+        slice.chunks_total
+    );
+    assert!(
+        slice.chunks_decoded < slice.chunks_total,
+        "narrow slice decoded {} of {} chunks",
+        slice.chunks_decoded,
+        slice.chunks_total
+    );
+
+    // A run compared with itself has composition distance 0.
+    let (status, body) = client.get(&format!("/compare?a={id}&b={id}")).unwrap();
+    assert_eq!(status, 200);
+    let cmp: CompareResponse = serde_json::from_slice(&body).unwrap();
+    assert_eq!(cmp.distance, 0.0);
+    assert!(cmp.same_config);
 
     let (status, _) = client.get("/runs/nope/report").unwrap();
     assert_eq!(status, 404);

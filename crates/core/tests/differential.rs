@@ -2,9 +2,10 @@
 //! real two-app paper campaign, the sharded/fused pipeline must produce
 //! a bit-identical `PaperReport` to the retained sequential reference
 //! (global reconstruction, single-walk timelines, quadratic gather,
-//! multi-pass statistics).
+//! multi-pass statistics), and the one-pass noise signature must equal
+//! the per-class statistics it replaced.
 
-use osn_analysis::NoiseAnalysis;
+use osn_analysis::{all_class_stats, class_stats, EventClass, NoiseAnalysis, NoiseSignature};
 use osn_core::campaign::{run_campaign, CampaignConfig};
 use osn_core::report::PaperReport;
 use osn_kernel::time::Nanos;
@@ -75,4 +76,57 @@ fn parallel_engine_matches_sequential_reference() {
     let fused_json = serde_json::to_string(&fused).expect("serialize fused");
     let reference_json = serde_json::to_string(&reference).expect("serialize reference");
     assert_eq!(fused_json, reference_json, "paper reports differ");
+}
+
+/// `NoiseSignature::build` folds every class in one pass; on all five
+/// apps it must equal a signature assembled from ten separate
+/// `class_stats` calls, float for float.
+#[test]
+fn one_pass_signature_matches_per_class_reference() {
+    let config = CampaignConfig {
+        apps: App::ALL.to_vec(),
+        duration: Nanos::from_millis(150),
+        seed: 0x0511_2011,
+        nranks: Some(2),
+        cpus: Some(2),
+    };
+    let runs = run_campaign(&config);
+    assert_eq!(runs.len(), 5);
+
+    for run in &runs {
+        let name = run.app.name();
+        let per_class: Vec<_> = EventClass::ALL
+            .iter()
+            .map(|c| (*c, class_stats(&run.analysis, &run.ranks, *c)))
+            .collect();
+        assert_eq!(
+            all_class_stats(&run.analysis, &run.ranks),
+            per_class,
+            "{name}"
+        );
+        for tid in &run.ranks {
+            let one: Vec<_> = EventClass::ALL
+                .iter()
+                .map(|c| (*c, class_stats(&run.analysis, &[*tid], *c)))
+                .collect();
+            assert_eq!(all_class_stats(&run.analysis, &[*tid]), one, "{name} {tid}");
+        }
+
+        let total: Nanos = per_class.iter().map(|(_, s)| s.total).sum();
+        assert!(!total.is_zero(), "{name}: no noise to compare");
+        let signature = NoiseSignature::build(&run.analysis, &run.ranks);
+        assert_eq!(signature.total_noise, total, "{name}");
+        assert_eq!(signature.entries.len(), per_class.len(), "{name}");
+        for (entry, (class, s)) in signature.entries.iter().zip(&per_class) {
+            assert_eq!(entry.class, *class, "{name}");
+            assert_eq!(
+                entry.freq_per_sec.to_bits(),
+                s.freq_per_sec.to_bits(),
+                "{name}"
+            );
+            assert_eq!(entry.mean_ns.to_bits(), (s.avg.as_nanos() as f64).to_bits());
+            let share = s.total.as_nanos() as f64 / total.as_nanos() as f64;
+            assert_eq!(entry.share.to_bits(), share.to_bits(), "{name} {class:?}");
+        }
+    }
 }

@@ -137,9 +137,10 @@ fn streamed_analysis_matches_in_memory() {
 /// Byte-identity must not depend on how the stream is cut into chunks.
 /// Capacity 1 puts every event in its own chunk (maximal pairing
 /// resumption across chunk boundaries), 2 exercises odd/even splits of
-/// enter/exit pairs, and 63 lands chunk cuts at arbitrary offsets
-/// inside nests. All three must serialize to the same report as the
-/// in-memory path — and as each other.
+/// enter/exit pairs, 63 lands chunk cuts at arbitrary offsets inside
+/// nests, and 4096 (the default) and 65536 cover large chunks. All
+/// must serialize to the same report as the in-memory path — and as
+/// each other.
 #[test]
 fn chunk_capacity_does_not_change_the_report() {
     let config = CampaignConfig {
@@ -154,7 +155,7 @@ fn chunk_capacity_does_not_change_the_report() {
     let in_memory = serde_json::to_string(&AppReport::build_with(run, &run.analysis)).unwrap();
     let dir = tmpdir("capacity");
 
-    for capacity in [1usize, 2, 63] {
+    for capacity in [1usize, 2, 63, 4096, 65536] {
         let path = dir.join(format!("sphot-{capacity}.osn"));
         let opts = Options::default().with_chunk_capacity(capacity);
         store::persist_run(run, &path, opts).unwrap();

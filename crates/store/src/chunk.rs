@@ -191,13 +191,16 @@ pub fn decode_chunk_columns(
         let mut pos = 0usize;
         let mut prev = meta.t_first.0;
         for _ in 0..count {
-            let mut next = || get_uvarint(payload, &mut pos).ok_or(corrupt("truncated varint"));
+            let mut next =
+                || get_uvarint(payload, &mut pos).ok_or_else(|| corrupt("truncated varint"));
             let dt = next()?;
             let code = next()?;
             let tid = next()?;
             let a = next()?;
             let b = next()?;
-            let t = prev.checked_add(dt).ok_or(corrupt("timestamp overflow"))?;
+            let t = prev
+                .checked_add(dt)
+                .ok_or_else(|| corrupt("timestamp overflow"))?;
             prev = t;
             let code = u16::try_from(code).map_err(|_| corrupt("record code overflow"))?;
             let tid = u32::try_from(tid).map_err(|_| corrupt("tid overflow"))?;

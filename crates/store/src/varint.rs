@@ -18,6 +18,13 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
 /// 10-byte maximum for u64.
 #[inline]
 pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    // Fast path: most payload fields (codes, small tids, short deltas)
+    // fit in one byte.
+    let first = *buf.get(*pos)?;
+    if first < 0x80 {
+        *pos += 1;
+        return Some(first as u64);
+    }
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {

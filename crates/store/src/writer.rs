@@ -18,7 +18,8 @@ use crate::{END_MAGIC, FILE_FLAG_COMPRESSED, FILE_MAGIC, FOOTER_MAGIC, STORE_VER
 #[derive(Clone, Copy, Debug)]
 pub struct StoreOptions {
     /// Events per chunk. Chunks flush whenever a CPU's buffer reaches
-    /// this; it is also the reader's per-stream memory bound.
+    /// this; it is also the reader's per-stream memory bound and the
+    /// granularity of a time-range seek (a window decodes whole chunks).
     pub chunk_capacity: usize,
     /// Delta/varint-compress chunk payloads (on by default; raw is for
     /// debugging and codec comparison).
@@ -28,7 +29,7 @@ pub struct StoreOptions {
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
-            chunk_capacity: 1 << 16,
+            chunk_capacity: 1 << 12,
             compress: true,
         }
     }
@@ -128,10 +129,8 @@ impl StoreWriter {
         );
         self.pending[c].extend_from_slice(events);
         self.events += events.len() as u64;
-        while self.pending[c].len() >= self.opts.chunk_capacity {
-            self.flush_chunk(c, self.opts.chunk_capacity)?;
-        }
-        Ok(())
+        let cap = self.opts.chunk_capacity;
+        self.flush_chunks(c, self.pending[c].len() / cap * cap)
     }
 
     /// Append a whole in-memory trace (its per-CPU streams, loss
@@ -168,16 +167,35 @@ impl StoreWriter {
         self.meta = meta;
     }
 
-    /// Write the first `n` pending events of CPU `c` as one chunk.
-    fn flush_chunk(&mut self, c: usize, n: usize) -> std::io::Result<()> {
-        debug_assert!(n > 0 && n <= self.pending[c].len());
+    /// Write the first `n` pending events of CPU `c` as chunks of
+    /// `chunk_capacity` (the last may be shorter), then drop the written
+    /// prefix with one `drain`, so a large batch costs one memmove of
+    /// its remainder instead of one per chunk.
+    fn flush_chunks(&mut self, c: usize, n: usize) -> std::io::Result<()> {
+        let mut done = 0;
+        let mut result = Ok(());
+        while done < n {
+            let end = (done + self.opts.chunk_capacity).min(n);
+            result = self.write_chunk(c, done, end);
+            if result.is_err() {
+                break;
+            }
+            done = end;
+        }
+        self.pending[c].drain(..done);
+        result
+    }
+
+    /// Write pending events `start..end` of CPU `c` as one chunk.
+    fn write_chunk(&mut self, c: usize, start: usize, end: usize) -> std::io::Result<()> {
+        debug_assert!(start < end && end <= self.pending[c].len());
         // Reserve the header slot, encode the payload after it, then
         // patch the header in — one write, one reused buffer.
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
         buf.resize(CHUNK_HEADER_BYTES, 0);
         let header = encode_chunk(
-            &self.pending[c][..n],
+            &self.pending[c][start..end],
             c as u16,
             self.opts.compress,
             &mut buf,
@@ -190,7 +208,6 @@ impl StoreWriter {
         self.out.write_all(&buf)?;
         self.offset += buf.len() as u64;
         self.scratch = buf;
-        self.pending[c].drain(..n);
         Ok(())
     }
 
@@ -199,10 +216,7 @@ impl StoreWriter {
     /// store always ends in the 24-byte trailer.
     pub fn finish(mut self) -> std::io::Result<StoreSummary> {
         for c in 0..self.ncpus {
-            while !self.pending[c].is_empty() {
-                let n = self.pending[c].len().min(self.opts.chunk_capacity);
-                self.flush_chunk(c, n)?;
-            }
+            self.flush_chunks(c, self.pending[c].len())?;
         }
         let mut footer = Vec::new();
         footer.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());

@@ -1,5 +1,6 @@
 //! Property tests for the chunked store: lossless round-trips for
-//! arbitrary valid traces across chunk sizes and codecs, and recovery
+//! arbitrary valid traces across chunk sizes and codecs, file bytes
+//! that do not depend on how appends are batched, and recovery
 //! equivalence when only the footer is missing.
 
 use std::path::PathBuf;
@@ -12,7 +13,7 @@ use osn_kernel::hooks::SwitchState;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 use osn_store::writer::write_store;
-use osn_store::{StoreOptions, StoreReader, TRAILER_BYTES};
+use osn_store::{StoreOptions, StoreReader, StoreWriter, TRAILER_BYTES};
 use osn_trace::{Event, EventKind, Trace};
 
 fn scratch_path() -> PathBuf {
@@ -86,6 +87,70 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
             lost.truncate(ncpus);
             Trace::from_streams(streams, lost)
         })
+}
+
+/// `stream` repeated `times` times, each copy shifted past the last
+/// one, so short generated streams can span several large chunks.
+fn tiled(stream: &[Event], times: usize) -> Vec<Event> {
+    let span = stream.last().map_or(0, |e| e.t.as_nanos() + 1);
+    (0..times as u64)
+        .flat_map(|k| {
+            stream.iter().map(move |e| Event {
+                t: Nanos(e.t.as_nanos() + k * span),
+                ..*e
+            })
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The writer's file bytes do not depend on batching: each CPU's
+    /// events appended as one batch, or cut into arbitrary batches
+    /// (empty ones included), write the same file at capacities below,
+    /// around and at the default 4096.
+    #[test]
+    fn batching_does_not_change_the_file(
+        trace in trace_strategy(),
+        times in 1usize..=40,
+        cuts in prop::collection::vec(0usize..3_000, 0..12),
+        compress in any::<bool>(),
+    ) {
+        let streams: Vec<Vec<Event>> = (0..trace.ncpus())
+            .map(|c| {
+                let events: Vec<Event> = trace.cpu_events(CpuId(c as u16)).copied().collect();
+                tiled(&events, times)
+            })
+            .collect();
+        for capacity in [1usize, 7, 4096] {
+            let opts = StoreOptions::default()
+                .with_chunk_capacity(capacity)
+                .with_compress(compress);
+            let write = |batched: bool| {
+                let path = scratch_path();
+                let mut w = StoreWriter::create(&path, streams.len(), opts).expect("create");
+                for (c, stream) in streams.iter().enumerate() {
+                    let cpu = CpuId(c as u16);
+                    let mut rest = &stream[..];
+                    if batched {
+                        for &n in &cuts {
+                            let (head, tail) = rest.split_at(n.min(rest.len()));
+                            w.append(cpu, head).expect("append");
+                            rest = tail;
+                        }
+                    }
+                    w.append(cpu, rest).expect("append");
+                }
+                w.set_metadata(b"meta".to_vec());
+                w.finish().expect("finish");
+                let bytes = std::fs::read(&path).unwrap();
+                let _ = std::fs::remove_file(&path);
+                bytes
+            };
+            prop_assert_eq!(write(false), write(true), "capacity {}", capacity);
+        }
+    }
 }
 
 proptest! {
