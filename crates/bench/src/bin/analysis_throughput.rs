@@ -1,7 +1,7 @@
 //! Analysis throughput: sharded/fused engine vs the retained sequential
 //! reference, over real traces.
 //!
-//! Two sections, both written to `BENCH_PR3.json` at the repo root:
+//! Two sections, both written to `target/bench/BENCH_PR3.json`:
 //!
 //! * **Paper campaign** — for every Sequoia app, time the full analysis
 //!   phase (trace → `NoiseAnalysis` → `AppReport`) through the new
@@ -246,10 +246,11 @@ fn main() {
         sweep,
         largest_sweep_speedup,
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR3.json");
-    std::fs::write(path, serde_json::to_vec(&report).expect("serializable"))
-        .expect("write BENCH_PR3.json");
-    println!("wrote {path}");
+    let path = osn_bench::write_bench_json(
+        "BENCH_PR3.json",
+        serde_json::to_vec(&report).expect("serializable"),
+    );
+    println!("wrote {}", path.display());
 
     // ---- BENCH_PR6.json analysis section (shared with store_throughput). ----
     let tot_events: usize = report.apps.iter().map(|r| r.events).sum();
@@ -271,12 +272,12 @@ fn main() {
             serde::Value::F64(aggregate_analysis_events_per_sec),
         ),
     ];
-    let pr6 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR6.json");
-    osn_bench::merge_bench_json(pr6, own, |k| {
+    let pr6 = osn_bench::merge_bench_json("BENCH_PR6.json", own, |k| {
         k.starts_with("analysis") || k == "aggregate_analysis_events_per_sec"
     });
     println!(
-        "wrote {pr6} (aggregate {:.1} Mev/s over the campaign)",
+        "wrote {} (aggregate {:.1} Mev/s over the campaign)",
+        pr6.display(),
         aggregate_analysis_events_per_sec / 1e6
     );
 }

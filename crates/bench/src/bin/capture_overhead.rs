@@ -15,7 +15,7 @@
 //!   informational, expected 0.0, deliberately *not* an `aggregate_*`
 //!   key because the gate rejects non-positive aggregates.
 //!
-//! Written to `BENCH_PR10.json` at the repo root. Knobs:
+//! Written to `target/bench/BENCH_PR10.json`. Knobs:
 //! `OSN_CAPTURE_SECS` (capture seconds per rep, default 2),
 //! `OSN_REPS` (default 3).
 
@@ -146,9 +146,10 @@ fn main() {
         aggregate_capture_overhead_ns: overhead,
         aggregate_capture_events_per_sec: events_per_sec,
     };
-    let json = serde_json::to_vec_pretty(&report).expect("serializable");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
-    std::fs::write(path, json).expect("write BENCH_PR10.json");
+    osn_bench::write_bench_json(
+        "BENCH_PR10.json",
+        serde_json::to_vec_pretty(&report).expect("serializable"),
+    );
     println!(
         "BENCH_PR10.json: overhead {overhead:.0} ns/quantum, {events_per_sec:.0} events/s, \
          drop rate {:.4}{}",

@@ -6,7 +6,7 @@
 //! offline report bytes, so the bench doubles as a byte-identity check
 //! under load.
 //!
-//! Written to `BENCH_PR9.json` at the repo root. Knobs: `OSN_SECS`
+//! Written to `target/bench/BENCH_PR9.json`. Knobs: `OSN_SECS`
 //! (simulated seconds per recorded store, default 10), `OSN_REPS`
 //! (default 3), `OSN_SEED`, `OSN_CATALOG_QUERIES` (queries per client
 //! per rep, default 200).
@@ -203,11 +203,9 @@ fn main() {
     );
     service.shutdown();
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
-    std::fs::write(
-        path,
+    let path = osn_bench::write_bench_json(
+        "BENCH_PR9.json",
         serde_json::to_vec_pretty(&report).expect("serializable"),
-    )
-    .expect("write BENCH_PR9.json");
-    println!("wrote {path}");
+    );
+    println!("wrote {}", path.display());
 }

@@ -1,5 +1,5 @@
 //! Tiered cluster scaling: what the surrogate tier buys and what it
-//! costs. Three sections, all in `BENCH_PR8.json`:
+//! costs. Three sections, all in `target/bench/BENCH_PR8.json`:
 //!
 //! 1. **Validation scales** (64/256/512 nodes): full-mechanistic vs
 //!    `sampled:0.25` on the same seed — wall time for each tier and
@@ -266,8 +266,9 @@ fn main() {
         aggregate_tier_speedup: tier_speedup,
         aggregate_validation_ratio_error: ratio_error,
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
-    std::fs::write(path, serde_json::to_vec(&report).expect("serializable"))
-        .expect("write BENCH_PR8.json");
-    println!("wrote {path}");
+    let path = osn_bench::write_bench_json(
+        "BENCH_PR8.json",
+        serde_json::to_vec(&report).expect("serializable"),
+    );
+    println!("wrote {}", path.display());
 }

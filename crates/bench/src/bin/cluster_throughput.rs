@@ -3,7 +3,7 @@
 //! determinism check (the serialized report must be byte-identical
 //! across reps *and* across thread counts).
 //!
-//! Written to `BENCH_PR5.json` at the repo root. Knobs: `OSN_SECS`
+//! Written to `target/bench/BENCH_PR5.json`. Knobs: `OSN_SECS`
 //! (per-node simulated seconds, default 10), `OSN_REPS` (default 3),
 //! `OSN_SEED`, `OSN_CLUSTER_NODES` (default 8).
 
@@ -122,8 +122,9 @@ fn main() {
         aggregate_nodes_per_sec: aggregate,
     };
     println!("aggregate: {aggregate:.2} nodes/s peak");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR5.json");
-    std::fs::write(path, serde_json::to_vec(&report).expect("serializable"))
-        .expect("write BENCH_PR5.json");
-    println!("wrote {path}");
+    let path = osn_bench::write_bench_json(
+        "BENCH_PR5.json",
+        serde_json::to_vec(&report).expect("serializable"),
+    );
+    println!("wrote {}", path.display());
 }

@@ -2,7 +2,7 @@
 //!
 //! For every Sequoia app this runs the paper node configuration
 //! (untraced, `NullProbe` — pure engine speed, no tracer cost in the
-//! numerator) and writes `BENCH_PR1.json` at the repo root with per-app
+//! numerator) and writes `target/bench/BENCH_PR1.json` with per-app
 //! events/sec and on-CPU times. Every rep must dispatch the *same*
 //! number of events as the warm-up (the engine is deterministic per
 //! seed) — the binary asserts that, so a throughput run doubles as a
@@ -230,8 +230,9 @@ fn main() {
         report.aggregate_events_per_sec / 1e3
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR1.json");
-    std::fs::write(path, serde_json::to_vec(&report).expect("serializable"))
-        .expect("write BENCH_PR1.json");
-    println!("wrote {path}");
+    let path = osn_bench::write_bench_json(
+        "BENCH_PR1.json",
+        serde_json::to_vec(&report).expect("serializable"),
+    );
+    println!("wrote {}", path.display());
 }

@@ -1,8 +1,7 @@
 //! On-disk store throughput: chunked write speed, codec effectiveness,
 //! and out-of-core streamed analysis vs the in-memory engine.
 //!
-//! For every Sequoia app (written to `BENCH_PR4.json` at the repo
-//! root):
+//! For every Sequoia app (written to `target/bench/BENCH_PR4.json`):
 //!
 //! * **Write** — `persist_run` MB/s and events/s, delta/varint codec
 //!   vs raw records, plus the resulting compression ratio against the
@@ -277,22 +276,22 @@ denominator (trace already in RAM) for continuity"
         report.aggregate_streamed_over_resident,
         report.aggregate_compression_ratio
     );
-    let pr4 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR4.json");
-    std::fs::write(pr4, serde_json::to_vec(&report).expect("serializable"))
-        .expect("write BENCH_PR4.json");
-    println!("wrote {pr4}");
+    let pr4 = osn_bench::write_bench_json(
+        "BENCH_PR4.json",
+        serde_json::to_vec(&report).expect("serializable"),
+    );
+    println!("wrote {}", pr4.display());
 
     // BENCH_PR6.json is shared with analysis_throughput: this binary
     // owns every key except the analysis_* section.
-    let pr6 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR6.json");
     let own = match serde_json::from_str::<serde::Value>(
         &serde_json::to_string(&report).expect("serializable"),
     ) {
         Ok(serde::Value::Map(entries)) => entries,
         _ => panic!("report serializes to a map"),
     };
-    osn_bench::merge_bench_json(pr6, own, |k| {
+    let pr6 = osn_bench::merge_bench_json("BENCH_PR6.json", own, |k| {
         !(k.starts_with("analysis") || k == "aggregate_analysis_events_per_sec")
     });
-    println!("wrote {pr6}");
+    println!("wrote {}", pr6.display());
 }

@@ -1,11 +1,14 @@
-//! `osn-bench`: the experiment harness that regenerates every table and
-//! figure of the paper.
+//! `osn-bench`: the experiment harness for the paper's figures and
+//! the pipeline's own speed.
 //!
-//! Each `src/bin/figNN_*.rs` / `src/bin/tableN_*.rs` binary reruns (or
-//! loads from the shared on-disk cache) the needed traced runs and
-//! prints the same rows/series the paper reports. The `*_throughput`,
-//! `cluster_scale` and `capture_overhead` binaries measure the
-//! pipeline's own speed and write `BENCH_PR*.json` at the repo root.
+//! Each `src/bin/figNN_*.rs` binary reruns (or loads from the shared
+//! on-disk cache) the needed traced runs and prints the series the
+//! paper reports; Fig 3 and Tables I–VI are printed by `osnoise
+//! campaign`. The `*_throughput`, `cluster_scale` and
+//! `capture_overhead` binaries measure the pipeline's own speed and
+//! write their `BENCH_PR*.json` under `target/bench/`
+//! ([`write_bench_json`]), leaving the committed baselines at the repo
+//! root untouched; `scripts/bench_gate.sh` compares the two.
 //!
 //! Environment knobs:
 //! * `OSN_SECS` — simulated seconds per application run (default 10).
@@ -15,31 +18,47 @@
 use std::fs;
 use std::path::PathBuf;
 
-use osn_core::analysis::NoiseAnalysis;
-use osn_core::kernel::ids::Tid;
-use osn_core::kernel::node::RunResult;
 use osn_core::kernel::time::Nanos;
-use osn_core::trace::wire;
 use osn_core::workloads::App;
-use osn_core::{run_app, AppRun, ExperimentConfig};
+use osn_core::{load_run, persist_run, run_app, AppRun, ExperimentConfig};
+use osn_store::StoreOptions;
 
-/// Merge one producer's section into a shared bench JSON file
-/// (`BENCH_PR6.json` is written by both `analysis_throughput` and
-/// `store_throughput`): read the existing top-level map if any, drop
-/// the keys this producer owns (`owns` returns true), keep everyone
-/// else's, and write back `own` followed by the kept keys. Key order
-/// is deterministic: each producer's keys stay in the order it emits
-/// them.
-pub fn merge_bench_json(path: &str, own: Vec<(String, serde::Value)>, owns: impl Fn(&str) -> bool) {
+fn target_dir(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target")
+        .join(name);
+    let _ = fs::create_dir_all(&dir);
+    dir
+}
+
+/// Write one bench result file `name` (a `BENCH_PR*.json`) under
+/// `target/bench/` and return its path.
+pub fn write_bench_json(name: &str, json: Vec<u8>) -> PathBuf {
+    let path = target_dir("bench").join(name);
+    fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
+}
+
+/// Merge one producer's section into a shared bench JSON file under
+/// `target/bench/` (`BENCH_PR6.json` is written by both
+/// `analysis_throughput` and `store_throughput`): read the existing
+/// top-level map if any, drop the keys this producer owns (`owns`
+/// returns true), keep everyone else's, and write back `own` followed
+/// by the kept keys. Key order is deterministic: each producer's keys
+/// stay in the order it emits them.
+pub fn merge_bench_json(
+    name: &str,
+    own: Vec<(String, serde::Value)>,
+    owns: impl Fn(&str) -> bool,
+) -> PathBuf {
     let mut entries = own;
-    if let Ok(text) = fs::read_to_string(path) {
+    if let Ok(text) = fs::read_to_string(target_dir("bench").join(name)) {
         if let Ok(serde::Value::Map(existing)) = serde_json::from_str::<serde::Value>(&text) {
             entries.extend(existing.into_iter().filter(|(k, _)| !owns(k)));
         }
     }
     let doc = serde::Value::Map(entries);
-    fs::write(path, serde_json::to_vec_pretty(&doc).expect("serializable"))
-        .expect("write bench json");
+    write_bench_json(name, serde_json::to_vec_pretty(&doc).expect("serializable"))
 }
 
 /// Simulated duration per app run, from `OSN_SECS`.
@@ -59,59 +78,26 @@ pub fn seed() -> u64 {
         .unwrap_or(0x0511_2011)
 }
 
-fn cache_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/osn-cache");
-    let _ = fs::create_dir_all(&dir);
-    dir
-}
-
 /// Run (or load from cache) one traced application run. The cache
-/// stores the binary trace (exercising the wire format end-to-end)
-/// plus the run metadata as JSON; analysis is recomputed on load.
+/// holds one `.osn` store per run, written by [`persist_run`] and read
+/// back by [`load_run`], which recomputes the analysis; a cache file
+/// that does not read is replaced by a fresh run.
 pub fn load_or_run(app: App) -> AppRun {
     let dur = duration();
     let seed = seed();
-    let stem = format!(
-        "{}-{}s-{:x}",
+    let path = target_dir("osn-cache").join(format!(
+        "{}-{}s-{:x}.osn",
         app.name(),
         dur.as_nanos() / 1_000_000_000,
         seed
-    );
-    let trace_path = cache_dir().join(format!("{stem}.trace"));
-    let meta_path = cache_dir().join(format!("{stem}.json"));
-    let no_cache = std::env::var("OSN_NO_CACHE").is_ok();
-
-    let config = ExperimentConfig::paper(app, dur).with_seed(seed);
-    if !no_cache {
-        if let (Ok(raw), Ok(meta_raw)) = (fs::read(&trace_path), fs::read(&meta_path)) {
-            if let (Ok(trace), Ok(result)) = (
-                wire::decode(&raw),
-                serde_json::from_slice::<RunResult>(&meta_raw),
-            ) {
-                let ranks: Vec<Tid> = result
-                    .tasks
-                    .iter()
-                    .filter(|t| t.kind == "app" && t.name.starts_with(app.name()))
-                    .map(|t| t.tid)
-                    .collect();
-                let analysis = NoiseAnalysis::analyze(&trace, &result.tasks, result.end_time);
-                return AppRun {
-                    app,
-                    config,
-                    trace,
-                    result,
-                    ranks,
-                    analysis,
-                };
-            }
+    ));
+    if std::env::var("OSN_NO_CACHE").is_err() {
+        if let Ok(run) = load_run(&path) {
+            return run;
         }
     }
-    let run = run_app(config);
-    let _ = fs::write(&trace_path, wire::encode(&run.trace));
-    let _ = fs::write(
-        &meta_path,
-        serde_json::to_vec(&run.result).expect("serializable"),
-    );
+    let run = run_app(ExperimentConfig::paper(app, dur).with_seed(seed));
+    let _ = persist_run(&run, &path, StoreOptions::default());
     run
 }
 

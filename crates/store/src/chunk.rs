@@ -2,7 +2,7 @@
 //!
 //! A chunk carries the records of exactly one CPU, so the cpu field
 //! lives in the header and each record stores only `(t, code, tid, a,
-//! b)` — the kind packing shared with the wire format
+//! b)` — the record codec's kind packing
 //! ([`osn_trace::wire::pack_record`]). Two payload codecs:
 //!
 //! * **raw** — fixed 30-byte little-endian records; seekable within
@@ -81,7 +81,24 @@ impl ChunkHeader {
         if header.t_first > header.t_last {
             return Err("inverted chunk span");
         }
+        if !count_fits(header.flags, header.count, header.payload_len) {
+            return Err("count disagrees with payload length");
+        }
         Ok(header)
+    }
+}
+
+/// Whether `count` records fit in `payload_len` bytes under the codec
+/// `flags` selects: raw records are exactly [`RAW_RECORD_BYTES`], and a
+/// compressed record is at least five one-byte varints. Readers check
+/// this before sizing anything from a declared count, so a corrupt
+/// count is a typed error, never a huge allocation.
+pub(crate) fn count_fits(flags: u16, count: u32, payload_len: u32) -> bool {
+    let (count, len) = (count as u64, payload_len as u64);
+    if flags & FLAG_COMPRESSED != 0 {
+        count * 5 <= len
+    } else {
+        count * RAW_RECORD_BYTES as u64 == len
     }
 }
 

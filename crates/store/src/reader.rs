@@ -18,7 +18,7 @@ use osn_kernel::time::Nanos;
 use osn_trace::wire::fnv1a64;
 use osn_trace::{Event, EventColumns, Trace};
 
-use crate::chunk::{decode_chunk_columns, ChunkHeader, ChunkMeta, CHUNK_HEADER_BYTES};
+use crate::chunk::{count_fits, decode_chunk_columns, ChunkHeader, ChunkMeta, CHUNK_HEADER_BYTES};
 use crate::mmap::Mmap;
 use crate::{
     StoreError, END_MAGIC, FILE_HEADER_BYTES, FILE_MAGIC, FOOTER_MAGIC, STORE_VERSION,
@@ -281,7 +281,17 @@ impl StoreReader {
         chunks: Vec<ChunkMeta>,
     ) -> Result<StoreReader, StoreError> {
         let mut per_cpu: Vec<Vec<u32>> = (0..header.ncpus).map(|_| Vec::new()).collect();
+        // Chunks tile the file in index order, so the declared counts
+        // sum to at most what the file can hold.
+        let mut region_end = FILE_HEADER_BYTES as u64;
         for (i, m) in chunks.iter().enumerate() {
+            if m.offset < region_end {
+                return Err(StoreError::CorruptChunk {
+                    offset: m.offset,
+                    reason: "chunks overlap",
+                });
+            }
+            region_end = m.offset + (CHUNK_HEADER_BYTES + m.payload_len as usize) as u64;
             let c = m.cpu as usize;
             if c >= header.ncpus {
                 return Err(StoreError::CorruptChunk {
@@ -635,6 +645,9 @@ fn parse_footer(file: &File, file_len: u64, ncpus: usize) -> Result<Footer, Stor
             .ok_or(corrupt("chunk offset overflow"))?;
         if offset < FILE_HEADER_BYTES as u64 || end > footer_start {
             return Err(corrupt("chunk outside the chunk region"));
+        }
+        if !count_fits(flags, count, payload_len) {
+            return Err(corrupt("index count disagrees with payload length"));
         }
         chunks.push(ChunkMeta {
             offset,

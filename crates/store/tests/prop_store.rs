@@ -1,14 +1,15 @@
 //! Property tests for the chunked store: lossless round-trips for
 //! arbitrary valid traces across chunk sizes and codecs, file bytes
-//! that do not depend on how appends are batched, and recovery
-//! equivalence when only the footer is missing.
+//! that do not depend on how appends are batched, recovery
+//! equivalence when only the footer is missing, and readers that end
+//! in a typed error, never a panic, on arbitrary or corrupted bytes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use osn_kernel::activity::Activity;
+use osn_kernel::activity::{Activity, SoftirqVec};
 use osn_kernel::hooks::SwitchState;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
@@ -29,6 +30,11 @@ fn activity_strategy() -> impl Strategy<Value = Activity> {
     (1u16..=22).prop_map(|code| Activity::from_code(code).expect("valid code range"))
 }
 
+fn softirq_strategy() -> impl Strategy<Value = EventKind> {
+    any::<prop::sample::Index>()
+        .prop_map(|i| EventKind::SoftirqRaise(SoftirqVec::ALL[i.index(SoftirqVec::ALL.len())]))
+}
+
 fn kind_strategy() -> impl Strategy<Value = EventKind> {
     prop_oneof![
         activity_strategy().prop_map(EventKind::KernelEnter),
@@ -42,7 +48,14 @@ fn kind_strategy() -> impl Strategy<Value = EventKind> {
             tid: Tid(t),
             waker: Tid(w),
         }),
+        (any::<u32>(), any::<u16>(), any::<u16>()).prop_map(|(t, f, o)| EventKind::Migrate {
+            tid: Tid(t),
+            from: CpuId(f),
+            to: CpuId(o),
+        }),
         (any::<u32>(), any::<u64>()).prop_map(|(m, v)| EventKind::AppMark { mark: m, value: v }),
+        any::<u32>().prop_map(|t| EventKind::TaskExit { tid: Tid(t) }),
+        softirq_strategy(),
     ]
 }
 
@@ -58,6 +71,7 @@ fn stream_strategy(cpu: u16) -> impl Strategy<Value = Vec<Event>> {
                     let ctx = match kind {
                         EventKind::Wakeup { waker, .. } => waker,
                         EventKind::SchedSwitch { prev, .. } => prev,
+                        EventKind::Migrate { tid, .. } | EventKind::TaskExit { tid } => tid,
                         _ => Tid(tid),
                     };
                     Event {
@@ -293,6 +307,87 @@ proptest! {
             prop_assert!(got.len() <= orig.len());
             prop_assert_eq!(&got[..], &orig[..got.len()]);
         }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Every read path over the file at `path`: strict open and recovery,
+/// each followed by full materialization and a column walk of every
+/// CPU. Any step may fail, but only with a typed `StoreError`; a panic
+/// fails the calling property.
+fn read_every_way(path: &Path) {
+    let walk = |reader: &StoreReader| {
+        let _ = reader.read_trace();
+        for c in 0..reader.ncpus() {
+            let mut cursor = reader.column_chunks(CpuId(c as u16));
+            while let Some(block) = cursor.next_chunk() {
+                if block.is_err() {
+                    prop_assert!(cursor.next_chunk().is_none(), "an error ends the cursor");
+                    break;
+                }
+            }
+        }
+    };
+    if let Ok(reader) = StoreReader::open(path) {
+        walk(&reader);
+    }
+    if let Ok((reader, _)) = StoreReader::recover(path) {
+        walk(&reader);
+    }
+}
+
+/// A valid store's file header (magic, version, CPU count, chunk
+/// capacity, flags), so arbitrary bytes after it reach the chunk scan
+/// and footer parser instead of stopping at the magic.
+fn file_header(ncpus: u32, compress: bool) -> Vec<u8> {
+    let mut out = osn_store::FILE_MAGIC.to_vec();
+    for field in [osn_store::STORE_VERSION, ncpus, 4096, u32::from(compress)] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, alone or behind a valid file header, never
+    /// panic any read path.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_reader(
+        data in prop::collection::vec(any::<u8>(), 0..1024),
+        header in any::<bool>(),
+        ncpus in 1u32..=4,
+        compress in any::<bool>(),
+    ) {
+        let path = scratch_path();
+        let mut bytes = if header { file_header(ncpus, compress) } else { Vec::new() };
+        bytes.extend_from_slice(&data);
+        std::fs::write(&path, &bytes).unwrap();
+        read_every_way(&path);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Any single-byte change of a valid store — header, chunk
+    /// headers, payloads, footer or trailer — never panics any read
+    /// path.
+    #[test]
+    fn flipped_byte_never_panics_the_reader(
+        trace in trace_strategy(),
+        chunk_capacity in 1usize..=16,
+        compress in any::<bool>(),
+        flip_at in any::<prop::sample::Index>(),
+        xor in 1u8..,
+    ) {
+        let path = scratch_path();
+        let opts = StoreOptions::default()
+            .with_chunk_capacity(chunk_capacity)
+            .with_compress(compress);
+        write_store(&path, &trace, b"meta", opts).expect("write");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let idx = flip_at.index(bytes.len());
+        bytes[idx] ^= xor;
+        std::fs::write(&path, &bytes).unwrap();
+        read_every_way(&path);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -7,7 +7,8 @@ use osn_kernel::activity::Activity;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 use osn_store::writer::write_store;
-use osn_store::{StoreError, StoreOptions, StoreReader, CHUNK_HEADER_BYTES};
+use osn_store::{StoreError, StoreOptions, StoreReader, CHUNK_HEADER_BYTES, TRAILER_BYTES};
+use osn_trace::wire::fnv1a64;
 use osn_trace::{Event, EventKind, Trace};
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -220,4 +221,86 @@ fn corrupt_final_chunk_checksum_salvages_footer() {
     let back = reader.read_trace().unwrap();
     assert_eq!(back.events, trace.events[..intact_events as usize]);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A chunk header whose event count is inflated (one flipped high
+/// byte; the payload and its checksum are untouched, so the recovery
+/// scan accepts the header) fails as a typed error on every codec. It
+/// must not size an allocation from the declared count first.
+#[test]
+fn inflated_chunk_count_is_a_typed_error() {
+    for compress in [false, true] {
+        let path = scratch(&format!("inflated-{compress}"));
+        let opts = StoreOptions::default()
+            .with_chunk_capacity(16)
+            .with_compress(compress);
+        write_store(&path, &synthetic_trace(100), b"meta", opts).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let count_high_byte = osn_store::FILE_HEADER_BYTES + 8 + 3;
+        bytes[count_high_byte] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let reader = StoreReader::open(&path).unwrap();
+        assert!(matches!(
+            reader.read_trace(),
+            Err(StoreError::CorruptChunk { .. })
+        ));
+        // The recovery scan stops at the implausible header: from there
+        // on the file is a dropped tail of unknown extent.
+        let (reader, report) = StoreReader::recover(&path).unwrap();
+        assert_eq!(
+            report.dropped_bytes,
+            (bytes.len() - osn_store::FILE_HEADER_BYTES) as u64,
+            "compress={compress}"
+        );
+        assert!(reader.read_trace().unwrap().is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Rewrite the footer index of the store at `path` with `forge` and
+/// re-seal it with a valid checksum, as a buggy or hostile writer
+/// could: the FNV checksum catches damage, not forgery. `forge` gets
+/// the index entries (36 bytes each) of a one-CPU store with a
+/// four-byte metadata blob.
+fn forge_index(path: &std::path::Path, forge: impl Fn(&mut [u8])) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let len = bytes.len();
+    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let footer_len = field(len - 16) as usize;
+    let footer_start = len - TRAILER_BYTES - footer_len;
+    // magic, version, ncpus, one lost counter, meta_len, "meta", nchunks
+    let index_start = footer_start + 4 + 4 + 4 + 8 + 4 + 4 + 4;
+    forge(&mut bytes[index_start..len - TRAILER_BYTES]);
+    let crc = fnv1a64(&bytes[footer_start..len - TRAILER_BYTES]);
+    bytes[len - 24..len - 16].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// A checksum-valid footer whose index declares more events than a
+/// chunk's payload can hold, or two entries over the same bytes, is
+/// rejected at open — before `read_trace` sizes anything from the
+/// declared counts.
+#[test]
+fn forged_index_is_rejected_at_open() {
+    let inflate_count = |index: &mut [u8]| index[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    let overlap = |index: &mut [u8]| {
+        let first = index[0..8].to_vec();
+        index[36..44].copy_from_slice(&first);
+    };
+    for (name, forge) in [
+        ("count", &inflate_count as &dyn Fn(&mut [u8])),
+        ("overlap", &overlap),
+    ] {
+        let path = scratch(&format!("forged-{name}"));
+        let opts = StoreOptions::default().with_chunk_capacity(16);
+        write_store(&path, &synthetic_trace(100), b"meta", opts).unwrap();
+        forge_index(&path, forge);
+        match StoreReader::open(&path) {
+            Err(StoreError::CorruptFooter(_) | StoreError::CorruptChunk { .. }) => {}
+            Err(e) => panic!("{name}: untyped rejection {e}"),
+            Ok(_) => panic!("{name}: forged index accepted"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -10,7 +10,7 @@
 //! from a delta/varint payload without materializing intermediate
 //! `Event` structs.
 //!
-//! The column encoding is exactly the wire tuple of
+//! The column encoding is exactly the record tuple of
 //! [`crate::wire::pack_record`]: `(code, tid, a, b)` plus the
 //! timestamp. A block holds records of *one* CPU in stream order, so
 //! the CPU id lives once on the block, not per record.
@@ -38,7 +38,7 @@ pub struct EventColumns {
     pub t: Vec<u64>,
     /// Record codes (see [`code`]).
     pub code: Vec<u16>,
-    /// The wire tuple's tid field (context, prev, or woken task
+    /// The record tuple's tid field (context, prev, or woken task
     /// depending on `code` — see [`pack_record`]).
     pub tid: Vec<u32>,
     /// First payload word.
@@ -106,7 +106,7 @@ impl EventColumns {
         self.b.reserve(n);
     }
 
-    /// Append one raw wire tuple. The caller must have validated it
+    /// Append one raw record tuple. The caller must have validated it
     /// (store decoders do; [`EventColumns::push_event`] packs from an
     /// already-typed event).
     #[inline]

@@ -149,8 +149,9 @@ impl Trace {
         Trace::from_raw_parts(events, lost)
     }
 
-    /// Build a trace without asserting global `(t, cpu)` order (wire
-    /// decoding must round-trip arbitrary event vectors losslessly).
+    /// Build a trace without asserting global `(t, cpu)` order
+    /// (deserializing must round-trip arbitrary event vectors
+    /// losslessly).
     pub fn from_raw_parts(events: Vec<Event>, lost: Vec<u64>) -> Self {
         let (ncpus, cpu_index, ctx_index, columns) = build_indexes(&events, lost.len());
         Trace {

@@ -3,8 +3,9 @@
 //! This crate is the simulator-side equivalent of the paper's extended
 //! LTTng: it implements the kernel's instrumentation surface
 //! ([`osn_kernel::hooks::Probe`]) with per-CPU lock-free ring buffers,
-//! nanosecond timestamps, a background consumer, a compact binary wire
-//! format, and the instrumentation-overhead experiment of §III-A.
+//! nanosecond timestamps, a background consumer, the record codec the
+//! chunked store writes ([`wire`]), and the instrumentation-overhead
+//! experiment of §III-A.
 //!
 //! ```
 //! use osn_kernel::prelude::*;

@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
 # Benchmark regression gate: rerun the bench suite and compare the
-# fresh BENCH_PR*.json numbers against the committed baselines with
-# the `bench_gate` comparator. Fails (nonzero exit) on >15% aggregate
-# regression (geometric mean over every aggregate_* metric, honoring
-# each metric's direction) or on any single metric collapsing below
-# 70% of its baseline.
-#
-# The committed baselines are saved before the benches run and
-# restored afterwards, so the working tree is left untouched no matter
-# how the gate exits.
+# fresh BENCH_PR*.json numbers (written under target/bench/) against
+# the committed baselines at the repo root with the `bench_gate`
+# comparator. Fails (nonzero exit) on >15% aggregate regression
+# (geometric mean over every aggregate_* metric, honoring each
+# metric's direction) or on any single metric collapsing below 70% of
+# its baseline.
 #
 # Knobs: OSN_SECS / OSN_REPS forward to the bench binaries (defaults —
 # the binaries' own, matching how the baselines were produced);
@@ -16,14 +13,6 @@
 # tune the comparator.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-baseline="$(mktemp -d)"
-restore() {
-    cp "$baseline"/BENCH_PR*.json . 2>/dev/null || true
-    rm -rf "$baseline"
-}
-trap restore EXIT
-cp BENCH_PR*.json "$baseline"/
 
 cargo build -q --release --offline -p osn-bench
 
@@ -42,6 +31,6 @@ target/release/catalog_throughput
 echo "== bench-gate: capture_overhead"
 target/release/capture_overhead
 
-target/release/bench_gate "$baseline" . \
+target/release/bench_gate . target/bench \
     --threshold "${OSN_GATE_THRESHOLD:-0.85}" \
     --metric-floor "${OSN_GATE_FLOOR:-0.70}"

@@ -10,7 +10,8 @@
 //! * [`kernel`] — the simulated Linux-2.6.33-class compute node
 //!   (scheduler, demand paging, softirqs, NFS/rpciod I/O path).
 //! * [`trace`] — the LTTng-style tracer: per-CPU lock-free ring
-//!   buffers, binary wire format, overhead measurement.
+//!   buffers, the record codec of the on-disk store, overhead
+//!   measurement.
 //! * [`analysis`] — nesting-aware reconstruction, runnable-only noise
 //!   accounting, per-event statistics, histograms, breakdowns,
 //!   synthetic noise charts, disambiguation.

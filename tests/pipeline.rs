@@ -1,16 +1,23 @@
-//! Cross-crate pipeline tests: serialization, export, lossy-trace
+//! Cross-crate pipeline tests: store round trips, export, lossy-trace
 //! degradation, tracer configuration, and the overhead experiment on
 //! real end-to-end runs.
 
+use std::path::PathBuf;
+
 use osnoise::analysis::NoiseAnalysis;
-use osnoise::core::{run_app, ExperimentConfig};
+use osnoise::core::{load_run, persist_run, run_app, ExperimentConfig};
 use osnoise::ftq::sim::{series_from_trace, FtqParams, FtqWorkload};
 use osnoise::kernel::node::Node;
 use osnoise::kernel::prelude::*;
 use osnoise::paraver;
+use osnoise::store::writer::write_store;
+use osnoise::store::{StoreOptions, StoreReader};
 use osnoise::trace::session::{EventMask, TraceSession};
-use osnoise::trace::wire;
 use osnoise::workloads::App;
+
+fn store_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("osn-pipeline-{tag}-{}.osn", std::process::id()))
+}
 
 fn small_run() -> osnoise::core::AppRun {
     let mut config = ExperimentConfig::paper(App::Irs, Nanos::from_millis(600));
@@ -22,18 +29,18 @@ fn small_run() -> osnoise::core::AppRun {
 #[test]
 fn wire_roundtrip_on_a_real_trace() {
     let run = small_run();
-    let encoded = wire::encode(&run.trace);
-    // 32-byte records + header: sanity on size.
-    assert!(encoded.len() > run.trace.len() * 32);
-    let decoded = wire::decode(&encoded).expect("own trace must decode");
-    assert_eq!(decoded.events, run.trace.events);
-    assert_eq!(decoded.lost, run.trace.lost);
+    let path = store_path("real");
+    persist_run(&run, &path, StoreOptions::default()).expect("persist");
+    let loaded = load_run(&path).expect("own store must load");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.trace.events, run.trace.events);
+    assert_eq!(loaded.trace.lost, run.trace.lost);
 
-    // Re-analysis of the decoded trace gives identical noise totals.
-    let re = NoiseAnalysis::analyze(&decoded, &run.result.tasks, run.result.end_time);
+    // Re-analysis of the loaded trace gives identical noise totals.
+    assert_eq!(loaded.ranks, run.ranks);
     for tid in &run.ranks {
         assert_eq!(
-            re.tasks[tid].total_noise(),
+            loaded.analysis.tasks[tid].total_noise(),
             run.analysis.tasks[tid].total_noise()
         );
     }
@@ -143,7 +150,11 @@ fn ftq_series_survives_the_wire() {
     let trace = session.stop();
 
     let direct = series_from_trace(&trace, &params).expect("series");
-    let roundtripped = wire::decode(&wire::encode(&trace)).unwrap();
+    let path = store_path("ftq");
+    write_store(&path, &trace, &[], StoreOptions::default()).expect("write");
+    let roundtripped = StoreReader::open(&path).unwrap().read_trace().unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(roundtripped.events, trace.events);
     let indirect = series_from_trace(&roundtripped, &params).expect("series");
     assert_eq!(direct, indirect);
     assert_eq!(direct.ops.len(), 200);
