@@ -749,10 +749,6 @@ impl RankSeries {
         }
     }
 
-    pub fn is_synthetic(&self) -> bool {
-        self.synth.is_some()
-    }
-
     pub fn with_start(mut self, start: Nanos) -> RankSeries {
         self.start = start;
         self
@@ -837,13 +833,6 @@ pub struct PhaseOutcome {
     /// canonical [`InjectedClass::ALL`] order, zero entries kept (all
     /// zero when no faults are configured).
     pub critical_injected: Vec<(InjectedClass, Nanos)>,
-}
-
-impl PhaseOutcome {
-    /// The noise the whole collective paid this phase.
-    pub fn critical_noise(&self, granularity: Nanos) -> Nanos {
-        self.durations[self.critical].saturating_sub(granularity)
-    }
 }
 
 /// The complete coupled run.

@@ -16,7 +16,6 @@ pub mod breakdown;
 pub mod chart;
 pub mod collective;
 pub mod disambiguate;
-pub mod filter;
 pub mod histogram;
 pub mod nesting;
 pub mod noise;

@@ -9,7 +9,7 @@ use osn_core::workloads::App;
 
 fn main() {
     let dur = Nanos::from_secs(3);
-    println!("== ring-capacity ablation: AMG, no background collector ==");
+    println!("== ring-capacity ablation: AMG, rings drained once at stop ==");
     for capacity in [1usize << 8, 1 << 12, 1 << 16, 1 << 20] {
         let cfg = NodeConfig::default()
             .with_seed(osn_bench::seed())
@@ -29,5 +29,8 @@ fn main() {
             100.0 * trace.total_lost() as f64 / total.max(1) as f64
         );
     }
-    println!("\n(with the background collector even small rings survive; see osn-trace)");
+    println!(
+        "\n(a spilling session, as `osnoise record` runs, drains the rings while the run \
+         produces, so even small rings survive; see osn-trace's TraceSession::spill)"
+    );
 }

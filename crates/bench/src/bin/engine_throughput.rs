@@ -21,7 +21,6 @@ use std::time::Instant;
 
 use osn_core::ExperimentConfig;
 use osn_kernel::hooks::NullProbe;
-use osn_kernel::node::Node;
 use osn_kernel::time::Nanos;
 use osn_workloads::App;
 
@@ -96,17 +95,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
 /// Returns (on-CPU seconds, loop events, stale advance pops).
 fn timed_run(app: App, sim: Nanos, seed: u64) -> (f64, u64, u64) {
     let config = ExperimentConfig::paper(app, sim).with_seed(seed);
-    let mut node = Node::new(config.node.clone());
-    node.spawn_job(
-        config.app.name(),
-        osn_workloads::ranks(config.app, config.nranks, config.duration),
-    );
-    for (i, helper) in osn_workloads::helpers(config.app, config.duration)
-        .into_iter()
-        .enumerate()
-    {
-        node.spawn_process(&format!("python.{i}"), helper);
-    }
+    let (mut node, _) = config.spawn(config.node.clone());
     let (secs, result) = timed(|| node.run(&mut NullProbe));
     (secs, result.stats.loop_events, result.stats.stale_advances)
 }

@@ -101,12 +101,6 @@ pub fn load_or_run(app: App) -> AppRun {
     run
 }
 
-/// Load-or-run all five Sequoia apps (sequentially; the cache makes
-/// repeats instant).
-pub fn load_or_run_all() -> Vec<AppRun> {
-    App::ALL.iter().map(|a| load_or_run(*a)).collect()
-}
-
 /// Render a histogram as an ASCII bar chart (the harness's stand-in
 /// for the paper's Matlab figures).
 pub fn render_histogram(h: &osn_core::analysis::Histogram, width: usize) -> String {

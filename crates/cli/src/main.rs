@@ -14,7 +14,6 @@ use osn_core::analysis::chart::NoiseChart;
 use osn_core::analysis::stats::EventClass;
 use osn_core::campaign::{campaign_report, CampaignConfig};
 use osn_core::figures::{fig1_config, fig2_interruption, run_ftq};
-use osn_core::kernel::node::Node;
 use osn_core::kernel::time::Nanos;
 use osn_core::paraver;
 use osn_core::trace::overhead::{measure_overhead_avg, LTTNG_CLASS_OVERHEAD};
@@ -862,18 +861,9 @@ fn cmd_overhead(args: &Args) -> Result<(), Error> {
     let mut total = 0.0;
     for app in App::ALL {
         let config = ExperimentConfig::paper(app, dur).with_seed(seed(args));
-        let nranks = config.nranks;
         let seeds: Vec<u64> = (0..6).map(|i| seed(args).wrapping_add(i * 7919)).collect();
         let report = measure_overhead_avg(&config.node, LTTNG_CLASS_OVERHEAD, &seeds, |node_cfg| {
-            let mut node = Node::new(node_cfg);
-            node.spawn_job(app.name(), osn_core::workloads::ranks(app, nranks, dur));
-            for (i, h) in osn_core::workloads::helpers(app, dur)
-                .into_iter()
-                .enumerate()
-            {
-                node.spawn_process(&format!("python.{i}"), h);
-            }
-            node
+            config.spawn(node_cfg).0
         });
         println!(
             "{:<8} base {} traced {} overhead {:+.4}%",

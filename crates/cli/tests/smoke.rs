@@ -288,6 +288,33 @@ fn analyze_and_info_fail_cleanly_on_corrupt_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store whose footer metadata nests 200 000 levels deep must fail
+/// `analyze` typed (exit 1) and show as unreadable metadata in `info`
+/// — never abort on a stack overflow.
+#[test]
+fn deeply_nested_metadata_fails_cleanly() {
+    use osn_core::store::{format::write_store, Options};
+    let dir = tmpdir("deep-meta");
+    let store = dir.join("deep.osn");
+    let store_str = store.to_str().unwrap();
+    let trace = osn_core::trace::Trace::default();
+    write_store(&store, &trace, &vec![b'['; 200_000], Options::default()).unwrap();
+
+    let out = osnoise(&["analyze", store_str]);
+    assert_eq!(out.status.code(), Some(1), "analyze must fail typed");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("nesting"), "analyze stderr: {err}");
+
+    let out = osnoise(&["info", store_str]);
+    assert_eq!(out.status.code(), Some(0), "info lists the store");
+    assert!(
+        stdout(&out).contains("unreadable metadata: run metadata: nesting"),
+        "{}",
+        stdout(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--inject` surfaces each class: kernel-tier steal shows up in the
 /// per-node traces, cluster-tier faults as injected barrier rows.
 #[test]

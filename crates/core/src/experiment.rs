@@ -2,7 +2,7 @@
 
 use osn_analysis::NoiseAnalysis;
 use osn_kernel::config::NodeConfig;
-use osn_kernel::ids::Tid;
+use osn_kernel::ids::{JobId, Tid};
 use osn_kernel::node::{Node, RunResult};
 use osn_kernel::time::Nanos;
 use osn_trace::session::{EventMask, TraceSession};
@@ -40,6 +40,24 @@ impl ExperimentConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.node.seed = seed;
         self
+    }
+
+    /// Build a node from `node` and put the application on it: the
+    /// ranks as one job, then each helper process as `python.<i>`.
+    /// Returns the node, ready to run, and the ranks' job.
+    pub fn spawn(&self, node: NodeConfig) -> (Node, JobId) {
+        let mut node = Node::new(node);
+        let job = node.spawn_job(
+            self.app.name(),
+            osn_workloads::ranks(self.app, self.nranks, self.duration),
+        );
+        for (i, helper) in osn_workloads::helpers(self.app, self.duration)
+            .into_iter()
+            .enumerate()
+        {
+            node.spawn_process(&format!("python.{i}"), helper);
+        }
+        (node, job)
     }
 }
 
@@ -104,17 +122,7 @@ pub fn observed_rank_of(
 
 /// Run one application under full tracing and analyze the trace.
 pub fn run_app(config: ExperimentConfig) -> AppRun {
-    let mut node = Node::new(config.node.clone());
-    let job = node.spawn_job(
-        config.app.name(),
-        osn_workloads::ranks(config.app, config.nranks, config.duration),
-    );
-    for (i, helper) in osn_workloads::helpers(config.app, config.duration)
-        .into_iter()
-        .enumerate()
-    {
-        node.spawn_process(&format!("python.{i}"), helper);
-    }
+    let (mut node, job) = config.spawn(config.node.clone());
     let (session, mut tracer) = TraceSession::new(
         config.node.cpus as usize,
         config.ring_capacity,

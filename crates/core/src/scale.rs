@@ -141,19 +141,6 @@ impl ScaleModel {
         }
     }
 
-    /// One curve point from the exact estimator.
-    pub fn at_exact(&self, nodes: u64) -> ScalePoint {
-        let expected_max_noise = self.expected_max_noise_exact(nodes);
-        let g = self.granularity.as_nanos() as f64;
-        let w = expected_max_noise.as_nanos() as f64;
-        ScalePoint {
-            nodes,
-            expected_max_noise,
-            slowdown: (g + w) / g,
-            efficiency: g / (g + w),
-        }
-    }
-
     /// The full curve over a list of node counts.
     pub fn curve(&self, nodes: &[u64], trials: u32, seed: u64) -> Vec<ScalePoint> {
         nodes.iter().map(|n| self.at(*n, trials, seed)).collect()

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use osn_analysis::NoiseAnalysis;
 use osn_kernel::ids::{CpuId, Tid};
-use osn_kernel::node::{Node, RunResult};
+use osn_kernel::node::RunResult;
 use osn_store::{SpillWriter, StoreOptions, StoreReader, StoreSummary, StoreWriter};
 use osn_trace::columns::code as columns_code;
 use osn_trace::session::{EventMask, TraceSession};
@@ -105,21 +105,11 @@ pub fn record_app(
     let writer = StoreWriter::create(path, ncpus.max(1), opts)?;
     let spill = SpillWriter::new(writer);
 
-    let mut node = Node::new(config.node.clone());
-    let job = node.spawn_job(
-        config.app.name(),
-        osn_workloads::ranks(config.app, config.nranks, config.duration),
-    );
-    for (i, helper) in osn_workloads::helpers(config.app, config.duration)
-        .into_iter()
-        .enumerate()
-    {
-        node.spawn_process(&format!("python.{i}"), helper);
-    }
-    let (mut session, mut tracer) = TraceSession::new(ncpus, config.ring_capacity, EventMask::ALL);
-    session.spill(Box::new(spill.clone()), Some(SPILL_POLL));
+    let (mut node, job) = config.spawn(config.node.clone());
+    let (session, mut tracer) = TraceSession::new(ncpus, config.ring_capacity, EventMask::ALL);
+    let spilling = session.spill(Box::new(spill.clone()), SPILL_POLL);
     let result = node.run(&mut tracer);
-    let lost = session.stop_spill()?;
+    let lost = spilling.stop()?;
     let ranks = result.job_ranks(job);
     let meta = StoredRunMeta {
         config,
@@ -338,6 +328,23 @@ mod tests {
         assert_eq!(loaded.trace.events, reference.trace.events);
         assert_eq!(meta.ranks, reference.ranks);
         assert_eq!(meta.result.end_time, reference.result.end_time);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deeply_nested_metadata_is_invalid_data() {
+        // A footer blob of nothing but `[` once overflowed the JSON
+        // parser's stack and aborted the process.
+        let dir = tmpdir("deep-meta");
+        let path = dir.join("deep.osn");
+        let deep = vec![b'['; 200_000];
+        let trace = osn_trace::Trace::default();
+        osn_store::writer::write_store(&path, &trace, &deep, StoreOptions::default()).unwrap();
+        let err = load_run(&path).err().expect("deep metadata must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting"), "{err}");
+        let err = streamed_report(&path).expect_err("deep metadata must not report");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

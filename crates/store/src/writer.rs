@@ -129,8 +129,7 @@ impl StoreWriter {
         );
         self.pending[c].extend_from_slice(events);
         self.events += events.len() as u64;
-        let cap = self.opts.chunk_capacity;
-        self.flush_chunks(c, self.pending[c].len() / cap * cap)
+        self.flush_full_chunks(c)
     }
 
     /// Append a whole in-memory trace (its per-CPU streams, loss
@@ -143,11 +142,18 @@ impl StoreWriter {
             trace.ncpus(),
             self.ncpus
         );
-        let mut batch = Vec::new();
+        // One pass deals the merged events out to the per-CPU pending
+        // buffers; each CPU's chunks then flush in CPU order, as
+        // `append` per CPU would write them.
+        for (c, pending) in self.pending.iter_mut().enumerate() {
+            pending.reserve(trace.cpu_columns(CpuId(c as u16)).map_or(0, |b| b.len()));
+        }
+        for e in &trace.events {
+            self.pending[e.cpu.index()].push(*e);
+        }
+        self.events += trace.len() as u64;
         for c in 0..trace.ncpus() {
-            batch.clear();
-            batch.extend(trace.cpu_events(CpuId(c as u16)).copied());
-            self.append(CpuId(c as u16), &batch)?;
+            self.flush_full_chunks(c)?;
         }
         self.set_lost(&trace.lost);
         Ok(())
@@ -165,6 +171,12 @@ impl StoreWriter {
     /// config + results as JSON) to the footer.
     pub fn set_metadata(&mut self, meta: Vec<u8>) {
         self.meta = meta;
+    }
+
+    /// Write every full chunk pending for CPU `c`.
+    fn flush_full_chunks(&mut self, c: usize) -> std::io::Result<()> {
+        let cap = self.opts.chunk_capacity;
+        self.flush_chunks(c, self.pending[c].len() / cap * cap)
     }
 
     /// Write the first `n` pending events of CPU `c` as chunks of
@@ -270,7 +282,7 @@ pub fn write_store(
 /// The [`EventSink`] adapter: clones share one [`StoreWriter`], so a
 /// spilling [`osn_trace::TraceSession`] can own one clone (boxed) while
 /// the recorder keeps another to [`SpillWriter::finish`] the file after
-/// `stop_spill` returns the loss counters.
+/// the spill session's `stop` returns the loss counters.
 #[derive(Clone)]
 pub struct SpillWriter {
     inner: Arc<Mutex<Option<StoreWriter>>>,

@@ -103,6 +103,16 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
         })
 }
 
+/// One CPU's records of `trace`, in stream order.
+fn cpu_stream(trace: &Trace, c: usize) -> Vec<Event> {
+    trace
+        .events
+        .iter()
+        .filter(|e| e.cpu.index() == c)
+        .copied()
+        .collect()
+}
+
 /// `stream` repeated `times` times, each copy shifted past the last
 /// one, so short generated streams can span several large chunks.
 fn tiled(stream: &[Event], times: usize) -> Vec<Event> {
@@ -121,9 +131,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The writer's file bytes do not depend on batching: each CPU's
-    /// events appended as one batch, or cut into arbitrary batches
-    /// (empty ones included), write the same file at capacities below,
-    /// around and at the default 4096.
+    /// events appended as one batch, cut into arbitrary batches (empty
+    /// ones included), or dealt out of the merged trace by
+    /// `append_trace`, write the same file at capacities below, around
+    /// and at the default 4096.
     #[test]
     fn batching_does_not_change_the_file(
         trace in trace_strategy(),
@@ -132,37 +143,43 @@ proptest! {
         compress in any::<bool>(),
     ) {
         let streams: Vec<Vec<Event>> = (0..trace.ncpus())
-            .map(|c| {
-                let events: Vec<Event> = trace.cpu_events(CpuId(c as u16)).copied().collect();
-                tiled(&events, times)
-            })
+            .map(|c| tiled(&cpu_stream(&trace, c), times))
             .collect();
+        let merged = Trace::from_streams(streams.clone(), vec![0; streams.len()]);
         for capacity in [1usize, 7, 4096] {
             let opts = StoreOptions::default()
                 .with_chunk_capacity(capacity)
                 .with_compress(compress);
-            let write = |batched: bool| {
+            let write = |fill: &dyn Fn(&mut StoreWriter)| {
                 let path = scratch_path();
                 let mut w = StoreWriter::create(&path, streams.len(), opts).expect("create");
-                for (c, stream) in streams.iter().enumerate() {
-                    let cpu = CpuId(c as u16);
-                    let mut rest = &stream[..];
-                    if batched {
-                        for &n in &cuts {
-                            let (head, tail) = rest.split_at(n.min(rest.len()));
-                            w.append(cpu, head).expect("append");
-                            rest = tail;
-                        }
-                    }
-                    w.append(cpu, rest).expect("append");
-                }
+                fill(&mut w);
                 w.set_metadata(b"meta".to_vec());
                 w.finish().expect("finish");
                 let bytes = std::fs::read(&path).unwrap();
                 let _ = std::fs::remove_file(&path);
                 bytes
             };
-            prop_assert_eq!(write(false), write(true), "capacity {}", capacity);
+            let whole = write(&|w| {
+                for (c, stream) in streams.iter().enumerate() {
+                    w.append(CpuId(c as u16), stream).expect("append");
+                }
+            });
+            let batched = write(&|w| {
+                for (c, stream) in streams.iter().enumerate() {
+                    let cpu = CpuId(c as u16);
+                    let mut rest = &stream[..];
+                    for &n in &cuts {
+                        let (head, tail) = rest.split_at(n.min(rest.len()));
+                        w.append(cpu, head).expect("append");
+                        rest = tail;
+                    }
+                    w.append(cpu, rest).expect("append");
+                }
+            });
+            let dealt = write(&|w| w.append_trace(&merged).expect("append_trace"));
+            prop_assert_eq!(&whole, &batched, "batched, capacity {}", capacity);
+            prop_assert_eq!(&whole, &dealt, "append_trace, capacity {}", capacity);
         }
     }
 }
@@ -203,9 +220,7 @@ proptest! {
                 prop_assert_eq!(block.cpu, CpuId(c as u16));
                 columnar.extend(block.events());
             }
-            let direct: Vec<Event> =
-                trace.cpu_events(CpuId(c as u16)).copied().collect();
-            prop_assert_eq!(columnar, direct);
+            prop_assert_eq!(columnar, cpu_stream(&trace, c));
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -302,8 +317,8 @@ proptest! {
         // Whatever survived is a prefix of each CPU's original stream.
         let back = reader.read_trace().expect("read");
         for c in 0..reader.ncpus() {
-            let got: Vec<Event> = back.cpu_events(CpuId(c as u16)).copied().collect();
-            let orig: Vec<Event> = trace.cpu_events(CpuId(c as u16)).copied().collect();
+            let got = cpu_stream(&back, c);
+            let orig = cpu_stream(&trace, c);
             prop_assert!(got.len() <= orig.len());
             prop_assert_eq!(&got[..], &orig[..got.len()]);
         }

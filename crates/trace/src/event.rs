@@ -56,35 +56,24 @@ impl Event {
 }
 
 /// A complete collected trace: events in global `(t, cpu)` order plus
-/// loss accounting, per-CPU / per-context position indexes, and
-/// per-CPU [`EventColumns`] blocks.
+/// loss accounting and per-CPU [`EventColumns`] blocks.
 ///
-/// The indexes and columns are built once at construction (or
-/// inherited from the k-way collection merge) so that per-CPU and
-/// per-context iteration — the access patterns of the sharded analysis
-/// engine — cost O(own events) instead of a filter over the whole
-/// trace, and the reconstruction hot loop can run over flat
-/// structure-of-arrays columns instead of gathering 32-byte `Event`
-/// structs through a position index.
+/// The columns are built once at construction so the reconstruction
+/// hot loop runs over each CPU's flat structure-of-arrays records
+/// instead of filtering the whole trace.
 ///
-/// Serde round-trips only `(events, lost)` — the derived indexes and
-/// columns are rebuilt on deserialize, so they can never go stale or
-/// bloat a serialized image.
+/// Serde round-trips only `(events, lost)` — the columns are rebuilt
+/// on deserialize, so they can never go stale or bloat a serialized
+/// image.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     pub events: Vec<Event>,
     /// Records dropped per CPU because its ring buffer was full
     /// (discard mode, as the paper's low-interference configuration).
     pub lost: Vec<u64>,
-    /// CPUs the trace covers: `max(lost.len(), 1 + highest cpu id)`.
-    ncpus: usize,
-    /// Positions (into `events`) of each CPU's records, in stream
-    /// order.
-    cpu_index: Vec<Vec<u32>>,
-    /// Positions of each context tid's records, sorted by tid for
-    /// binary-search lookup.
-    ctx_index: CtxIndex,
-    /// Per-CPU columnar blocks, same records as `cpu_index` points at.
+    /// Per-CPU columnar blocks, each CPU's records in stream order;
+    /// one per CPU the trace covers, `max(lost.len(), 1 + highest cpu
+    /// id)`.
     columns: Vec<EventColumns>,
 }
 
@@ -112,32 +101,19 @@ impl Deserialize for Trace {
     }
 }
 
-/// Positions of each context tid's records, sorted by tid.
-type CtxIndex = Vec<(Tid, Vec<u32>)>;
-
-fn build_indexes(
-    events: &[Event],
-    ncpus_hint: usize,
-) -> (usize, Vec<Vec<u32>>, CtxIndex, Vec<EventColumns>) {
-    let mut cpu_index: Vec<Vec<u32>> = Vec::with_capacity(ncpus_hint);
+/// Split `events` into per-CPU column blocks, at least `ncpus_hint`
+/// of them.
+fn build_columns(events: &[Event], ncpus_hint: usize) -> Vec<EventColumns> {
     let mut columns: Vec<EventColumns> = Vec::with_capacity(ncpus_hint);
-    let mut by_ctx: std::collections::HashMap<Tid, Vec<u32>> = std::collections::HashMap::new();
-    for (pos, e) in events.iter().enumerate() {
+    for e in events {
         let cpu = e.cpu.index();
-        if cpu >= cpu_index.len() {
-            cpu_index.resize_with(cpu + 1, Vec::new);
+        if cpu >= columns.len() {
             columns.extend((columns.len()..=cpu).map(|c| EventColumns::new(CpuId(c as u16))));
         }
-        cpu_index[cpu].push(pos as u32);
         columns[cpu].push_event(e);
-        by_ctx.entry(e.tid).or_default().push(pos as u32);
     }
-    let ncpus = ncpus_hint.max(cpu_index.len());
-    cpu_index.resize_with(ncpus, Vec::new);
-    columns.extend((columns.len()..ncpus).map(|c| EventColumns::new(CpuId(c as u16))));
-    let mut ctx_index: Vec<(Tid, Vec<u32>)> = by_ctx.into_iter().collect();
-    ctx_index.sort_unstable_by_key(|(tid, _)| tid.0);
-    (ncpus, cpu_index, ctx_index, columns)
+    columns.extend((columns.len()..ncpus_hint).map(|c| EventColumns::new(CpuId(c as u16))));
+    columns
 }
 
 impl Trace {
@@ -153,13 +129,10 @@ impl Trace {
     /// (deserializing must round-trip arbitrary event vectors
     /// losslessly).
     pub fn from_raw_parts(events: Vec<Event>, lost: Vec<u64>) -> Self {
-        let (ncpus, cpu_index, ctx_index, columns) = build_indexes(&events, lost.len());
+        let columns = build_columns(&events, lost.len());
         Trace {
             events,
             lost,
-            ncpus,
-            cpu_index,
-            ctx_index,
             columns,
         }
     }
@@ -170,14 +143,10 @@ impl Trace {
     pub fn from_streams(streams: Vec<Vec<Event>>, lost: Vec<u64>) -> Self {
         let nstreams = streams.len();
         let events = crate::merge::merge_streams(streams);
-        let (ncpus, cpu_index, ctx_index, columns) =
-            build_indexes(&events, lost.len().max(nstreams));
+        let columns = build_columns(&events, lost.len().max(nstreams));
         Trace {
             events,
             lost,
-            ncpus,
-            cpu_index,
-            ctx_index,
             columns,
         }
     }
@@ -198,48 +167,15 @@ impl Trace {
     /// `1 + highest cpu id seen`; known without scanning events.
     #[inline]
     pub fn ncpus(&self) -> usize {
-        self.ncpus
-    }
-
-    /// Positions (into `events`) of one CPU's records.
-    #[inline]
-    pub fn cpu_positions(&self, cpu: CpuId) -> &[u32] {
-        self.cpu_index
-            .get(cpu.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Iterate over the events of one CPU, in stream order
-    /// (index-backed: O(own events), not O(trace)).
-    pub fn cpu_events(&self, cpu: CpuId) -> impl Iterator<Item = &Event> {
-        self.cpu_positions(cpu)
-            .iter()
-            .map(move |&p| &self.events[p as usize])
+        self.columns.len()
     }
 
     /// One CPU's records as columnar [`EventColumns`], in stream order
-    /// — the zero-gather input of the reconstruction hot loop. Empty
-    /// block for CPUs beyond the trace's range.
+    /// — the zero-gather input of the reconstruction hot loop. `None`
+    /// for CPUs beyond the trace's range.
     #[inline]
     pub fn cpu_columns(&self, cpu: CpuId) -> Option<&EventColumns> {
         self.columns.get(cpu.index())
-    }
-
-    /// Positions (into `events`) of one task context's records.
-    #[inline]
-    pub fn ctx_positions(&self, tid: Tid) -> &[u32] {
-        match self.ctx_index.binary_search_by_key(&tid.0, |(t, _)| t.0) {
-            Ok(i) => &self.ctx_index[i].1,
-            Err(_) => &[],
-        }
-    }
-
-    /// Iterate over events in a task's context (index-backed).
-    pub fn task_events(&self, tid: Tid) -> impl Iterator<Item = &Event> {
-        self.ctx_positions(tid)
-            .iter()
-            .map(move |&p| &self.events[p as usize])
     }
 
     /// The time span covered by the trace.
@@ -272,11 +208,11 @@ mod tests {
         assert_eq!(trace.len(), 3);
         assert!(!trace.is_empty());
         assert_eq!(trace.total_lost(), 2);
-        assert_eq!(trace.cpu_events(CpuId(0)).count(), 2);
-        assert_eq!(trace.cpu_events(CpuId(1)).count(), 1);
+        assert_eq!(trace.ncpus(), 2);
+        assert_eq!(trace.cpu_columns(CpuId(0)).map(EventColumns::len), Some(2));
+        assert_eq!(trace.cpu_columns(CpuId(1)).map(EventColumns::len), Some(1));
+        assert!(trace.cpu_columns(CpuId(2)).is_none());
         assert_eq!(trace.span(), Some((Nanos(10), Nanos(15))));
-        assert_eq!(trace.task_events(Tid(1)).count(), 3);
-        assert_eq!(trace.task_events(Tid(9)).count(), 0);
     }
 
     #[test]

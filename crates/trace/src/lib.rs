@@ -2,10 +2,13 @@
 //!
 //! This crate is the simulator-side equivalent of the paper's extended
 //! LTTng: it implements the kernel's instrumentation surface
-//! ([`osn_kernel::hooks::Probe`]) with per-CPU lock-free ring buffers,
-//! nanosecond timestamps, a background consumer, the record codec the
-//! chunked store writes ([`wire`]), and the instrumentation-overhead
-//! experiment of §III-A.
+//! ([`osn_kernel::hooks::Probe`]) with per-CPU lock-free ring buffers
+//! and nanosecond timestamps. A session ends in one of two ways: drained
+//! once into an in-memory [`Trace`] (global `(t, cpu)` order plus
+//! per-CPU [`EventColumns`]), or spilled by a background consumer
+//! thread to an [`EventSink`] while the run produces. The crate also
+//! holds the record codec the chunked store writes ([`wire`]) and the
+//! instrumentation-overhead experiment of §III-A.
 //!
 //! ```
 //! use osn_kernel::prelude::*;
@@ -26,7 +29,6 @@
 pub mod capture;
 pub mod columns;
 pub mod event;
-pub mod flight;
 pub mod merge;
 pub mod overhead;
 pub mod ringbuf;
@@ -36,6 +38,5 @@ pub mod wire;
 pub use capture::{CaptureSession, CaptureSessionSummary};
 pub use columns::EventColumns;
 pub use event::{Event, EventKind, Trace};
-pub use flight::FlightRecorder;
 pub use merge::merge_streams;
-pub use session::{EventMask, EventSink, TraceSession, Tracer};
+pub use session::{EventMask, EventSink, SpillSession, TraceSession, Tracer};

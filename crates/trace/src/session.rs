@@ -1,16 +1,18 @@
 //! Trace sessions: wiring the [`Probe`] instrumentation surface to
-//! per-CPU lock-free ring buffers with an asynchronous collector.
+//! per-CPU lock-free ring buffers.
 //!
 //! A [`TraceSession`] owns one ring per CPU (LTTng's per-CPU buffer
 //! architecture). The kernel side is a [`Tracer`], which implements
-//! [`Probe`] and appends fixed-size records with no locking. Collection
-//! runs either inline at `stop()` or continuously on a background
-//! thread ([`TraceSession::start_collector`]), mirroring LTTng's
-//! consumer daemon.
+//! [`Probe`] and appends fixed-size records with no locking. A session
+//! ends one of two ways: [`TraceSession::stop`] drains the rings once
+//! into an in-memory [`Trace`], or [`TraceSession::spill`] hands them
+//! to a background thread that streams them to an [`EventSink`] while
+//! the run produces, mirroring LTTng's consumer daemon.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use osn_kernel::activity::{Activity, SoftirqVec};
 use osn_kernel::hooks::{Probe, SwitchState};
@@ -211,36 +213,11 @@ pub trait EventSink: Send {
     fn append(&mut self, cpu: CpuId, events: &[Event]) -> std::io::Result<()>;
 }
 
-/// The consumer/owner side of a tracing setup.
+/// The consumer/owner side of a tracing setup: one ring consumer per
+/// CPU. End it with [`TraceSession::stop`] for an in-memory [`Trace`],
+/// or hand it to [`TraceSession::spill`] to stream to a sink.
 pub struct TraceSession {
     consumers: Vec<Consumer<Event>>,
-    ncpus: usize,
-    collector: Option<CollectorHandle>,
-    spill: Option<SpillState>,
-}
-
-struct CollectorHandle {
-    stop: Arc<AtomicBool>,
-    sink: Arc<Mutex<Vec<Vec<Event>>>>,
-    handle: JoinHandle<Vec<Consumer<Event>>>,
-}
-
-enum SpillState {
-    /// Sink stored; rings drain into it once, inline at `stop_spill`.
-    Inline(Box<dyn EventSink>),
-    /// A background spill collector owns the consumers and the sink.
-    Running(SpillHandle),
-}
-
-type SpillJoin = (
-    Vec<Consumer<Event>>,
-    Box<dyn EventSink>,
-    std::io::Result<()>,
-);
-
-struct SpillHandle {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<SpillJoin>,
 }
 
 impl TraceSession {
@@ -248,22 +225,8 @@ impl TraceSession {
     /// and the given tracepoint mask. Returns the session (consumer
     /// side) and the [`Tracer`] to pass to the simulator.
     pub fn new(ncpus: usize, per_cpu_capacity: usize, mask: EventMask) -> (TraceSession, Tracer) {
-        let mut producers = Vec::with_capacity(ncpus);
-        let mut consumers = Vec::with_capacity(ncpus);
-        for _ in 0..ncpus {
-            let (p, c) = ring::<Event>(per_cpu_capacity);
-            producers.push(p);
-            consumers.push(c);
-        }
-        (
-            TraceSession {
-                consumers,
-                ncpus,
-                collector: None,
-                spill: None,
-            },
-            Tracer { producers, mask },
-        )
+        let (producers, consumers) = (0..ncpus).map(|_| ring::<Event>(per_cpu_capacity)).unzip();
+        (TraceSession { consumers }, Tracer { producers, mask })
     }
 
     /// Convenience: everything enabled, a generous buffer.
@@ -271,67 +234,28 @@ impl TraceSession {
         TraceSession::new(ncpus, 1 << 20, EventMask::ALL)
     }
 
-    /// Spawn the background consumer thread (LTTng's consumer daemon):
-    /// it drains all rings every `poll` interval so small rings survive
-    /// long runs.
-    pub fn start_collector(&mut self, poll: std::time::Duration) {
-        assert!(self.collector.is_none(), "collector already running");
-        let stop = Arc::new(AtomicBool::new(false));
-        let sink: Arc<Mutex<Vec<Vec<Event>>>> =
-            Arc::new(Mutex::new((0..self.ncpus).map(|_| Vec::new()).collect()));
-        let mut consumers = std::mem::take(&mut self.consumers);
-        let stop2 = Arc::clone(&stop);
-        let sink2 = Arc::clone(&sink);
-        let handle = std::thread::spawn(move || {
-            loop {
-                let mut drained = 0;
-                {
-                    let mut sink = sink2.lock().unwrap_or_else(PoisonError::into_inner);
-                    for (i, c) in consumers.iter_mut().enumerate() {
-                        drained += c.drain_into(&mut sink[i]);
-                    }
-                }
-                if stop2.load(Ordering::Acquire) && drained == 0 {
-                    break;
-                }
-                if drained == 0 {
-                    std::thread::sleep(poll);
-                }
-            }
-            consumers
-        });
-        self.collector = Some(CollectorHandle { stop, sink, handle });
-    }
-
     /// Route drained records to `sink` instead of accumulating them in
-    /// memory. With `poll = Some(d)` a background thread (the spill
-    /// collector) drains every ring each `d` and appends to the sink
-    /// while the run is still producing — constant memory regardless of
-    /// run length. With `poll = None` the rings are swept into the sink
-    /// once, at [`TraceSession::stop_spill`] (only sensible when the
-    /// rings are large enough to hold the whole run).
-    ///
-    /// Mutually exclusive with [`TraceSession::start_collector`] /
-    /// [`TraceSession::stop`]: a spilling session ends with
-    /// `stop_spill`, and the sink's owner finalizes the sink itself.
-    pub fn spill(&mut self, sink: Box<dyn EventSink>, poll: Option<std::time::Duration>) {
-        assert!(self.collector.is_none(), "in-memory collector running");
-        assert!(self.spill.is_none(), "spill already configured");
-        let Some(poll) = poll else {
-            self.spill = Some(SpillState::Inline(sink));
-            return;
-        };
+    /// memory: a background thread (LTTng's consumer daemon) drains
+    /// every ring each `poll` and appends to the sink while the run is
+    /// still producing — constant memory regardless of run length, and
+    /// small rings survive long runs. End the run with
+    /// [`SpillSession::stop`]; the sink's owner finalizes the sink
+    /// itself.
+    pub fn spill(self, mut sink: Box<dyn EventSink>, poll: Duration) -> SpillSession {
         let stop = Arc::new(AtomicBool::new(false));
-        let mut consumers = std::mem::take(&mut self.consumers);
         let stop2 = Arc::clone(&stop);
-        let mut sink = sink;
+        let mut consumers = self.consumers;
         let handle = std::thread::spawn(move || {
             let mut scratch: Vec<Event> = Vec::new();
             // First sink error is sticky: the rings keep draining (so
             // the producer never wedges against full rings) but nothing
-            // more is written, and the error surfaces at stop_spill.
+            // more is written, and the error surfaces at stop.
             let mut status: std::io::Result<()> = Ok(());
             loop {
+                // Read the flag before the sweep: once it is set, every
+                // record published before `stop` is visible to this
+                // sweep, so it is the last one needed.
+                let stopping = stop2.load(Ordering::Acquire);
                 let mut drained = 0;
                 for (i, c) in consumers.iter_mut().enumerate() {
                     scratch.clear();
@@ -340,67 +264,30 @@ impl TraceSession {
                         status = sink.append(CpuId(i as u16), &scratch);
                     }
                 }
-                if stop2.load(Ordering::Acquire) && drained == 0 {
+                if stopping {
                     break;
                 }
                 if drained == 0 {
                     std::thread::sleep(poll);
                 }
             }
-            (consumers, sink, status)
+            status.map(|()| consumers.iter().map(|c| c.lost()).collect())
         });
-        self.spill = Some(SpillState::Running(SpillHandle { stop, handle }));
+        SpillSession { stop, handle }
     }
 
-    /// Finish a spilling session: join the spill collector (if any),
-    /// sweep the rings one final time into the sink, and return the
-    /// per-CPU loss counters. The sink itself stays with its owner —
-    /// e.g. a store `SpillWriter` is finalized separately with the
-    /// counters returned here.
-    pub fn stop_spill(mut self) -> std::io::Result<Vec<u64>> {
-        let spill = self.spill.take().expect("no spill configured; use stop()");
-        let (mut consumers, mut sink, status) = match spill {
-            SpillState::Running(h) => {
-                h.stop.store(true, Ordering::Release);
-                h.handle.join().expect("spill collector panicked")
-            }
-            SpillState::Inline(sink) => (std::mem::take(&mut self.consumers), sink, Ok(())),
-        };
-        status?;
-        let mut scratch: Vec<Event> = Vec::new();
-        for (i, c) in consumers.iter_mut().enumerate() {
-            scratch.clear();
-            c.drain_into(&mut scratch);
-            if !scratch.is_empty() {
-                sink.append(CpuId(i as u16), &scratch)?;
-            }
-        }
-        Ok(consumers.iter().map(|c| c.lost()).collect())
-    }
-
-    /// Finish the session: drain every ring (joining the collector if
-    /// one is running) and return the merged, time-sorted trace.
+    /// Finish the session: drain every ring and return the merged,
+    /// time-sorted trace.
     pub fn stop(mut self) -> Trace {
-        assert!(self.spill.is_none(), "spilling session: use stop_spill()");
-        let per_cpu: Vec<Vec<Event>> = if let Some(col) = self.collector.take() {
-            col.stop.store(true, Ordering::Release);
-            let mut consumers = col.handle.join().expect("collector panicked");
-            let mut per_cpu: Vec<Vec<Event>> =
-                std::mem::take(&mut *col.sink.lock().unwrap_or_else(PoisonError::into_inner));
-            // Final sweep for records published after the last poll.
-            for (i, c) in consumers.iter_mut().enumerate() {
-                c.drain_into(&mut per_cpu[i]);
-            }
-            self.consumers = consumers;
-            per_cpu
-        } else {
-            let mut per_cpu: Vec<Vec<Event>> = (0..self.ncpus).map(|_| Vec::new()).collect();
-            for (i, c) in self.consumers.iter_mut().enumerate() {
-                c.drain_into(&mut per_cpu[i]);
-            }
-            per_cpu
-        };
-
+        let per_cpu: Vec<Vec<Event>> = self
+            .consumers
+            .iter_mut()
+            .map(|c| {
+                let mut events = Vec::new();
+                c.drain_into(&mut events);
+                events
+            })
+            .collect();
         let lost: Vec<u64> = self.consumers.iter().map(|c| c.lost()).collect();
         // Per-CPU streams are already in time order: a k-way merge
         // preserves the `(t, cpu)` key contract without the global
@@ -409,9 +296,28 @@ impl TraceSession {
     }
 }
 
+/// A session spilling to an [`EventSink`] on its background thread.
+pub struct SpillSession {
+    stop: Arc<AtomicBool>,
+    handle: JoinHandle<std::io::Result<Vec<u64>>>,
+}
+
+impl SpillSession {
+    /// Finish the run: signal the spill thread, let it sweep the rings
+    /// one final time into the sink, and return the per-CPU loss
+    /// counters (or the first sink error). The sink itself stays with
+    /// its owner — e.g. a store `SpillWriter` is finalized separately
+    /// with the counters returned here.
+    pub fn stop(self) -> std::io::Result<Vec<u64>> {
+        self.stop.store(true, Ordering::Release);
+        self.handle.join().expect("spill thread panicked")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn mask_operations() {
@@ -472,33 +378,41 @@ mod tests {
     }
 
     #[test]
-    fn inline_spill_sweeps_rings_at_stop() {
+    fn spill_routes_each_cpu_to_its_stream() {
+        // Records published just before `stop` still reach the sink.
         let streams: Arc<Mutex<Vec<Vec<Event>>>> = Arc::new(Mutex::new(vec![vec![], vec![]]));
-        let (mut session, mut tracer) = TraceSession::new(2, 64, EventMask::ALL);
-        session.spill(Box::new(VecSink(Arc::clone(&streams))), None);
+        let (session, mut tracer) = TraceSession::new(2, 64, EventMask::ALL);
+        let spilling = session.spill(
+            Box::new(VecSink(Arc::clone(&streams))),
+            Duration::from_micros(50),
+        );
         tracer.app_mark(Nanos(1), CpuId(0), Tid(1), 0, 10);
         tracer.app_mark(Nanos(2), CpuId(1), Tid(2), 0, 20);
         tracer.app_mark(Nanos(3), CpuId(0), Tid(1), 0, 30);
-        let lost = session.stop_spill().unwrap();
+        let lost = spilling.stop().unwrap();
         assert_eq!(lost, vec![0, 0]);
         let streams = streams.lock().unwrap();
         assert_eq!(streams[0].len(), 2);
         assert_eq!(streams[1].len(), 1);
+        assert!(streams[0].iter().all(|e| e.cpu == CpuId(0)));
+        assert_eq!(streams[1][0].cpu, CpuId(1));
         assert!(streams[0].windows(2).all(|w| w[0].t <= w[1].t));
     }
 
     #[test]
     fn background_spill_keeps_small_rings_alive() {
-        // Same setup as the collector test: ring of 64 slots, 10_000
-        // events, but drained straight into a sink.
+        // Ring of 64 slots, 10_000 events: without the spill thread
+        // most would be lost; with it, all arrive.
         let streams: Arc<Mutex<Vec<Vec<Event>>>> = Arc::new(Mutex::new(vec![vec![]]));
-        let (mut session, mut tracer) = TraceSession::new(1, 64, EventMask::ALL);
-        session.spill(
+        let (session, mut tracer) = TraceSession::new(1, 64, EventMask::ALL);
+        let spilling = session.spill(
             Box::new(VecSink(Arc::clone(&streams))),
-            Some(std::time::Duration::from_micros(50)),
+            Duration::from_micros(50),
         );
         let producer = std::thread::spawn(move || {
             for i in 0..10_000u64 {
+                // Spin until accepted: the spill thread drains in
+                // parallel.
                 loop {
                     let before = tracer.lost();
                     tracer.app_mark(Nanos(i), CpuId(0), Tid(1), 0, i);
@@ -512,7 +426,7 @@ mod tests {
         producer.join().unwrap();
         // (The spin-retry producer bumps the loss counter on every
         // rejected push, so only delivery is asserted here.)
-        session.stop_spill().unwrap();
+        spilling.stop().unwrap();
         let streams = streams.lock().unwrap();
         assert_eq!(streams[0].len(), 10_000);
         assert!(streams[0].windows(2).all(|w| w[1].t.0 == w[0].t.0 + 1));
@@ -526,42 +440,9 @@ mod tests {
                 Err(std::io::Error::other("disk full"))
             }
         }
-        let (mut session, mut tracer) = TraceSession::new(1, 64, EventMask::ALL);
-        session.spill(Box::new(FailSink), None);
+        let (session, mut tracer) = TraceSession::new(1, 64, EventMask::ALL);
+        let spilling = session.spill(Box::new(FailSink), Duration::from_micros(50));
         tracer.app_mark(Nanos(1), CpuId(0), Tid(1), 0, 1);
-        assert!(session.stop_spill().is_err());
-    }
-
-    #[test]
-    fn background_collector_keeps_small_rings_alive() {
-        // Ring of 64 slots, 10_000 events: without the collector most
-        // would be lost; with it, all arrive.
-        let (mut session, mut tracer) = TraceSession::new(1, 64, EventMask::ALL);
-        session.start_collector(std::time::Duration::from_micros(50));
-        let producer = std::thread::spawn(move || {
-            for i in 0..10_000u64 {
-                // Spin until accepted: the collector drains in parallel.
-                loop {
-                    let before = tracer.lost();
-                    tracer.app_mark(Nanos(i), CpuId(0), Tid(1), 0, i);
-                    if tracer.lost() == before {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        });
-        producer.join().unwrap();
-        let trace = session.stop();
-        assert_eq!(trace.len(), 10_000);
-        let values: Vec<u64> = trace
-            .events
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::AppMark { value, .. } => value,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert!(values.windows(2).all(|w| w[1] == w[0] + 1));
+        assert!(spilling.stop().is_err());
     }
 }
