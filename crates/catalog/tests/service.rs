@@ -508,3 +508,79 @@ fn persistent_index_reuse() {
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The pretty JSON every data endpoint serves, pinned by FNV-1a-64 for
+/// one recorded 1-simulated-second store: a change to how JSON is
+/// written must keep these bytes.
+#[test]
+fn served_pretty_json_matches_pinned_hashes() {
+    use osn_trace::wire::fnv1a64;
+
+    let dir = tmpdir("pinned");
+    let config = |seed| {
+        let mut c = ExperimentConfig::paper(App::Sphot, Nanos::from_secs(1)).with_seed(seed);
+        c.node.cpus = 2;
+        c.nranks = 2;
+        c
+    };
+    let path = dir.join("sphot.osn");
+    record_app(config(7), &path, store_opts()).unwrap();
+    record_app(config(8), &dir.join("twin.osn"), store_opts()).unwrap();
+
+    let mut service_config = ServiceConfig::new(dir.clone());
+    service_config.rescan = None;
+    let service = Service::start(service_config).unwrap();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let (_, body) = client.get("/runs").unwrap();
+    let runs: RunsResponse = serde_json::from_slice(&body).unwrap();
+    let id_of = |file: &str| {
+        runs.runs
+            .iter()
+            .find(|r| r.path == file)
+            .unwrap()
+            .id
+            .clone()
+    };
+    let (id, twin) = (id_of("sphot.osn"), id_of("twin.osn"));
+
+    let reader = StoreReader::open(&path).unwrap();
+    let span = reader.span().unwrap();
+    let mid = (span.0.as_nanos() + span.1.as_nanos()) / 2;
+    let (t0, t1) = (mid, mid + Nanos::from_millis(10).as_nanos());
+    let end = span.1.as_nanos() + 1;
+    for (name, target, want) in [
+        (
+            "narrow slice",
+            format!("/runs/{id}/slice?t0={t0}&t1={t1}"),
+            0xeb07_6274_12e9_bbecu64,
+        ),
+        (
+            "filtered slice",
+            format!("/runs/{id}/slice?t0=0&t1={end}&class=timer_interrupt&cpu=1"),
+            0x556b_e3da_cdb2_a1d4,
+        ),
+        (
+            "histogram",
+            format!("/runs/{id}/histogram?class=page_fault&bins=32"),
+            0xd5a6_2302_058d_7ce2,
+        ),
+        (
+            "compare",
+            format!("/compare?a={id}&b={twin}"),
+            0x6937_bb99_5cca_ce2f,
+        ),
+        (
+            "report",
+            format!("/runs/{id}/report"),
+            0x77b6_af73_9365_b9d1,
+        ),
+    ] {
+        let (status, body) = client.get(&target).unwrap();
+        assert_eq!(status, 200, "{name}");
+        let got = fnv1a64(&body);
+        assert_eq!(got, want, "{name}: body hash {got:#018x} drifted");
+    }
+    drop(client);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
