@@ -262,7 +262,10 @@ fn main() {
             "analysis_host_workers".to_string(),
             serde::Value::U64(host_workers as u64),
         ),
-        ("analysis_apps".to_string(), report.apps.to_value()),
+        (
+            "analysis_apps".to_string(),
+            serde_json::to_value(&report.apps).expect("report renders as JSON"),
+        ),
         (
             "analysis_aggregate_speedup_vs_reference".to_string(),
             serde::Value::F64(aggregate_speedup),

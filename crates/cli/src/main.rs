@@ -611,7 +611,7 @@ type StoreInfo = (
 );
 
 fn info_json(stores: &[StoreInfo]) -> serde::Value {
-    use serde::{Serialize, Value};
+    use serde::Value;
     let items = stores
         .iter()
         .map(|(path, opened)| {
@@ -655,7 +655,8 @@ fn info_json(stores: &[StoreInfo]) -> serde::Value {
                         (
                             "run_meta".into(),
                             match osn_core::StoredRunMeta::from_bytes(reader.metadata()) {
-                                Ok(meta) => meta.to_value(),
+                                Ok(meta) => serde_json::to_value(&meta)
+                                    .expect("run metadata renders as JSON"),
                                 Err(_) => Value::Null,
                             },
                         ),

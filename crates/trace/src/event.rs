@@ -86,11 +86,13 @@ struct TraceWire {
 }
 
 impl Serialize for Trace {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("events".to_string(), self.events.to_value()),
-            ("lost".to_string(), self.lost.to_value()),
-        ])
+    fn write_json(&self, out: &mut serde::JsonOut) {
+        out.begin_map();
+        out.key("events");
+        self.events.write_json(out);
+        out.key("lost");
+        self.lost.write_json(out);
+        out.end_map();
     }
 }
 

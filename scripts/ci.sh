@@ -11,7 +11,8 @@
 # developer runs locally.
 #
 #   lint   fmt, clippy, feature matrix, doc lint, shellcheck
-#   test   unit/integration tests, SIMD feature tests, doc tests
+#   test   unit/integration tests, vendored serde/serde_json tests,
+#          SIMD feature tests, doc tests
 #   smoke  release-profile end-to-end: tiered cluster, serve daemon,
 #          native capture, the benchmark package's own tests (plus the
 #          bench gate when OSN_BENCH_GATE=1)
@@ -167,6 +168,9 @@ lint_steps() {
 
 test_steps() {
     run_step test cargo test -q --offline
+    # The vendored crates are not workspace members, so the step above
+    # does not run their unit tests.
+    run_step vendor-test cargo test -q --offline -p serde -p serde_json
     run_step test-simd cargo test -q --offline -p osn-analysis --features simd
     run_step doc-test cargo test -q --offline --doc
 }
