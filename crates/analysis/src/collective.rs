@@ -32,7 +32,7 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 
 use osn_kernel::activity::NoiseCategory;
-use osn_kernel::rng::{derive_indexed_seed, derive_seed};
+use osn_kernel::rng::{bounded, derive_indexed_seed, derive_seed, splitmix64};
 use osn_kernel::time::Nanos;
 
 use serde::{Deserialize, Serialize};
@@ -506,21 +506,6 @@ impl NoiseSurrogate {
     }
 }
 
-/// splitmix64 finalizer — the per-index mixer of the synthesis hashes.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Map a full-width hash into `[0, span)` without modulo bias.
-#[inline]
-fn hash_bounded(h: u64, span: u64) -> u64 {
-    ((u128::from(h) * u128::from(span)) >> 64) as u64
-}
-
 /// One rank's noise as the barrier solve reads it: `(position, noise)`
 /// pairs sorted by trace position.
 type NoiseStream = [(Nanos, Nanos)];
@@ -617,12 +602,14 @@ impl SyntheticRank {
                     if t >= b {
                         break;
                     }
-                    let h = mix64(self.comb_seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    let h =
+                        splitmix64(&mut (self.comb_seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
                     let u = (((h >> 11) | 1) as f64) * (1.0 / (1u64 << 53) as f64);
                     if u < comb.occupancy {
-                        let idx =
-                            hash_bounded(mix64(h ^ 0xD6E8_FEB8_6659_FD93), comb.table.len() as u64)
-                                as usize;
+                        let idx = bounded(
+                            splitmix64(&mut (h ^ 0xD6E8_FEB8_6659_FD93)),
+                            comb.table.len() as u64,
+                        ) as usize;
                         f(Nanos(t), &comb.table[idx]);
                     }
                     k += 1;
@@ -640,7 +627,7 @@ impl SyntheticRank {
                 |j: u64, h: u64, sample: &NoiseSample, f: &mut dyn FnMut(Nanos, &NoiseSample)| {
                     let e = sample.events.max(1);
                     let t = sample.total.as_nanos();
-                    let off = hash_bounded(h, bw);
+                    let off = bounded(h, bw);
                     for i in 0..e {
                         let pos = j * bw + (off + i * bw / e) % bw;
                         if pos < a || pos >= b {
@@ -659,16 +646,21 @@ impl SyntheticRank {
                 // The shared floor: rank-seed-free positions, so every
                 // synthetic rank pays it at the same trace instants.
                 if !rb.floor.total.is_zero() {
-                    let hf = mix64(0x8CB9_2BA7_2F3D_8DD7 ^ j.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    let hf = splitmix64(
+                        &mut (0x8CB9_2BA7_2F3D_8DD7 ^ j.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    );
                     emit(j, hf, &rb.floor, &mut f);
                 }
                 // An all-zero table draws nothing: skip the hash.
                 if rb.zero_extras == rb.extras.len() {
                     continue;
                 }
-                let h = mix64(self.residual_seed ^ j.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let idx =
-                    hash_bounded(mix64(h ^ 0xD6E8_FEB8_6659_FD93), rb.extras.len() as u64) as usize;
+                let h =
+                    splitmix64(&mut (self.residual_seed ^ j.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+                let idx = bounded(
+                    splitmix64(&mut (h ^ 0xD6E8_FEB8_6659_FD93)),
+                    rb.extras.len() as u64,
+                ) as usize;
                 // Zero-total entries sort first: drawing one adds nothing.
                 if idx >= rb.zero_extras {
                     emit(j, h, &rb.extras[idx], &mut f);

@@ -1,10 +1,10 @@
-//! Tiny scoped worker pool for the sharded analysis engine.
-//!
-//! Same shape as `run_campaign`'s pool (crates/core): workers pull the
-//! next shard index off a shared atomic counter, so work is bounded by
-//! `available_parallelism()` and never oversubscribes the host. Results
-//! come back in index order regardless of completion order, which keeps
-//! every parallel stage deterministic.
+//! The workspace's one scoped worker pool: the sharded analysis
+//! engine, `run_campaign` and the cluster campaign's node and rank jobs
+//! (crates/core) all run on [`parallel_map`]. Workers pull the next
+//! job index off a shared atomic counter, so work is bounded by the
+//! worker count and never oversubscribes the host. Results come back
+//! in index order regardless of completion order, which keeps every
+//! parallel stage deterministic.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;

@@ -147,14 +147,6 @@ impl EventStats {
 }
 
 /// The `(total, min, max)` moments of a non-empty duration sample set.
-///
-/// Scalar fold by default; with the `simd` feature the loop runs eight
-/// independent accumulator lanes (explicit unrolling — stable rustc has
-/// no `std::simd`), which the autovectorizer lowers to vector adds and
-/// mins. Results are bit-identical either way: u64 addition is
-/// associative and min/max are order-independent, so lane order does
-/// not matter.
-#[cfg(not(feature = "simd"))]
 fn moments(durations: &[Nanos]) -> (Nanos, Nanos, Nanos) {
     let mut total = 0u64;
     let mut min = u64::MAX;
@@ -166,36 +158,6 @@ fn moments(durations: &[Nanos]) -> (Nanos, Nanos, Nanos) {
         max = max.max(d);
     }
     (Nanos(total), Nanos(min), Nanos(max))
-}
-
-/// 8-lane variant of [`moments`] (see the scalar doc for the
-/// bit-identity argument).
-#[cfg(feature = "simd")]
-fn moments(durations: &[Nanos]) -> (Nanos, Nanos, Nanos) {
-    const LANES: usize = 8;
-    let mut sum = [0u64; LANES];
-    let mut min = [u64::MAX; LANES];
-    let mut max = [0u64; LANES];
-    let chunks = durations.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for l in 0..LANES {
-            let d = chunk[l].as_nanos();
-            sum[l] += d;
-            min[l] = min[l].min(d);
-            max[l] = max[l].max(d);
-        }
-    }
-    let mut total = sum.iter().sum::<u64>();
-    let mut lo = min.into_iter().min().expect("LANES > 0");
-    let mut hi = max.into_iter().max().expect("LANES > 0");
-    for d in tail {
-        let d = d.as_nanos();
-        total += d;
-        lo = lo.min(d);
-        hi = hi.max(d);
-    }
-    (Nanos(total), Nanos(lo), Nanos(hi))
 }
 
 /// Collect the duration samples of an event class across a set of

@@ -21,6 +21,7 @@ use std::time::Instant;
 
 use osn_core::ExperimentConfig;
 use osn_kernel::hooks::NullProbe;
+use osn_kernel::rng::splitmix64;
 use osn_kernel::time::Nanos;
 use osn_workloads::App;
 
@@ -98,15 +99,6 @@ fn timed_run(app: App, sim: Nanos, seed: u64) -> (f64, u64, u64) {
     let (mut node, _) = config.spawn(config.node.clone());
     let (secs, result) = timed(|| node.run(&mut NullProbe));
     (secs, result.stats.loop_events, result.stats.stale_advances)
-}
-
-/// splitmix64: deterministic delta stream for the depth sweep.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Queue ops/sec at a given pending depth: fill with `depth` entries

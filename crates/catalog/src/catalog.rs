@@ -114,12 +114,15 @@ pub struct ScanOutcome {
     pub skipped: usize,
 }
 
-/// Scan `root` recursively for `.osn` files, reusing `prev` entries
+/// Scan `root` recursively for `.osn` files ([`osn_core::store::osn_files`]:
+/// linked directories are not entered), reusing `prev` entries
 /// whose `(path, mtime, size)` key is unchanged, and persist the
 /// refreshed index to `.osn-catalog.json` when anything changed.
 pub fn scan(root: &Path, prev: &Catalog) -> io::Result<(Catalog, ScanOutcome)> {
-    let mut files = Vec::new();
-    collect_osn_files(root, root, &mut files)?;
+    let mut files: Vec<String> = osn_core::store::osn_files(root)?
+        .iter()
+        .filter_map(|p| Some(p.strip_prefix(root).ok()?.to_string_lossy().to_string()))
+        .collect();
     files.sort();
 
     let mut outcome = ScanOutcome::default();
@@ -174,22 +177,6 @@ fn persist_index(root: &Path, entries: &[CatalogEntry]) -> io::Result<()> {
     let tmp = root.join(format!("{INDEX_FILE}.tmp.{}", std::process::id()));
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, root.join(INDEX_FILE))
-}
-
-fn collect_osn_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let Ok(entry) = entry else { continue };
-        let path = entry.path();
-        if path.is_dir() {
-            // Unreadable subdirectories are skipped, not fatal.
-            let _ = collect_osn_files(root, &path, out);
-        } else if path.extension().is_some_and(|x| x == "osn") {
-            if let Ok(rel) = path.strip_prefix(root) {
-                out.push(rel.to_string_lossy().to_string());
-            }
-        }
-    }
-    Ok(())
 }
 
 fn mtime_nanos(meta: &std::fs::Metadata) -> u64 {

@@ -509,6 +509,31 @@ fn persistent_index_reuse() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn scan_does_not_follow_directory_link_loops() {
+    let dir = tmpdir("link-loop");
+    record_app(tiny_config(App::Sphot, 5), &dir.join("a.osn"), store_opts()).unwrap();
+    // Two links back to the root: a walk that follows them meets the
+    // store once per path, 2^40 paths before ELOOP ends it.
+    std::os::unix::fs::symlink(".", dir.join("self")).unwrap();
+    std::os::unix::fs::symlink(".", dir.join("again")).unwrap();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let root = dir.clone();
+    std::thread::spawn(move || {
+        tx.send(osn_catalog::scan(&root, &osn_catalog::Catalog::default()))
+            .ok();
+    });
+    let (catalog, outcome) = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("scan still running after 30 s")
+        .unwrap();
+    assert_eq!(outcome.indexed, 1);
+    assert_eq!(catalog.entries.len(), 1);
+    assert_eq!(catalog.entries[0].path, "a.osn");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The pretty JSON every data endpoint serves, pinned by FNV-1a-64 for
 /// one recorded 1-simulated-second store: a change to how JSON is
 /// written must keep these bytes.

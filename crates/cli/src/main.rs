@@ -585,21 +585,7 @@ fn collect_store_paths(input: &str, out: &mut Vec<std::path::PathBuf>) {
         out.push(path);
         return;
     }
-    let mut found = Vec::new();
-    let mut dirs = vec![path];
-    while let Some(dir) = dirs.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let p = entry.path();
-            if p.is_dir() {
-                dirs.push(p);
-            } else if p.extension().is_some_and(|x| x == "osn") {
-                found.push(p);
-            }
-        }
-    }
+    let mut found = osn_core::store::osn_files(&path).unwrap_or_default();
     found.sort();
     out.extend(found);
 }

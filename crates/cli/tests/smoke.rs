@@ -403,6 +403,28 @@ fn cluster_store_spills_one_osn_per_node_and_json_report() {
 /// `info` over directories and multiple paths: one row per store, and
 /// `--json` exposes the full footer metadata (config + result + ranks).
 #[test]
+fn info_does_not_follow_directory_link_loops() {
+    let dir = tmpdir("info-loop");
+    let store = dir.join("a.osn");
+    let out = osnoise(&["record", "sphot", store.to_str().unwrap(), "--secs", "1"]);
+    assert!(out.status.success(), "record failed: {}", stdout(&out));
+    // Two links back to the directory itself: a walk that follows them
+    // lists the store once per path, 2^40 paths before ELOOP ends it.
+    std::os::unix::fs::symlink(".", dir.join("self")).unwrap();
+    std::os::unix::fs::symlink(".", dir.join("again")).unwrap();
+
+    let out = osnoise_within(&["info", dir.to_str().unwrap()], 30);
+    assert!(out.status.success(), "info failed: {}", stdout(&out));
+    let text = stdout(&out);
+    assert_eq!(
+        text.matches("a.osn").count(),
+        1,
+        "list the store once: {text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn info_walks_directories_and_exposes_run_meta_json() {
     let dir = tmpdir("info-multi");
     let nested = dir.join("sub");

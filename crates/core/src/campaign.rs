@@ -2,6 +2,7 @@
 //! on its own simulated node, as in the paper's one-app-at-a-time
 //! experiments), in parallel across host threads.
 
+use osn_analysis::{default_workers, parallel_map};
 use osn_kernel::time::Nanos;
 use osn_workloads::App;
 
@@ -44,47 +45,15 @@ impl CampaignConfig {
 }
 
 /// Run every app of the campaign in parallel (the simulations are
-/// independent nodes), on at most `available_parallelism()` host
-/// threads: workers pull the next app index off a shared counter, so a
-/// campaign larger than the host never oversubscribes it. Results come
-/// back in `config.apps` order regardless of completion order.
+/// independent nodes) on [`parallel_map`]'s pool of at most
+/// `available_parallelism()` host threads, so a campaign larger than
+/// the host never oversubscribes it. Results come back in
+/// `config.apps` order regardless of completion order.
 pub fn run_campaign(config: &CampaignConfig) -> Vec<AppRun> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
-
     let napps = config.apps.len();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(napps)
-        .max(1);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, AppRun)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= napps {
-                    break;
-                }
-                let exp = config.experiment(config.apps[idx]);
-                if tx.send((idx, run_app(exp))).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut runs: Vec<Option<AppRun>> = Vec::new();
-    runs.resize_with(napps, || None);
-    for (idx, run) in rx {
-        runs[idx] = Some(run);
-    }
-    runs.into_iter()
-        .map(|r| r.expect("worker panicked"))
-        .collect()
+    parallel_map(napps, default_workers(napps), |idx| {
+        run_app(config.experiment(config.apps[idx]))
+    })
 }
 
 /// Convenience: run the campaign and build the paper report.

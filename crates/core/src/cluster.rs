@@ -33,9 +33,10 @@ use osn_analysis::collective::{
     BspParams, CollectiveBreakdown, DelayWindow, InjectedClass, NoiseSurrogate, RankFaults,
     RankSeries, RankStats, SyntheticRank,
 };
+use osn_analysis::parallel_map;
 use osn_kernel::activity::NoiseCategory;
 use osn_kernel::perturb::{DvfsSpec, KernelPerturbations, NumaSpec, StealSpec};
-use osn_kernel::rng::derive_indexed_seed;
+use osn_kernel::rng::{bounded, derive_indexed_seed};
 use osn_kernel::time::Nanos;
 use osn_store::StoreOptions;
 use osn_workloads::App;
@@ -507,7 +508,7 @@ impl ClusterConfig {
         // Widening multiply instead of `% span`: maps the full u64 draw
         // uniformly into [0, span) with no modulo bias (span is nowhere
         // near a divisor of 2^64 for realistic durations).
-        Nanos(osn_kernel::perturb::bounded(
+        Nanos(bounded(
             derive_indexed_seed(self.seed, STAGGER_LABEL, index as u64),
             span,
         ))
@@ -828,43 +829,7 @@ pub struct ClusterOutcome {
     pub report: ClusterReport,
 }
 
-/// Run `n` independent jobs on at most `workers` threads, gathering
-/// results by index (completion order never shows in the output).
-fn indexed_parallel<T: Send>(n: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
-
-    let workers = workers.min(n).max(1);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let job = &job;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                if tx.send((idx, job(idx))).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(n, || None);
-    for (idx, value) in rx {
-        out[idx] = Some(value);
-    }
-    out.into_iter()
-        .map(|v| v.expect("worker panicked"))
-        .collect()
-}
-
-/// [`indexed_parallel`] over jobs of the given `sizes`, handed out
+/// [`parallel_map`] over jobs of the given `sizes`, handed out
 /// largest first so the longest job never starts last. Results are
 /// still gathered by job index.
 fn largest_first<T: Send>(
@@ -876,7 +841,7 @@ fn largest_first<T: Send>(
     order.sort_by_key(|&j| std::cmp::Reverse(sizes[j]));
     let mut out: Vec<Option<T>> = Vec::new();
     out.resize_with(sizes.len(), || None);
-    let done = indexed_parallel(order.len(), workers, |k| job(order[k]));
+    let done = parallel_map(order.len(), workers, |k| job(order[k]));
     for (j, value) in order.into_iter().zip(done) {
         out[j] = Some(value);
     }
@@ -922,7 +887,7 @@ fn synthetic_series(
     indices: &[usize],
 ) -> Vec<RankSeries> {
     let chunks: Vec<&[usize]> = indices.chunks(SYNTH_CHUNK).collect();
-    indexed_parallel(chunks.len(), worker_count(config), |c| {
+    parallel_map(chunks.len(), worker_count(config), |c| {
         chunks[c]
             .iter()
             .map(|&i| {
@@ -1241,7 +1206,7 @@ pub fn run_cluster_opts(config: &ClusterConfig, opts: RunOpts) -> ClusterOutcome
     let done = AtomicUsize::new(0);
     // Each worker reduces its node's run to the rank series and drops
     // the trace there, so the sample's traces are never all resident.
-    let sample = indexed_parallel(total, worker_count(config), |k| {
+    let sample = parallel_map(total, worker_count(config), |k| {
         let series = bare_series(&run_app(config.node_experiment(plan.mechanistic[k])));
         if let Some(stride) = stride {
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1283,7 +1248,7 @@ pub fn run_cluster_stored(
         .collect();
     let stride = progress_stride(run_opts, total);
     let done = AtomicUsize::new(0);
-    let recorded = indexed_parallel(total, worker_count(config), |k| {
+    let recorded = parallel_map(total, worker_count(config), |k| {
         let r = record_app(config.node_experiment(plan.mechanistic[k]), &paths[k], opts);
         if let Some(stride) = stride {
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;

@@ -256,25 +256,43 @@ pub fn persist_campaign(
     Ok(paths)
 }
 
+/// Every `*.osn` file at or beneath `dir`, unordered.
+///
+/// The walk recurses on [`std::fs::DirEntry::file_type`], which does
+/// not follow symlinks: a linked directory is not entered, so a link
+/// loop can neither repeat a store nor hang the walk. Any other entry
+/// named `*.osn` (a file, or a link to one) is listed. An unreadable
+/// `dir` is an error; an unreadable subdirectory is skipped.
+pub fn osn_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    fn walk(dir: &Path, found: &mut Vec<PathBuf>) -> io::Result<()> {
+        for entry in std::fs::read_dir(dir)?.flatten() {
+            let path = entry.path();
+            if entry.file_type().is_ok_and(|t| t.is_dir()) {
+                let _ = walk(&path, found);
+            } else if path.extension().is_some_and(|x| x == "osn") {
+                found.push(path);
+            }
+        }
+        Ok(())
+    }
+    let mut found = Vec::new();
+    walk(dir, &mut found)?;
+    Ok(found)
+}
+
 /// Reload a persisted campaign (every `*.osn` under `dir`, sorted by
-/// file name for determinism) and materialize each run.
+/// path for determinism) and materialize each run.
 pub fn load_campaign(dir: &Path) -> io::Result<Vec<AppRun>> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "osn"))
-        .collect();
+    let mut paths = osn_files(dir)?;
     paths.sort();
     paths.iter().map(|p| load_run(p)).collect()
 }
 
 /// The fully streamed campaign report: every `*.osn` under `dir` is
 /// analyzed out-of-core and assembled into a [`PaperReport`], app order
-/// following file-name order.
+/// following path order.
 pub fn streamed_campaign_report(dir: &Path) -> io::Result<PaperReport> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "osn"))
-        .collect();
+    let mut paths = osn_files(dir)?;
     paths.sort();
     let apps = paths
         .iter()

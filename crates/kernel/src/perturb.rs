@@ -25,7 +25,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::activity::Activity;
-use crate::rng::{derive_indexed_seed, Stream};
+use crate::rng::{bounded, derive_indexed_seed, Stream};
 use crate::time::Nanos;
 
 /// Periodic DVFS / thermal-throttling epochs.
@@ -140,13 +140,6 @@ pub struct PerturbState {
     /// Indexed by CPU; `None` = no steal on that CPU.
     steal: Vec<Option<StealState>>,
     numa: Option<NumaSpec>,
-}
-
-/// Map a full-range `u64` into `[0, span)` without modulo bias
-/// (widening multiply).
-#[inline]
-pub fn bounded(x: u64, span: u64) -> u64 {
-    ((u128::from(x) * u128::from(span)) >> 64) as u64
 }
 
 impl PerturbState {

@@ -61,10 +61,6 @@ impl Event {
 /// The columns are built once at construction so the reconstruction
 /// hot loop runs over each CPU's flat structure-of-arrays records
 /// instead of filtering the whole trace.
-///
-/// Serde round-trips only `(events, lost)` — the columns are rebuilt
-/// on deserialize, so they can never go stale or bloat a serialized
-/// image.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     pub events: Vec<Event>,
@@ -75,32 +71,6 @@ pub struct Trace {
     /// one per CPU the trace covers, `max(lost.len(), 1 + highest cpu
     /// id)`.
     columns: Vec<EventColumns>,
-}
-
-/// The serialized shape of [`Trace`]: just the collected data, no
-/// derived indexes.
-#[derive(Serialize, Deserialize)]
-struct TraceWire {
-    events: Vec<Event>,
-    lost: Vec<u64>,
-}
-
-impl Serialize for Trace {
-    fn write_json(&self, out: &mut serde::JsonOut) {
-        out.begin_map();
-        out.key("events");
-        self.events.write_json(out);
-        out.key("lost");
-        self.lost.write_json(out);
-        out.end_map();
-    }
-}
-
-impl Deserialize for Trace {
-    fn from_value(v: &serde::Value) -> Result<Trace, serde::DeError> {
-        let w = TraceWire::from_value(v)?;
-        Ok(Trace::from_raw_parts(w.events, w.lost))
-    }
 }
 
 /// Split `events` into per-CPU column blocks, at least `ncpus_hint`
@@ -124,13 +94,6 @@ impl Trace {
             events.windows(2).all(|w| w[0].key() <= w[1].key()),
             "trace must be sorted"
         );
-        Trace::from_raw_parts(events, lost)
-    }
-
-    /// Build a trace without asserting global `(t, cpu)` order
-    /// (deserializing must round-trip arbitrary event vectors
-    /// losslessly).
-    pub fn from_raw_parts(events: Vec<Event>, lost: Vec<u64>) -> Self {
         let columns = build_columns(&events, lost.len());
         Trace {
             events,

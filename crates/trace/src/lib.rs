@@ -26,7 +26,6 @@
 
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
-pub mod capture;
 pub mod columns;
 pub mod event;
 pub mod merge;
@@ -35,7 +34,6 @@ pub mod ringbuf;
 pub mod session;
 pub mod wire;
 
-pub use capture::{CaptureSession, CaptureSessionSummary};
 pub use columns::EventColumns;
 pub use event::{Event, EventKind, Trace};
 pub use merge::merge_streams;

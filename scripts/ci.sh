@@ -12,7 +12,7 @@
 #
 #   lint   fmt, clippy, feature matrix, doc lint, shellcheck
 #   test   unit/integration tests, vendored serde/serde_json tests,
-#          SIMD feature tests, doc tests
+#          doc tests
 #   smoke  release-profile end-to-end: tiered cluster, serve daemon,
 #          native capture, the benchmark package's own tests (plus the
 #          bench gate when OSN_BENCH_GATE=1)
@@ -171,7 +171,6 @@ test_steps() {
     # The vendored crates are not workspace members, so the step above
     # does not run their unit tests.
     run_step vendor-test cargo test -q --offline -p serde -p serde_json
-    run_step test-simd cargo test -q --offline -p osn-analysis --features simd
     run_step doc-test cargo test -q --offline --doc
 }
 
