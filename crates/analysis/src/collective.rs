@@ -808,35 +808,6 @@ impl BspParams {
     }
 }
 
-/// One barrier-to-barrier phase of the coupled run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PhaseOutcome {
-    /// Barrier-release time the phase started at (common to all ranks).
-    pub start: Nanos,
-    /// Per-rank elapsed time `g + self noise` (index = rank).
-    pub durations: Vec<Nanos>,
-    /// The slowest rank — the one the barrier waited for (lowest index
-    /// on ties).
-    pub critical: usize,
-    /// Noise-category decomposition of the critical rank's window
-    /// noise, canonical category order, zero entries kept.
-    pub critical_by_category: Vec<(NoiseCategory, Nanos)>,
-    /// Injected-fault decomposition of the critical rank's duration,
-    /// canonical [`InjectedClass::ALL`] order, zero entries kept (all
-    /// zero when no faults are configured).
-    pub critical_injected: Vec<(InjectedClass, Nanos)>,
-}
-
-/// The complete coupled run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CollectiveRun {
-    pub granularity: Nanos,
-    pub nranks: usize,
-    pub phases: Vec<PhaseOutcome>,
-    /// Final barrier time.
-    pub end: Nanos,
-}
-
 /// Solve the fixed point `e = g + W(t, t+e)` for one rank: noise
 /// landing inside the overrun extends the window until no further
 /// points fall in. Converges because `W` is a finite step function.
@@ -969,11 +940,15 @@ pub struct PhaseView<'a> {
     pub start: Nanos,
     /// Per-rank elapsed time `g + self noise` (index = rank).
     pub durations: &'a [Nanos],
-    /// The slowest rank — the one the barrier waited for.
+    /// The slowest rank — the one the barrier waited for (lowest index
+    /// on ties).
     pub critical: usize,
-    /// Category decomposition of the critical rank's window noise.
+    /// Category decomposition of the critical rank's window noise,
+    /// canonical category order, zero entries kept.
     pub critical_by_category: &'a [(NoiseCategory, Nanos)],
-    /// Injected decomposition of the critical rank's duration.
+    /// Injected decomposition of the critical rank's duration,
+    /// canonical [`InjectedClass::ALL`] order, zero entries kept (all
+    /// zero when no faults are configured).
     pub critical_injected: &'a [(InjectedClass, Nanos)],
 }
 
@@ -1118,28 +1093,6 @@ pub fn couple_stream<R: Borrow<RankSeries>>(
     (nphases, end)
 }
 
-/// Run the collective and materialize every phase — the collector form
-/// of [`couple_stream`] (identical semantics, O(ranks × phases)
-/// memory; prefer [`CollectiveBreakdown::from_ranks`] at scale).
-pub fn couple<R: Borrow<RankSeries>>(ranks: &[R], params: &BspParams) -> CollectiveRun {
-    let mut phases = Vec::new();
-    let (_, end) = couple_stream(ranks, params, |p| {
-        phases.push(PhaseOutcome {
-            start: p.start,
-            durations: p.durations.to_vec(),
-            critical: p.critical,
-            critical_by_category: p.critical_by_category.to_vec(),
-            critical_injected: p.critical_injected.to_vec(),
-        })
-    });
-    CollectiveRun {
-        granularity: params.granularity,
-        nranks: ranks.len(),
-        phases,
-        end,
-    }
-}
-
 /// Per-rank accounting over the whole coupled run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RankStats {
@@ -1154,8 +1107,8 @@ pub struct RankStats {
     pub critical_phases: usize,
 }
 
-/// Aggregated view of a [`CollectiveRun`]: the per-rank/per-phase
-/// slowdown breakdown and which noise class paid for the barrier.
+/// Aggregated view of a coupled run: the per-rank/per-phase slowdown
+/// breakdown and which noise class paid for the barrier.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CollectiveBreakdown {
     pub granularity: Nanos,
@@ -1182,9 +1135,8 @@ pub struct CollectiveBreakdown {
     pub barrier_injected: Vec<(InjectedClass, Nanos)>,
 }
 
-/// Streaming accumulator behind [`CollectiveBreakdown`]: folds phases
-/// one at a time so `build` (from a materialized run) and `from_ranks`
-/// (from the streamed coupling) produce bit-identical output.
+/// Streaming accumulator behind [`CollectiveBreakdown::from_ranks`]:
+/// folds the coupled phases one at a time.
 struct BreakdownAcc {
     g: Nanos,
     nphases: usize,
@@ -1290,23 +1242,9 @@ impl BreakdownAcc {
 }
 
 impl CollectiveBreakdown {
-    pub fn build(run: &CollectiveRun) -> CollectiveBreakdown {
-        let mut acc = BreakdownAcc::new(run.granularity, run.nranks);
-        for phase in &run.phases {
-            acc.phase(
-                &phase.durations,
-                phase.critical,
-                &phase.critical_by_category,
-                &phase.critical_injected,
-            );
-        }
-        acc.finish(run.end)
-    }
-
     /// Couple and fold in one streamed pass, without materializing the
-    /// per-phase vectors — the O(ranks) path the tiered cluster engine
-    /// uses at 10k+ ranks. Identical output to
-    /// `CollectiveBreakdown::build(&couple(ranks, params))`.
+    /// per-phase vectors — O(ranks) memory, which is what lets the
+    /// tiered cluster engine run at 10k+ ranks.
     pub fn from_ranks<R: Borrow<RankSeries>>(
         ranks: &[R],
         params: &BspParams,
@@ -1387,13 +1325,46 @@ mod tests {
         BspParams::new(Nanos(g))
     }
 
+    /// One coupled phase, copied out of the [`PhaseView`] that
+    /// [`couple_stream`] lends.
+    #[derive(Debug, PartialEq)]
+    struct PhaseCopy {
+        start: Nanos,
+        durations: Vec<Nanos>,
+        critical: usize,
+        critical_by_category: Vec<(NoiseCategory, Nanos)>,
+        critical_injected: Vec<(InjectedClass, Nanos)>,
+    }
+
+    /// Every phase of a coupled run, and its final barrier time.
+    #[derive(Debug, PartialEq)]
+    struct Coupled {
+        phases: Vec<PhaseCopy>,
+        end: Nanos,
+    }
+
+    fn coupled<R: Borrow<RankSeries>>(ranks: &[R], params: &BspParams) -> Coupled {
+        let mut phases = Vec::new();
+        let (nphases, end) = couple_stream(ranks, params, |p| {
+            phases.push(PhaseCopy {
+                start: p.start,
+                durations: p.durations.to_vec(),
+                critical: p.critical,
+                critical_by_category: p.critical_by_category.to_vec(),
+                critical_injected: p.critical_injected.to_vec(),
+            })
+        });
+        assert_eq!(nphases, phases.len());
+        Coupled { phases, end }
+    }
+
     #[test]
     fn noise_free_ranks_run_at_ideal_speed() {
         let ranks = vec![series(vec![], 10_000), series(vec![], 10_000)];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         assert_eq!(run.phases.len(), 10);
         assert_eq!(run.end, Nanos(10_000));
-        let b = CollectiveBreakdown::build(&run);
+        let b = CollectiveBreakdown::from_ranks(&ranks, &params(1_000));
         assert_eq!(b.slowdown, 1.0);
         assert_eq!(b.mean_max_noise, Nanos::ZERO);
         assert!(b.dominant().is_none());
@@ -1406,13 +1377,13 @@ mod tests {
             series(vec![], 10_000),
             series(vec![point(500, 300, Activity::TimerInterrupt)], 10_000),
         ];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         let p0 = &run.phases[0];
         assert_eq!(p0.durations, vec![Nanos(1_000), Nanos(1_300)]);
         assert_eq!(p0.critical, 1);
         // Phase 1 starts at the barrier, not at rank 0's arrival.
         assert_eq!(run.phases[1].start, Nanos(1_300));
-        let b = CollectiveBreakdown::build(&run);
+        let b = CollectiveBreakdown::from_ranks(&ranks, &params(1_000));
         assert_eq!(b.ranks[0].wait, Nanos(300));
         assert_eq!(b.ranks[1].self_noise, Nanos(300));
         assert_eq!(b.dominant(), Some(NoiseCategory::Periodic));
@@ -1430,7 +1401,7 @@ mod tests {
             ],
             10_000,
         )];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         assert_eq!(run.phases[0].durations[0], Nanos(1_600));
     }
 
@@ -1442,7 +1413,7 @@ mod tests {
             series(vec![point(1_200, 100, Activity::TimerInterrupt)], 10_000),
             series(vec![point(100, 500, Activity::TimerInterrupt)], 10_000),
         ];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         // Rank 0 arrives at 1000, barrier at 1500; its t=1200 hit is in
         // the wait window — absorbed.
         assert_eq!(run.phases[0].durations[0], Nanos(1_000));
@@ -1465,8 +1436,7 @@ mod tests {
                 20_000,
             ),
         ];
-        let run = couple(&ranks, &params(1_000));
-        let b = CollectiveBreakdown::build(&run);
+        let b = CollectiveBreakdown::from_ranks(&ranks, &params(1_000));
         for r in &b.ranks {
             assert_eq!(
                 r.compute + r.self_noise + r.wait,
@@ -1482,14 +1452,14 @@ mod tests {
     #[test]
     fn phases_stop_at_the_shortest_horizon() {
         let ranks = vec![series(vec![], 10_000), series(vec![], 3_500)];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         assert_eq!(run.phases.len(), 3);
     }
 
     #[test]
     fn max_phases_caps_the_run() {
         let ranks = vec![series(vec![], 100_000)];
-        let run = couple(
+        let run = coupled(
             &ranks,
             &BspParams {
                 max_phases: 7,
@@ -1516,7 +1486,7 @@ mod tests {
                 10_000,
             ),
         ];
-        let run = couple(&ranks, &params(1_000).fixed_grid());
+        let run = coupled(&ranks, &params(1_000).fixed_grid());
         assert_eq!(run.phases.len(), 10);
         // Phase 0: rank 0 pays 500, rank 1 clean -> max 500.
         assert_eq!(run.phases[0].durations, vec![Nanos(1_500), Nanos(1_000)]);
@@ -1544,7 +1514,7 @@ mod tests {
             6_000,
         )
         .with_start(Nanos(2_000))];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         // Phase 0 covers trace [2000, 3120): pays the t=2300 point
         // only; the t=500 point predates the start.
         assert_eq!(run.phases[0].durations[0], Nanos(1_120));
@@ -1560,7 +1530,7 @@ mod tests {
             ],
             6_000,
         )];
-        let run0 = couple(&aligned, &params(1_000));
+        let run0 = coupled(&aligned, &params(1_000));
         assert_eq!(run0.phases[0].durations[0], Nanos(1_999));
     }
 
@@ -1576,7 +1546,7 @@ mod tests {
             ],
             10_000,
         )];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         assert_eq!(run.phases[0].durations[0], Nanos(1_500));
         assert_eq!(run.phases[1].start, Nanos(1_500));
         assert_eq!(run.phases[1].durations[0], Nanos(1_080));
@@ -1600,10 +1570,10 @@ mod tests {
             .iter()
             .map(|s| s.clone().with_faults(RankFaults::default()))
             .collect();
-        let a = couple(&plain, &params(1_000));
-        let b = couple(&faulted, &params(1_000));
+        let a = coupled(&plain, &params(1_000));
+        let b = coupled(&faulted, &params(1_000));
         assert_eq!(a, b, "empty fault config must be a strict no-op");
-        let bd = CollectiveBreakdown::build(&a);
+        let bd = CollectiveBreakdown::from_ranks(&plain, &params(1_000));
         assert!(bd.dominant_injected().is_none());
         assert!(bd.total_injected().is_zero());
     }
@@ -1617,13 +1587,13 @@ mod tests {
                 ..RankFaults::default()
             }),
         ];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         assert!(!run.phases.is_empty());
         for p in &run.phases {
             assert_eq!(p.critical, 1, "straggler must pace the barrier");
             assert_eq!(p.durations[1], Nanos(1_500));
         }
-        let b = CollectiveBreakdown::build(&run);
+        let b = CollectiveBreakdown::from_ranks(&ranks, &params(1_000));
         assert_eq!(b.dominant_injected(), Some(InjectedClass::Straggler));
         assert_eq!(
             injected_total(&b, InjectedClass::Straggler),
@@ -1644,7 +1614,7 @@ mod tests {
                 ..RankFaults::default()
             }),
         ];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         assert_eq!(run.phases[0].durations[1], Nanos(2_000));
         assert_eq!(run.phases[0].critical, 1);
         assert_eq!(
@@ -1658,7 +1628,7 @@ mod tests {
         );
         // Later phases run past the outage unharmed.
         assert_eq!(run.phases[1].durations[1], Nanos(1_000));
-        let b = CollectiveBreakdown::build(&run);
+        let b = CollectiveBreakdown::from_ranks(&ranks, &params(1_000));
         assert_eq!(injected_total(&b, InjectedClass::Crash), Nanos(1_000));
         assert_eq!(b.dominant_injected(), Some(InjectedClass::Crash));
     }
@@ -1676,13 +1646,13 @@ mod tests {
                 ..RankFaults::default()
             }),
         ];
-        let run = couple(&ranks, &params(1_000));
+        let run = coupled(&ranks, &params(1_000));
         // Phase 0 arrival (t=1000) is inside the partition window.
         assert_eq!(run.phases[0].durations[1], Nanos(1_300));
         assert_eq!(run.phases[0].critical, 1);
         // Phase 1 arrival (t=2300) is past it.
         assert_eq!(run.phases[1].durations[1], Nanos(1_000));
-        let b = CollectiveBreakdown::build(&run);
+        let b = CollectiveBreakdown::from_ranks(&ranks, &params(1_000));
         assert_eq!(injected_total(&b, InjectedClass::Partition), Nanos(300));
     }
 
@@ -1694,10 +1664,10 @@ mod tests {
             ..RankFaults::default()
         };
         let ranks = vec![series(vec![], 20_000).with_faults(faults)];
-        let a = couple(&ranks, &params(1_000));
-        let b = couple(&ranks, &params(1_000));
+        let a = coupled(&ranks, &params(1_000));
+        let b = coupled(&ranks, &params(1_000));
         assert_eq!(a, b, "jitter must be a pure function of (seed, phase)");
-        let bd = CollectiveBreakdown::build(&a);
+        let bd = CollectiveBreakdown::from_ranks(&ranks, &params(1_000));
         assert!(
             !injected_total(&bd, InjectedClass::Jitter).is_zero(),
             "exponential jitter over many phases must pay some delay"
@@ -1708,37 +1678,7 @@ mod tests {
             jitter_mean: Nanos(200),
             ..RankFaults::default()
         })];
-        assert_ne!(couple(&other, &params(1_000)), a);
-    }
-
-    #[test]
-    fn from_ranks_matches_materialized_breakdown() {
-        let ranks = vec![
-            series(
-                vec![
-                    point(500, 70, Activity::TimerInterrupt),
-                    point(2_700, 900, Activity::PageFault(FaultKind::AnonZero)),
-                ],
-                20_000,
-            ),
-            series(
-                vec![point(1_400, 650, Activity::Softirq(SoftirqVec::NetRx))],
-                20_000,
-            )
-            .with_faults(RankFaults {
-                slow_factor: 1.2,
-                jitter_mean: Nanos(150),
-                jitter_seed: 7,
-                outages: vec![(Nanos(4_000), Nanos(5_000))],
-                ..RankFaults::default()
-            }),
-            series(vec![], 20_000).with_start(Nanos(1_000)),
-        ];
-        for p in [params(1_000), params(1_000).fixed_grid()] {
-            let via_run = CollectiveBreakdown::build(&couple(&ranks, &p));
-            let streamed = CollectiveBreakdown::from_ranks(&ranks, &p);
-            assert_eq!(via_run, streamed);
-        }
+        assert_ne!(coupled(&other, &params(1_000)), a);
     }
 
     /// A periodic trace (tick-style) for surrogate fitting: events at
@@ -1807,8 +1747,8 @@ mod tests {
         // Coupling synthetic ranks is itself deterministic.
         let ranks = vec![a, c];
         assert_eq!(
-            couple(&ranks, &params(1_000)),
-            couple(&ranks, &params(1_000))
+            coupled(&ranks, &params(1_000)),
+            coupled(&ranks, &params(1_000))
         );
     }
 

@@ -9,6 +9,15 @@
 //! (Tables I–VI), category breakdowns (Fig 3), duration histograms
 //! (Figs 4/6/8), synthetic OS-noise charts (Figs 1/9/10), and the noise
 //! disambiguation analyses of §V.
+//!
+//! One entry point turns events into an analysis:
+//! [`NoiseAnalysis::from_cpu_blocks`] pairs each CPU's columnar blocks
+//! with one [`ColumnPairing`] and collects its scheduler records, then
+//! merges the shards and builds the timelines. An in-memory trace
+//! ([`NoiseAnalysis::analyze`]) and a store read chunk by chunk
+//! (`osn_core::analyze_store`) both feed it. The sequential
+//! [`NoiseAnalysis::analyze_reference`] is kept as the oracle the
+//! engine is tested against.
 
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
@@ -28,9 +37,8 @@ pub mod timeline;
 pub use breakdown::Breakdown;
 pub use chart::{ChartPoint, NoiseChart};
 pub use collective::{
-    couple, couple_stream, BspParams, CollectiveBreakdown, CollectiveRun, NoiseSample,
-    NoiseSurrogate, PeriodicComb, PhaseOutcome, PhaseView, RankSeries, RankStats, ResidualBin,
-    SyntheticRank,
+    couple_stream, BspParams, CollectiveBreakdown, NoiseSample, NoiseSurrogate, PeriodicComb,
+    PhaseView, RankSeries, RankStats, ResidualBin, SyntheticRank,
 };
 pub use histogram::Histogram;
 pub use nesting::{ActivityInstance, ColumnPairing, NestingReport};

@@ -90,8 +90,9 @@ struct OpenSlot {
 }
 
 /// The enter/exit pairing state machine for one CPU's stream, as a
-/// resumable value: feed it events — typed, or straight out of
-/// columnar chunk blocks — in stream order, then [`finish`] it.
+/// resumable value: feed it columnar blocks in stream order, then
+/// [`finish`] it. [`crate::NoiseAnalysis::from_cpu_blocks`] runs one
+/// per CPU.
 ///
 /// Instances are emitted in frame-*open* order with their `end` and
 /// `self_time` filled in at close, which leaves the shard sorted by
@@ -103,9 +104,9 @@ struct OpenSlot {
 /// at [`finish`] using the recorded close sequence. No full per-shard
 /// sort is needed.
 ///
-/// Being resumable is what lets the out-of-core path decode one chunk
-/// at a time into a reused [`EventColumns`] block and keep pairing
-/// across chunk boundaries without materializing the CPU's stream.
+/// Being resumable is what lets a store be decoded one chunk at a time
+/// into a reused [`EventColumns`] block and keep pairing across chunk
+/// boundaries without materializing the CPU's stream.
 ///
 /// [`finish`]: ColumnPairing::finish
 #[derive(Default)]
@@ -262,42 +263,12 @@ fn fix_equal_start_runs(v: &mut [ActivityInstance], close_seq: &[u32]) {
     }
 }
 
-/// Reconstruct all activity instances from a trace, sharded by CPU.
-///
-/// Per-CPU stacks are fully independent, so each CPU's stream runs on
-/// its own host thread (bounded by `available_parallelism()`); the
-/// per-CPU instance lists are then k-way merged. Output is bit-identical
-/// to [`reconstruct_reference`]: instances sorted by
-/// `(start, cpu, Reverse(end))` — a *parent* sorts before its children —
-/// plus a report of stream anomalies summed over CPUs.
-pub fn reconstruct(trace: &Trace) -> (Vec<ActivityInstance>, NestingReport) {
-    reconstruct_sharded(trace, crate::par::default_workers(trace.ncpus()))
-}
-
-/// [`reconstruct`] with an explicit worker budget.
-pub fn reconstruct_sharded(
-    trace: &Trace,
-    workers: usize,
-) -> (Vec<ActivityInstance>, NestingReport) {
-    let ncpus = trace.ncpus();
-    let shards = crate::par::parallel_map(ncpus, workers, |cpu| {
-        let mut pairing = ColumnPairing::new();
-        // Every CPU below `ncpus` has a column block (possibly empty).
-        if let Some(cols) = trace.cpu_columns(CpuId(cpu as u16)) {
-            pairing.feed_columns(cols);
-        }
-        pairing.finish()
-    });
-    merge_shards(shards)
-}
-
 /// K-way merge of per-CPU shards by (start, cpu), summing the reports.
 /// Keys never tie across shards (the cpu differs), so heap order plus
-/// per-shard FIFO reproduces the reference stable sort exactly.
-///
-/// Public so out-of-core drivers (`osn-core`'s store path) can pair
-/// per-CPU chunk cursors themselves and still get the reference global
-/// order.
+/// per-shard FIFO reproduces the reference stable sort exactly: the
+/// result is bit-identical to [`reconstruct_reference`], instances
+/// sorted by `(start, cpu, Reverse(end))` — a *parent* sorts before its
+/// children.
 pub fn merge_shards(
     shards: Vec<(Vec<ActivityInstance>, NestingReport)>,
 ) -> (Vec<ActivityInstance>, NestingReport) {
@@ -413,7 +384,14 @@ pub fn reconstruct_reference(trace: &Trace) -> (Vec<ActivityInstance>, NestingRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NoiseAnalysis;
     use osn_kernel::activity::SoftirqVec;
+
+    /// The instances and report of the analysis engine's pairing.
+    fn pair(trace: &Trace) -> (Vec<ActivityInstance>, NestingReport) {
+        let analysis = NoiseAnalysis::analyze(trace, &[], Nanos::ZERO);
+        (analysis.instances, analysis.nesting_report)
+    }
 
     fn enter(t: u64, cpu: u16, tid: u32, a: Activity) -> Event {
         Event {
@@ -438,7 +416,7 @@ mod tests {
     #[test]
     fn simple_pair() {
         let trace = Trace::new(vec![enter(10, 0, 1, TIMER), exit(15, 0, 1, TIMER)], vec![]);
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = pair(&trace);
         assert!(report.is_clean());
         assert_eq!(instances.len(), 1);
         let i = instances[0];
@@ -464,7 +442,7 @@ mod tests {
             ],
             vec![],
         );
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = pair(&trace);
         assert!(report.is_clean());
         assert_eq!(instances.len(), 2);
         // Sorted by start: softirq (parent) first.
@@ -494,7 +472,7 @@ mod tests {
             ],
             vec![],
         );
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = pair(&trace);
         assert!(report.is_clean());
         assert_eq!(instances.len(), 3);
         let by_act = |a: Activity| instances.iter().find(|i| i.activity == a).unwrap();
@@ -517,7 +495,7 @@ mod tests {
             ],
             vec![],
         );
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = pair(&trace);
         assert!(report.is_clean());
         assert_eq!(instances.len(), 2);
         // No cross-CPU nesting: both at depth 0.
@@ -527,7 +505,7 @@ mod tests {
     #[test]
     fn orphan_exit_reported() {
         let trace = Trace::new(vec![exit(5, 0, 1, TIMER)], vec![]);
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = pair(&trace);
         assert!(instances.is_empty());
         assert_eq!(report.orphan_exits, 1);
         assert!(!report.is_clean());
@@ -536,7 +514,7 @@ mod tests {
     #[test]
     fn unclosed_enter_reported() {
         let trace = Trace::new(vec![enter(5, 0, 1, TIMER)], vec![]);
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = pair(&trace);
         assert!(instances.is_empty());
         assert_eq!(report.unclosed_enters, 1);
     }
@@ -552,7 +530,7 @@ mod tests {
             ],
             vec![],
         );
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = pair(&trace);
         assert_eq!(report.mismatched_exits, 1);
         // The later well-formed pair still reconstructs.
         assert_eq!(instances.len(), 1);
@@ -562,7 +540,7 @@ mod tests {
     #[test]
     fn zero_duration_activity() {
         let trace = Trace::new(vec![enter(7, 0, 1, TIMER), exit(7, 0, 1, TIMER)], vec![]);
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = pair(&trace);
         assert!(report.is_clean());
         assert_eq!(instances[0].self_time, Nanos(0));
     }
@@ -582,7 +560,7 @@ mod tests {
             ],
             vec![],
         );
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = pair(&trace);
         assert!(report.is_clean());
         assert_eq!(instances.len(), 1);
         assert_eq!(instances[0].self_time, Nanos(2));

@@ -16,19 +16,22 @@
 //!    [`crate::nesting`]), so component durations are additive.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use osn_kernel::activity::{Activity, NoiseCategory};
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::task::TaskMeta;
 use osn_kernel::time::Nanos;
-use osn_trace::Trace;
+use osn_trace::columns::code;
+use osn_trace::{merge_streams, Event, EventColumns, Trace};
 
 use serde::{Deserialize, Serialize};
 
-use crate::nesting::{reconstruct_reference, reconstruct_sharded, ActivityInstance, NestingReport};
+use crate::nesting::{
+    merge_shards, reconstruct_reference, ActivityInstance, ColumnPairing, NestingReport,
+};
 use crate::timeline::{
-    build_timelines_partitioned, build_timelines_reference, Phase, TaskTimeline, Timelines,
-    UNKNOWN_CPU,
+    build_timelines_events, build_timelines_reference, Phase, TaskTimeline, Timelines, UNKNOWN_CPU,
 };
 
 /// One piece of an interruption.
@@ -302,12 +305,13 @@ fn running_segments(timelines: &Timelines, ncpus: usize) -> Vec<Vec<(Nanos, Nano
 impl NoiseAnalysis {
     /// Analyze a trace. `end` should be the run's end time.
     ///
-    /// This is the sharded engine: reconstruction is sharded by CPU,
-    /// timelines are partitioned by task, the per-task obstruction
-    /// gather goes through a per-context position index instead of
-    /// scanning every instance per rank, and application tasks are
-    /// analyzed in parallel across host threads. Output is bit-identical
-    /// to [`NoiseAnalysis::analyze_reference`].
+    /// This is the sharded engine: each CPU's stream is paired on its
+    /// own worker ([`NoiseAnalysis::from_cpu_blocks`]), timelines are
+    /// partitioned by task, the per-task obstruction gather goes
+    /// through a per-context position index instead of scanning every
+    /// instance per rank, and application tasks are analyzed in
+    /// parallel across host threads. Output is bit-identical to
+    /// [`NoiseAnalysis::analyze_reference`].
     pub fn analyze(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> NoiseAnalysis {
         let shards = trace.ncpus().max(tasks.len());
         Self::analyze_with_workers(trace, tasks, end, crate::par::default_workers(shards))
@@ -320,17 +324,76 @@ impl NoiseAnalysis {
         end: Nanos,
         workers: usize,
     ) -> NoiseAnalysis {
-        let (instances, nesting_report) = reconstruct_sharded(trace, workers);
-        let timelines = build_timelines_partitioned(trace, tasks, end, workers);
-        assemble(instances, nesting_report, timelines, tasks, end, workers)
+        let Ok(analysis) =
+            Self::from_cpu_blocks(trace.ncpus(), tasks, end, workers, |cpu, feed| {
+                // Every CPU below `ncpus` has a column block (possibly empty).
+                if let Some(cols) = trace.cpu_columns(cpu) {
+                    feed(cols);
+                }
+                Ok::<(), Infallible>(())
+            });
+        analysis
     }
 
-    /// Assemble an analysis from already-reconstructed parts: the
-    /// public seam for drivers that run the pairing state machine
-    /// themselves — e.g. `osn-core`'s store path, which feeds columnar
-    /// chunk cursors through [`crate::ColumnPairing`] and merges the
-    /// shards with [`crate::nesting::merge_shards`]. `instances` must
-    /// be in the reference global order (`(start, cpu, Reverse(end))`)
+    /// The one way events become an analysis, for any source of
+    /// per-CPU column blocks: an in-memory [`Trace`] lends each CPU's columns whole,
+    /// `osn-core`'s store path lends one decoded chunk at a time.
+    ///
+    /// `blocks(cpu, feed)` passes that CPU's blocks to `feed` in stream
+    /// order and may fail; the first failure (in CPU order) is
+    /// returned. Each CPU runs on its own worker: one
+    /// [`ColumnPairing`] pairs its enter/exit records while its
+    /// `SWITCH`/`WAKEUP` records are collected for the timelines.
+    /// The pairing shards then go through [`merge_shards`], the
+    /// scheduler streams through [`merge_streams`] (filtering commutes
+    /// with the `(t, cpu)` merge), and the per-task back half runs on
+    /// the result.
+    pub fn from_cpu_blocks<E, B>(
+        ncpus: usize,
+        tasks: &[TaskMeta],
+        end: Nanos,
+        workers: usize,
+        blocks: B,
+    ) -> Result<NoiseAnalysis, E>
+    where
+        E: Send,
+        B: Fn(CpuId, &mut dyn FnMut(&EventColumns)) -> Result<(), E> + Sync,
+    {
+        let per_cpu = crate::par::parallel_map(ncpus, workers, |c| {
+            let mut pairing = ColumnPairing::new();
+            let mut sched: Vec<Event> = Vec::new();
+            blocks(CpuId(c as u16), &mut |cols| {
+                pairing.feed_columns(cols);
+                for (i, &k) in cols.code.iter().enumerate() {
+                    if k == code::SWITCH || k == code::WAKEUP {
+                        sched.push(cols.event(i));
+                    }
+                }
+            })?;
+            Ok((pairing.finish(), sched))
+        });
+        let mut shards = Vec::with_capacity(ncpus);
+        let mut streams = Vec::with_capacity(ncpus);
+        for cpu in per_cpu {
+            let (shard, sched) = cpu?;
+            shards.push(shard);
+            streams.push(sched);
+        }
+        let (instances, nesting_report) = merge_shards(shards);
+        let timelines = build_timelines_events(&merge_streams(streams), tasks, end, workers);
+        Ok(assemble(
+            instances,
+            nesting_report,
+            timelines,
+            tasks,
+            end,
+            workers,
+        ))
+    }
+
+    /// Assemble an analysis from already-reconstructed parts.
+    /// `instances` must be in the reference global order
+    /// (`(start, cpu, Reverse(end))`, as [`merge_shards`] leaves them)
     /// and `timelines` built over the same events; given that, the
     /// result is bit-identical to [`NoiseAnalysis::analyze`].
     pub fn from_parts(
@@ -402,10 +465,9 @@ impl NoiseAnalysis {
     }
 }
 
-/// Shared back half of the sharded engine: index the reconstructed
+/// Back half of the sharded engine: index the reconstructed
 /// instances, analyze every application task in parallel, and bundle
-/// the results. Both the in-memory and the streamed front halves feed
-/// this, which is what makes them bit-identical.
+/// the results.
 fn assemble(
     instances: Vec<ActivityInstance>,
     nesting_report: NestingReport,

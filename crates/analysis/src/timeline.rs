@@ -99,13 +99,6 @@ impl TaskTimeline {
         self.spans.iter().filter(|s| s.phase.is_ready())
     }
 
-    /// Running spans.
-    pub fn running_spans(&self) -> impl Iterator<Item = &PhaseSpan> {
-        self.spans
-            .iter()
-            .filter(|s| matches!(s.phase, Phase::Running(_)))
-    }
-
     /// Wall interval from first to last span.
     pub fn extent(&self) -> Option<(Nanos, Nanos)> {
         Some((self.spans.first()?.start, self.spans.last()?.end))
@@ -185,36 +178,20 @@ impl Builder {
     }
 }
 
-/// Build per-task timelines. `tasks` supplies initial states
-/// (applications start Ready at t=0, daemons Blocked) and `end` caps
-/// the final open span (use the trace's last timestamp or the run's
-/// end time).
+/// Build per-task timelines from events in global `(t, cpu)` order.
+/// `tasks` supplies initial states (applications start Ready at t=0,
+/// daemons Blocked) and `end` caps the final open span (use the trace's
+/// last timestamp or the run's end time). Timelines depend only on
+/// scheduler events, so `events` may be a pre-filtered
+/// `SchedSwitch`/`Wakeup` slice — filtering commutes with the per-CPU
+/// merge, making the result bit-identical to a full-trace build.
 ///
 /// The walk is partitioned by task: one indexing pass collects each
 /// task's scheduler-event positions, then every task replays only its
-/// own events (in parallel across host threads). Output is
+/// own events (in parallel across `workers` host threads). Output is
 /// bit-identical to [`build_timelines_reference`] because transitions
 /// for one task depend only on that task's events, and the prev-role
 /// transition still precedes the next-role transition on a self-switch.
-pub fn build_timelines(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> Timelines {
-    build_timelines_partitioned(trace, tasks, end, crate::par::default_workers(tasks.len()))
-}
-
-/// [`build_timelines`] with an explicit worker budget.
-pub fn build_timelines_partitioned(
-    trace: &Trace,
-    tasks: &[TaskMeta],
-    end: Nanos,
-    workers: usize,
-) -> Timelines {
-    build_timelines_events(&trace.events, tasks, end, workers)
-}
-
-/// [`build_timelines_partitioned`] over a bare event slice in global
-/// `(t, cpu)` order. Timelines depend only on scheduler events, so the
-/// out-of-core path passes a pre-filtered `SchedSwitch`/`Wakeup` slice
-/// — filtering commutes with the per-CPU merge, making the result
-/// bit-identical to a full-trace build.
 pub fn build_timelines_events(
     events: &[osn_trace::Event],
     tasks: &[TaskMeta],
@@ -401,7 +378,12 @@ mod tests {
             ],
             vec![],
         );
-        let tls = build_timelines(&trace, &[meta(1, "app"), meta(2, "events")], Nanos(150));
+        let tls = build_timelines_events(
+            &trace.events,
+            &[meta(1, "app"), meta(2, "events")],
+            Nanos(150),
+            1,
+        );
         let tl = tls.get(Tid(1)).unwrap();
 
         assert_eq!(tl.phase_at(Nanos(5)), Some(Phase::Ready(UNKNOWN_CPU)));
@@ -427,7 +409,7 @@ mod tests {
     #[test]
     fn daemon_starts_blocked() {
         let trace = Trace::new(vec![wakeup(30, 0, 2, 1)], vec![]);
-        let tls = build_timelines(&trace, &[meta(2, "rpciod")], Nanos(50));
+        let tls = build_timelines_events(&trace.events, &[meta(2, "rpciod")], Nanos(50), 1);
         let tl = tls.get(Tid(2)).unwrap();
         assert_eq!(
             tl.phase_at(Nanos(10)),
@@ -447,7 +429,7 @@ mod tests {
             ],
             vec![],
         );
-        let tls = build_timelines(&trace, &[meta(1, "app")], Nanos(100));
+        let tls = build_timelines_events(&trace.events, &[meta(1, "app")], Nanos(100), 1);
         let tl = tls.get(Tid(1)).unwrap();
         for w in tl.spans.windows(2) {
             assert_eq!(w[0].end, w[1].start, "gap in timeline");
@@ -458,7 +440,7 @@ mod tests {
     #[test]
     fn phase_at_boundaries() {
         let trace = Trace::new(vec![switch(10, 0, 0, SwitchState::Preempted, 1)], vec![]);
-        let tls = build_timelines(&trace, &[meta(1, "app")], Nanos(20));
+        let tls = build_timelines_events(&trace.events, &[meta(1, "app")], Nanos(20), 1);
         let tl = tls.get(Tid(1)).unwrap();
         // Half-open: at exactly t=10 the new phase holds.
         assert_eq!(tl.phase_at(Nanos(10)), Some(Phase::Running(CpuId(0))));
@@ -470,7 +452,7 @@ mod tests {
     #[test]
     fn unknown_tasks_ignored() {
         let trace = Trace::new(vec![switch(10, 0, 9, SwitchState::Preempted, 8)], vec![]);
-        let tls = build_timelines(&trace, &[meta(1, "app")], Nanos(20));
+        let tls = build_timelines_events(&trace.events, &[meta(1, "app")], Nanos(20), 1);
         assert_eq!(tls.len(), 1);
         assert!(tls.get(Tid(9)).is_none());
     }
@@ -484,7 +466,7 @@ mod tests {
             ],
             vec![],
         );
-        let tls = build_timelines(&trace, &[meta(1, "app")], Nanos(30));
+        let tls = build_timelines_events(&trace.events, &[meta(1, "app")], Nanos(30), 1);
         let tl = tls.get(Tid(1)).unwrap();
         assert_eq!(tl.phase_at(Nanos(25)), Some(Phase::Running(CpuId(0))));
     }

@@ -5,16 +5,22 @@
 use proptest::prelude::*;
 
 use osn_analysis::histogram::{percentile, Histogram};
-use osn_analysis::nesting::{reconstruct, reconstruct_reference, reconstruct_sharded};
+use osn_analysis::nesting::{reconstruct_reference, ActivityInstance, NestingReport};
 use osn_analysis::noise::NoiseAnalysis;
 use osn_analysis::stats::EventStats;
-use osn_analysis::timeline::build_timelines;
+use osn_analysis::timeline::build_timelines_events;
 use osn_kernel::activity::Activity;
 use osn_kernel::hooks::SwitchState;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::task::TaskMeta;
 use osn_kernel::time::Nanos;
 use osn_trace::{Event, EventKind, Trace};
+
+/// The instances and nesting report of an analysis — what the engine's
+/// per-CPU pairing reconstructed.
+fn paired(analysis: NoiseAnalysis) -> (Vec<ActivityInstance>, NestingReport) {
+    (analysis.instances, analysis.nesting_report)
+}
 
 // ---------- generators ----------
 
@@ -183,7 +189,7 @@ proptest! {
     #[test]
     fn nesting_self_times_are_additive(events in nested_stream()) {
         let trace = Trace::new(events.clone(), vec![]);
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = paired(NoiseAnalysis::analyze(&trace, &[], Nanos::ZERO));
         prop_assert!(report.is_clean(), "{report:?}");
 
         let self_total: u64 = instances.iter().map(|i| i.self_time.as_nanos()).sum();
@@ -221,7 +227,7 @@ proptest! {
     #[test]
     fn nesting_containment(events in nested_stream()) {
         let trace = Trace::new(events, vec![]);
-        let (instances, report) = reconstruct(&trace);
+        let (instances, report) = paired(NoiseAnalysis::analyze(&trace, &[], Nanos::ZERO));
         prop_assert!(report.is_clean());
         for (i, inner) in instances.iter().enumerate() {
             if inner.depth == 0 {
@@ -242,8 +248,8 @@ proptest! {
         }
     }
 
-    /// The sharded reconstruction is bit-identical to the retained
-    /// sequential reference, for any worker budget.
+    /// The engine's sharded reconstruction is bit-identical to the
+    /// retained sequential reference, for any worker budget.
     #[test]
     fn sharded_reconstruct_matches_reference(
         events in multi_cpu_stream(),
@@ -251,8 +257,9 @@ proptest! {
     ) {
         let trace = Trace::new(events, vec![]);
         let reference = reconstruct_reference(&trace);
-        prop_assert_eq!(reconstruct_sharded(&trace, workers), reference.clone());
-        prop_assert_eq!(reconstruct(&trace), reference);
+        let sharded = NoiseAnalysis::analyze_with_workers(&trace, &[], Nanos::ZERO, workers);
+        prop_assert_eq!(paired(sharded), reference.clone());
+        prop_assert_eq!(paired(NoiseAnalysis::analyze(&trace, &[], Nanos::ZERO)), reference);
     }
 
     /// Open-order emission handles the degenerate ties (zero-width
@@ -275,7 +282,8 @@ proptest! {
             .collect();
         events.sort_by_key(|e| e.key());
         let trace = Trace::new(events, vec![]);
-        prop_assert_eq!(reconstruct_sharded(&trace, workers), reconstruct_reference(&trace));
+        let sharded = NoiseAnalysis::analyze_with_workers(&trace, &[], Nanos::ZERO, workers);
+        prop_assert_eq!(paired(sharded), reconstruct_reference(&trace));
     }
 
     /// The full parallel engine — sharded reconstruction, partitioned
@@ -367,7 +375,7 @@ proptest! {
             faults: 0,
         };
         let trace = Trace::new(events, vec![]);
-        let tls = build_timelines(&trace, &[meta], end);
+        let tls = build_timelines_events(&trace.events, &[meta], end, 1);
         let tl = tls.get(Tid(1)).unwrap();
         // Partition: contiguous, ordered, covering [0, end).
         prop_assert!(!tl.spans.is_empty());

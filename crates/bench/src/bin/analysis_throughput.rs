@@ -5,7 +5,7 @@
 //!
 //! * **Paper campaign** — for every Sequoia app, time the full analysis
 //!   phase (trace → `NoiseAnalysis` → `AppReport`) through the new
-//!   engine (`NoiseAnalysis::analyze` + fused `AppReport::build_with`)
+//!   engine (`NoiseAnalysis::analyze` + fused `AppReport::from_analysis`)
 //!   and the reference (`analyze_reference` + multi-pass
 //!   `build_reference`), asserting the serialized reports are
 //!   bit-identical — every timed rep doubles as a differential check.
@@ -122,6 +122,12 @@ fn analyze_engine(run: &AppRun) -> NoiseAnalysis {
     NoiseAnalysis::analyze(&run.trace, &run.result.tasks, run.result.end_time)
 }
 
+/// The engine's analysis phase: sharded analysis plus the fused report.
+fn engine_report(run: &AppRun) -> AppReport {
+    let analysis = analyze_engine(run);
+    AppReport::from_analysis(run.app, &run.ranks, run.config.node.net_irq_cpu, &analysis)
+}
+
 fn main() {
     let sim = duration();
     let sim_secs = sim.as_nanos() / 1_000_000_000;
@@ -143,9 +149,8 @@ fn main() {
         let run = load_or_run(app);
         // Warm-up rep of each side, then timed reps.
         let reference_report = AppReport::build_reference(&run, &analyze_reference(&run));
-        let engine_report = AppReport::build_with(&run, &analyze_engine(&run));
+        let engine_json = serde_json::to_vec(&engine_report(&run)).expect("serializable");
         let reference_json = serde_json::to_vec(&reference_report).expect("serializable");
-        let engine_json = serde_json::to_vec(&engine_report).expect("serializable");
         assert_eq!(
             reference_json,
             engine_json,
@@ -158,9 +163,7 @@ fn main() {
                 AppReport::build_reference(&run, &analyze_reference(&run))
             })
         });
-        let (engine_s, _) = best_of(reps, || {
-            timed(multi, || AppReport::build_with(&run, &analyze_engine(&run)))
-        });
+        let (engine_s, _) = best_of(reps, || timed(multi, || engine_report(&run)));
 
         let row = AppRow {
             app: app.name().to_string(),

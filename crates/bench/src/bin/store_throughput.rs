@@ -142,8 +142,7 @@ fn main() {
         let streamed_analyze_s = best_of(reps, || {
             let t = Instant::now();
             let reader = store::Reader::open(&path).expect("open");
-            let meta = osn_core::StoredRunMeta::from_bytes(reader.metadata()).expect("meta");
-            let analysis = store::analyze_store(&reader, &meta.result).expect("analyze");
+            let (meta, analysis) = store::analyze_store(&reader).expect("analyze");
             let report = AppReport::from_analysis(
                 meta.config.app,
                 &meta.ranks,
@@ -197,7 +196,12 @@ fn main() {
                 &run.result.tasks,
                 run.result.end_time,
             );
-            let _ = AppReport::build_with(&run, &analysis);
+            let _ = AppReport::from_analysis(
+                run.app,
+                &run.ranks,
+                run.config.node.net_irq_cpu,
+                &analysis,
+            );
             t.elapsed().as_secs_f64()
         });
 

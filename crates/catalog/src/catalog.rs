@@ -17,7 +17,7 @@ use std::path::Path;
 use std::time::UNIX_EPOCH;
 
 use osn_analysis::stats::job_stats;
-use osn_core::{analyze_store, StoredRunMeta};
+use osn_core::analyze_store;
 use osn_store::StoreReader;
 use osn_trace::wire::fnv1a64;
 
@@ -199,10 +199,7 @@ pub fn store_id(rel: &str) -> String {
 
 fn index_store(path: &Path, rel: &str, mtime_ns: u64, bytes: u64) -> Result<CatalogEntry, String> {
     let (reader, recovery) = StoreReader::recover(path).map_err(|e| format!("cannot open: {e}"))?;
-    let meta = StoredRunMeta::from_bytes(reader.metadata())
-        .map_err(|e| format!("bad footer meta: {e}"))?;
-    let analysis =
-        analyze_store(&reader, &meta.result).map_err(|e| format!("analysis failed: {e}"))?;
+    let (meta, analysis) = analyze_store(&reader).map_err(|e| format!("analysis failed: {e}"))?;
     let stats = job_stats(&analysis, &meta.ranks, &meta.ranks);
     let classes = stats
         .classes

@@ -542,9 +542,7 @@ fn products_slot(state: &State, entry: &CatalogEntry) -> ProductsSlot {
 
 fn build_products(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts>, Response> {
     let reader = reader_for(state, entry)?;
-    let meta = StoredRunMeta::from_bytes(reader.metadata())
-        .map_err(|e| Response::error(500, &format!("bad footer meta for {:?}: {e}", entry.id)))?;
-    let analysis = analyze_store(&reader, &meta.result)
+    let (meta, analysis) = analyze_store(&reader)
         .map_err(|e| Response::error(500, &format!("analysis failed for {:?}: {e}", entry.id)))?;
     let report = osn_core::report::AppReport::from_analysis(
         meta.config.app,
@@ -987,8 +985,7 @@ mod tests {
         // a fixed number of chunks, so the shared reader's count shows
         // how many ran.
         let (reader, _recovery) = StoreReader::recover(&paths[2]).unwrap();
-        let meta = StoredRunMeta::from_bytes(reader.metadata()).unwrap();
-        analyze_store(&reader, &meta.result).unwrap();
+        analyze_store(&reader).unwrap();
         let one_analysis = reader.stats().decoded;
         assert!(one_analysis > 0);
         let (report, _meta, _recovery) = osn_core::recovered_report(&paths[2]).unwrap();

@@ -113,8 +113,7 @@ fn offline_analysis(
     path: &std::path::Path,
 ) -> (StoreReader, StoredRunMeta, osn_analysis::NoiseAnalysis) {
     let (reader, _rec) = StoreReader::recover(path).unwrap();
-    let meta = StoredRunMeta::from_bytes(reader.metadata()).unwrap();
-    let analysis = analyze_store(&reader, &meta.result).unwrap();
+    let (meta, analysis) = analyze_store(&reader).unwrap();
     (reader, meta, analysis)
 }
 

@@ -214,7 +214,8 @@ fn write_json<T: Serialize>(path: &str, value: &T) -> Result<(), Error> {
     std::fs::write(path, to_json(value)?).map_err(failed(format!("cannot write {path}")))
 }
 
-/// What recovering a damaged store cost, for `analyze` and `info`.
+/// What recovering a damaged store cost, for `analyze`, `compare` and
+/// `info`.
 fn recovery_note(r: &osn_core::store::RecoveryReport) -> String {
     format!(
         "{} torn chunk(s), {} event(s) lost, {} byte(s) dropped{}",
@@ -555,14 +556,24 @@ fn cmd_analyze(args: &Args) -> Result<(), Error> {
 fn cmd_compare(args: &Args) -> Result<(), Error> {
     use osn_core::analysis::{comparison_table, NoiseSignature};
     let (path_a, path_b) = (&args.positionals()[0], &args.positionals()[1]);
+    // Each side is opened like `analyze` opens a store: a damaged file
+    // is recovered, noted, and analyzed out-of-core.
     let load = |p: &str| -> Result<(String, NoiseSignature), Error> {
-        let run = osn_core::load_run(p.as_ref()).map_err(failed(format!("cannot load {p}")))?;
-        let label = if run.app == App::Native {
+        let (reader, recovery) = osn_core::store::Reader::recover(p.as_ref())
+            .map_err(failed(format!("cannot load {p}")))?;
+        let (meta, analysis) =
+            osn_core::analyze_store(&reader).map_err(failed(format!("cannot load {p}")))?;
+        if !recovery.clean() {
+            let note = recovery_note(&recovery);
+            println!("note: recovered a damaged store {p} — {note}");
+        }
+        let app = meta.config.app;
+        let label = if app == App::Native {
             "native".to_string()
         } else {
-            format!("model:{}", run.app.name())
+            format!("model:{}", app.name())
         };
-        Ok((label, NoiseSignature::build(&run.analysis, &run.ranks)))
+        Ok((label, NoiseSignature::build(&analysis, &meta.ranks)))
     };
     let ((label_a, sig_a), (label_b, sig_b)) = (load(path_a)?, load(path_b)?);
     // Same-app comparisons (e.g. two native captures) still need

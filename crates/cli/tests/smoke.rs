@@ -288,6 +288,55 @@ fn analyze_and_info_fail_cleanly_on_corrupt_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `compare` opens a damaged store the way `analyze` does: one flipped
+/// payload byte mid-file is recovered and noted, not a load failure.
+#[test]
+fn compare_recovers_a_damaged_store_like_analyze() {
+    use osn_core::store::{format::CHUNK_HEADER_BYTES, Reader};
+    let dir = tmpdir("compare-damaged");
+    let healthy = dir.join("healthy.osn");
+    let damaged = dir.join("damaged.osn");
+    let (healthy_str, damaged_str) = (healthy.to_str().unwrap(), damaged.to_str().unwrap());
+    let out = osnoise(&["record", "sphot", healthy_str, "--secs", "1", "--seed", "5"]);
+    assert!(out.status.success(), "record failed: {}", stdout(&out));
+
+    let chunks = Reader::open(&healthy).unwrap().chunks().to_vec();
+    let victim = chunks[chunks.len() / 2];
+    let mut bytes = std::fs::read(&healthy).unwrap();
+    bytes[victim.offset as usize + CHUNK_HEADER_BYTES + 1] ^= 0x01;
+    std::fs::write(&damaged, &bytes).unwrap();
+
+    let out = osnoise(&["analyze", damaged_str]);
+    assert!(out.status.success(), "analyze failed: {}", stdout(&out));
+    assert!(
+        stdout(&out).starts_with("note: recovered a damaged store — 1 torn chunk(s)"),
+        "{}",
+        stdout(&out)
+    );
+
+    let out = osnoise(&["compare", healthy_str, damaged_str]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "compare failed: {err}");
+    let text = stdout(&out);
+    assert!(
+        text.starts_with(&format!(
+            "note: recovered a damaged store {damaged_str} — 1 torn chunk(s)"
+        )),
+        "{text}"
+    );
+    assert!(text.contains("model:sphot/a"), "{text}");
+
+    // Two healthy stores: no note, just the table.
+    let out = osnoise(&["compare", healthy_str, healthy_str]);
+    assert!(out.status.success(), "compare failed: {}", stdout(&out));
+    assert!(
+        stdout(&out).starts_with(&format!("model:sphot/a = {healthy_str}")),
+        "{}",
+        stdout(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A store whose footer metadata nests 200 000 levels deep must fail
 /// `analyze` typed (exit 1) and show as unreadable metadata in `info`
 /// — never abort on a stack overflow.

@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::experiment::{observed_rank_of, run_app, AppRun, ExperimentConfig};
 use crate::scale::ScaleModel;
-use crate::store::{analyze_store, record_app, StoredRunMeta};
+use crate::store::{analyze_store, record_app};
 
 /// Label under which per-node seeds derive from the campaign seed.
 const NODE_SEED_LABEL: &str = "cluster-node";
@@ -1277,9 +1277,7 @@ pub fn run_cluster_stored(
 /// Rebuild one node's bare rank series from its store file,
 /// out-of-core.
 fn stored_rank_series(path: &Path) -> io::Result<RankSeries> {
-    let reader = crate::store::Reader::open(path)?;
-    let meta = StoredRunMeta::from_bytes(reader.metadata())?;
-    let analysis = analyze_store(&reader, &meta.result)?;
+    let (meta, analysis) = analyze_store(&crate::store::Reader::open(path)?)?;
     let observed = observed_rank_of(&analysis, &meta.ranks, meta.config.node.net_irq_cpu);
     Ok(RankSeries::new(
         NoiseChart::build(&analysis, observed),

@@ -3,6 +3,11 @@
 //! Sequoia campaign, and assemble every table and figure of
 //! *"A Quantitative Analysis of OS Noise"* (IPDPS 2011).
 //!
+//! A run is analyzed the same way whether its trace is in memory or in
+//! a `.osn` store: [`analyze_store`] feeds the store's chunks to the
+//! same per-CPU analysis (`osn_analysis::NoiseAnalysis::from_cpu_blocks`)
+//! that `NoiseAnalysis::analyze` feeds an in-memory trace.
+//!
 //! ```no_run
 //! use osn_core::campaign::{campaign_report, CampaignConfig};
 //! use osn_kernel::time::Nanos;
@@ -37,8 +42,8 @@ pub use figures::{
 pub use report::{AppReport, PaperReport};
 pub use scale::{ScaleModel, ScalePoint};
 pub use store::{
-    analyze_store, load_campaign, load_run, persist_campaign, persist_run, record_app,
-    recovered_report, streamed_campaign_report, streamed_report, StoredRunMeta,
+    analyze_store, load_run, persist_campaign, persist_run, record_app, recovered_report,
+    streamed_report, StoredRunMeta,
 };
 
 // Re-export the building blocks so downstream users need one import.

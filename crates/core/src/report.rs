@@ -53,13 +53,12 @@ impl AppReport {
     /// class-stats + three histogram-sample passes of
     /// [`AppReport::build_reference`].
     pub fn build(run: &AppRun) -> AppReport {
-        Self::build_with(run, &run.analysis)
-    }
-
-    /// The fused assembly against an independently supplied analysis
-    /// (the throughput bench re-times the whole analyze+report phase).
-    pub fn build_with(run: &AppRun, analysis: &NoiseAnalysis) -> AppReport {
-        Self::from_analysis(run.app, &run.ranks, run.config.node.net_irq_cpu, analysis)
+        Self::from_analysis(
+            run.app,
+            &run.ranks,
+            run.config.node.net_irq_cpu,
+            &run.analysis,
+        )
     }
 
     /// The fused assembly from bare parts — no [`AppRun`] (and hence no

@@ -12,10 +12,11 @@
 //!
 //! * [`load_run`] — materialize the trace and re-analyze, recovering a
 //!   full [`AppRun`] (byte-identical analysis to the original run);
-//! * [`streamed_report`] — out-of-core: each CPU's chunks decode once,
-//!   columnar and straight off the memory map, into the pairing state
-//!   machine ([`analyze_store`]), holding at most one decoded chunk
-//!   per CPU, and report through [`AppReport::from_analysis`].
+//! * [`streamed_report`] — out-of-core: [`analyze_store`] feeds each
+//!   CPU's chunks, decoded once, columnar and straight off the memory
+//!   map, to the same per-CPU analysis the in-memory path uses
+//!   ([`NoiseAnalysis::from_cpu_blocks`]), holding at most one decoded
+//!   chunk per CPU, and reports through [`AppReport::from_analysis`].
 //!   Differentially proven bit-identical to the in-memory path.
 
 use std::io;
@@ -23,17 +24,15 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use osn_analysis::NoiseAnalysis;
-use osn_kernel::ids::{CpuId, Tid};
+use osn_kernel::ids::Tid;
 use osn_kernel::node::RunResult;
-use osn_store::{SpillWriter, StoreOptions, StoreReader, StoreSummary, StoreWriter};
-use osn_trace::columns::code as columns_code;
+use osn_store::{SpillWriter, StoreError, StoreOptions, StoreReader, StoreSummary, StoreWriter};
 use osn_trace::session::{EventMask, TraceSession};
-use osn_trace::Event;
 
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::{AppRun, ExperimentConfig};
-use crate::report::{AppReport, PaperReport};
+use crate::report::AppReport;
 
 pub use osn_store as format;
 pub use osn_store::{RecoveryReport, StoreOptions as Options, StoreReader as Reader};
@@ -138,88 +137,37 @@ pub fn load_run(path: &Path) -> io::Result<AppRun> {
     })
 }
 
-/// Out-of-core analysis of an open store, single-decode and columnar:
-/// each CPU's chunks are decoded exactly once — straight out of the
-/// memory map — into a reused [`osn_trace::EventColumns`] block that
-/// feeds both the enter/exit pairing state machine
-/// ([`osn_analysis::ColumnPairing`]) and the scheduler-event extraction
-/// for timelines, so at most one decoded chunk per CPU is resident
-/// (`reader.stats()` proves the bound) and no full `Event` stream is
-/// ever materialized.
+/// Out-of-core analysis of an open store: parse the footer's run
+/// metadata, then feed each CPU's chunks to
+/// [`NoiseAnalysis::from_cpu_blocks`]. Each chunk is decoded exactly
+/// once — straight out of the memory map — into the cursor's reused
+/// [`osn_trace::EventColumns`] block, so at most one decoded chunk per
+/// CPU is resident (`reader.stats()` proves the bound) and no full
+/// `Event` stream is ever materialized.
 ///
 /// Output is bit-identical to `NoiseAnalysis::analyze` on the
 /// materialized trace: per-CPU chunk sequences replay each CPU's
-/// stream exactly, pairing per CPU plus the reference shard merge
-/// reproduces the global instance order, and the scheduler filter
-/// commutes with the `(t, cpu)` merge.
-pub fn analyze_store(reader: &StoreReader, result: &RunResult) -> io::Result<NoiseAnalysis> {
-    let errors_before = reader.stats().decode_errors;
+/// stream exactly. A chunk that fails to decode fails the analysis
+/// with that cursor's own [`osn_store::StoreError`].
+pub fn analyze_store(reader: &StoreReader) -> io::Result<(StoredRunMeta, NoiseAnalysis)> {
+    let meta = StoredRunMeta::from_bytes(reader.metadata())?;
+    let (tasks, end) = (&meta.result.tasks, meta.result.end_time);
     let ncpus = reader.ncpus();
-    let workers = osn_analysis::default_workers(ncpus.max(result.tasks.len()));
-
-    let per_cpu = osn_analysis::parallel_map(ncpus, workers, |c| {
-        let mut pairing = osn_analysis::ColumnPairing::new();
-        let mut sched: Vec<Event> = Vec::new();
-        let mut cursor = reader.column_chunks(CpuId(c as u16));
+    let workers = osn_analysis::default_workers(ncpus.max(tasks.len()));
+    let analysis = NoiseAnalysis::from_cpu_blocks(ncpus, tasks, end, workers, |cpu, feed| {
+        let mut cursor = reader.column_chunks(cpu);
         while let Some(block) = cursor.next_chunk() {
-            // A corrupt chunk poisons the cursor (recorded in
-            // `stats().decode_errors`, surfaced below); analyze what
-            // decoded so the error path still terminates cleanly.
-            let Ok(cols) = block else { break };
-            pairing.feed_columns(cols);
-            for i in 0..cols.len() {
-                let code = cols.code[i];
-                if code == columns_code::SWITCH || code == columns_code::WAKEUP {
-                    sched.push(cols.event(i));
-                }
-            }
+            feed(block?);
         }
-        let (instances, report) = pairing.finish();
-        ((instances, report), sched)
-    });
-    let (shards, sched_streams): (Vec<_>, Vec<_>) = per_cpu.into_iter().unzip();
-    let (instances, nesting_report) = osn_analysis::nesting::merge_shards(shards);
-    let sched = osn_trace::merge_streams(sched_streams);
-    let timelines = osn_analysis::timeline::build_timelines_events(
-        &sched,
-        &result.tasks,
-        result.end_time,
-        workers,
-    );
-    let analysis = NoiseAnalysis::from_parts(
-        instances,
-        nesting_report,
-        timelines,
-        &result.tasks,
-        result.end_time,
-        workers,
-    );
-
-    // Cursors poison (end early) on a corrupt chunk; surface that as
-    // an error instead of a silently truncated analysis.
-    let errors = reader.stats().decode_errors - errors_before;
-    if errors > 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{errors} chunk(s) failed to decode during streamed analysis"),
-        ));
-    }
-    Ok(analysis)
+        Ok::<(), StoreError>(())
+    })?;
+    Ok((meta, analysis))
 }
 
 /// Fully out-of-core report of one stored run: open, stream-analyze,
 /// and assemble the paper report without ever materializing the trace.
 pub fn streamed_report(path: &Path) -> io::Result<(AppReport, StoredRunMeta)> {
-    let reader = StoreReader::open(path)?;
-    let meta = StoredRunMeta::from_bytes(reader.metadata())?;
-    let analysis = analyze_store(&reader, &meta.result)?;
-    let report = AppReport::from_analysis(
-        meta.config.app,
-        &meta.ranks,
-        meta.config.node.net_irq_cpu,
-        &analysis,
-    );
-    Ok((report, meta))
+    report_store(&StoreReader::open(path)?)
 }
 
 /// [`streamed_report`] for possibly-damaged files: open through
@@ -228,15 +176,19 @@ pub fn streamed_report(path: &Path) -> io::Result<(AppReport, StoredRunMeta)> {
 /// recovery summary.
 pub fn recovered_report(path: &Path) -> io::Result<(AppReport, StoredRunMeta, RecoveryReport)> {
     let (reader, recovery) = StoreReader::recover(path)?;
-    let meta = StoredRunMeta::from_bytes(reader.metadata())?;
-    let analysis = analyze_store(&reader, &meta.result)?;
+    let (report, meta) = report_store(&reader)?;
+    Ok((report, meta, recovery))
+}
+
+fn report_store(reader: &StoreReader) -> io::Result<(AppReport, StoredRunMeta)> {
+    let (meta, analysis) = analyze_store(reader)?;
     let report = AppReport::from_analysis(
         meta.config.app,
         &meta.ranks,
         meta.config.node.net_irq_cpu,
         &analysis,
     );
-    Ok((report, meta, recovery))
+    Ok((report, meta))
 }
 
 /// Persist a whole campaign: one `<app>.osn` per run under `dir`
@@ -278,27 +230,6 @@ pub fn osn_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut found = Vec::new();
     walk(dir, &mut found)?;
     Ok(found)
-}
-
-/// Reload a persisted campaign (every `*.osn` under `dir`, sorted by
-/// path for determinism) and materialize each run.
-pub fn load_campaign(dir: &Path) -> io::Result<Vec<AppRun>> {
-    let mut paths = osn_files(dir)?;
-    paths.sort();
-    paths.iter().map(|p| load_run(p)).collect()
-}
-
-/// The fully streamed campaign report: every `*.osn` under `dir` is
-/// analyzed out-of-core and assembled into a [`PaperReport`], app order
-/// following path order.
-pub fn streamed_campaign_report(dir: &Path) -> io::Result<PaperReport> {
-    let mut paths = osn_files(dir)?;
-    paths.sort();
-    let apps = paths
-        .iter()
-        .map(|p| streamed_report(p).map(|(r, _)| r))
-        .collect::<io::Result<Vec<_>>>()?;
-    Ok(PaperReport { apps })
 }
 
 #[cfg(test)]

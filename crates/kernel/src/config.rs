@@ -109,11 +109,6 @@ impl NodeConfig {
         self.probe_overhead = overhead;
         self
     }
-
-    pub fn with_perturb(mut self, perturb: KernelPerturbations) -> Self {
-        self.perturb = perturb;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use osn_kernel::time::Nanos;
 use osn_trace::{EventKind, Trace};
 
 use crate::states::{state_code, STATE_BLOCKED, STATE_READY, STATE_RUNNING};
-use osn_analysis::timeline::{build_timelines, Phase};
+use osn_analysis::timeline::{build_timelines_events, Phase};
 
 /// Event type ids in the `.pcf` (see [`crate::pcf`]).
 pub const EVTYPE_KERNEL: u64 = 64_000_001;
@@ -87,7 +87,8 @@ pub fn write_prv(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> String {
     };
 
     // State records from the reconstructed task timelines.
-    let timelines = build_timelines(trace, tasks, end);
+    let workers = osn_analysis::default_workers(tasks.len());
+    let timelines = build_timelines_events(&trace.events, tasks, end, workers);
     for meta in tasks {
         let Some(tl) = timelines.get(meta.tid) else {
             continue;

@@ -70,7 +70,6 @@ pub enum Phase {
 pub struct PhaseProgram {
     pub name: &'static str,
     pub phases: Vec<Phase>,
-    pub cache_factor: f64,
 }
 
 impl PhaseProgram {
@@ -181,15 +180,6 @@ impl PhaseBuilder {
         PhaseProgram {
             name,
             phases: self.phases,
-            cache_factor: 1.0,
-        }
-    }
-
-    pub fn build_with_cache_factor(self, name: &'static str, cache_factor: f64) -> PhaseProgram {
-        PhaseProgram {
-            name,
-            phases: self.phases,
-            cache_factor,
         }
     }
 }
@@ -282,10 +272,6 @@ impl PhaseWorkload {
 impl Workload for PhaseWorkload {
     fn name(&self) -> &'static str {
         self.program.name
-    }
-
-    fn cache_factor(&self) -> f64 {
-        self.program.cache_factor
     }
 
     fn next(&mut self, ctx: &mut WorkloadCtx<'_>) -> Action {

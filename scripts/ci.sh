@@ -10,7 +10,7 @@
 # target dir); no argument (or `all`) runs everything, which is what a
 # developer runs locally.
 #
-#   lint   fmt, clippy, feature matrix, doc lint, shellcheck
+#   lint   fmt, clippy, doc lint, shellcheck
 #   test   unit/integration tests, vendored serde/serde_json tests,
 #          doc tests
 #   smoke  release-profile end-to-end: tiered cluster, serve daemon,
@@ -58,17 +58,6 @@ run_step() {
     step_begin "$name"
     "$@"
     step_end "$name"
-}
-
-# Every first-party crate must build under every corner of the
-# feature matrix — no default features, defaults, and all features —
-# so a cfg-gated module can't silently rot in an untested combination.
-features_matrix() {
-    local flags
-    for flags in --no-default-features "" --all-features; do
-        # shellcheck disable=SC2086
-        cargo check -q --offline --all-targets $flags "${FIRST_PARTY[@]}"
-    done
 }
 
 # The shell entry points are code too. Skips (loudly) where the tool
@@ -161,7 +150,6 @@ bench_smoke() {
 lint_steps() {
     run_step fmt cargo fmt --check
     run_step clippy cargo clippy --offline --no-deps --all-targets "${FIRST_PARTY[@]}" -- -D warnings
-    run_step features-matrix features_matrix
     run_step doc-lint env RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps "${FIRST_PARTY[@]}"
     run_step shellcheck shellcheck_scripts
 }
