@@ -6,12 +6,10 @@ use osn_kernel::activity::NoiseCategory;
 use osn_kernel::ids::Tid;
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
-
 use crate::noise::NoiseAnalysis;
 
 /// Noise totals and fractions for one application (job).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Breakdown {
     /// `(category, total)` in the canonical category order.
     pub totals: Vec<(NoiseCategory, Nanos)>,

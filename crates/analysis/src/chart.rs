@@ -12,12 +12,10 @@
 use osn_kernel::ids::Tid;
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
-
 use crate::noise::{Component, Interruption, NoiseAnalysis};
 
 /// One chart point: an interruption with its decomposition.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChartPoint {
     /// Interruption start time.
     pub t: Nanos,
@@ -30,7 +28,7 @@ pub struct ChartPoint {
 }
 
 /// The synthetic OS noise chart for one task.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NoiseChart {
     pub task: Tid,
     pub points: Vec<ChartPoint>,

@@ -35,7 +35,7 @@ use osn_kernel::activity::NoiseCategory;
 use osn_kernel::rng::{bounded, derive_indexed_seed, derive_seed, splitmix64};
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::chart::NoiseChart;
 
@@ -52,7 +52,7 @@ fn class_index(cat: NoiseCategory) -> usize {
 
 /// Cluster-tier injected fault classes — the attribution rows the
 /// barrier decomposition reports alongside the kernel noise categories.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum InjectedClass {
     /// Node crash + restart: the rank freezes for an outage window.
     Crash,
@@ -86,7 +86,7 @@ impl InjectedClass {
 /// A network-partition delay window: barrier arrivals landing inside
 /// `[start, end)` of the collective wall clock are held back by
 /// `delay`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DelayWindow {
     pub start: Nanos,
     pub end: Nanos,
@@ -776,7 +776,7 @@ impl RankSeries {
 }
 
 /// Parameters of the bulk-synchronous program.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BspParams {
     /// Compute granularity between barriers.
     pub granularity: Nanos,
@@ -1094,7 +1094,7 @@ pub fn couple_stream<R: Borrow<RankSeries>>(
 }
 
 /// Per-rank accounting over the whole coupled run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct RankStats {
     pub rank: usize,
     /// Useful compute: `phases * granularity`.
@@ -1109,7 +1109,7 @@ pub struct RankStats {
 
 /// Aggregated view of a coupled run: the per-rank/per-phase slowdown
 /// breakdown and which noise class paid for the barrier.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CollectiveBreakdown {
     pub granularity: Nanos,
     pub nranks: usize,

@@ -15,8 +15,6 @@
 use osn_kernel::activity::Activity;
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
-
 use crate::noise::{Component, Interruption};
 use crate::stats::EventClass;
 
@@ -43,7 +41,7 @@ fn classify(a: Activity) -> Option<EventClass> {
 
 /// A §V-A pair: two interruptions whose totals differ by at most
 /// `tolerance` but whose dominant causes differ.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ConfusablePair {
     pub a_start: Nanos,
     pub a_noise: Nanos,
@@ -99,7 +97,7 @@ pub fn confusable_pairs(
 /// A §V-B composite: one interruption (or one microbenchmark
 /// iteration) containing events of multiple distinct classes, which an
 /// indirect tool would report as a single cause.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Composite {
     pub start: Nanos,
     pub noise: Nanos,

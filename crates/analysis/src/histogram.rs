@@ -7,11 +7,11 @@
 
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A linear-bin histogram over durations, optionally cut at a
 /// percentile.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Histogram {
     /// Left edge of bin 0.
     pub lo: Nanos,

@@ -18,10 +18,8 @@ use osn_kernel::time::Nanos;
 use osn_trace::columns::code;
 use osn_trace::{Event, EventColumns, EventKind, Trace};
 
-use serde::{Deserialize, Serialize};
-
 /// One executed kernel activity, reconstructed from its enter/exit pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ActivityInstance {
     pub activity: Activity,
     pub cpu: CpuId,
@@ -46,7 +44,7 @@ impl ActivityInstance {
 }
 
 /// Problems found while reconstructing (tolerated, but reported).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NestingReport {
     /// Exits with no matching enter (e.g. trace started mid-activity).
     pub orphan_exits: u64,

@@ -25,8 +25,6 @@ use osn_kernel::time::Nanos;
 use osn_trace::columns::code;
 use osn_trace::{merge_streams, Event, EventColumns, Trace};
 
-use serde::{Deserialize, Serialize};
-
 use crate::nesting::{
     merge_shards, reconstruct_reference, ActivityInstance, ColumnPairing, NestingReport,
 };
@@ -35,7 +33,7 @@ use crate::timeline::{
 };
 
 /// One piece of an interruption.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Component {
     /// A kernel activity ran in the task's context (or inside its
     /// preemption gap), for `self_time` nanoseconds.
@@ -59,7 +57,7 @@ impl Component {
 
 /// A maximal interval during which a runnable task could not execute
 /// user code, decomposed into components.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Interruption {
     pub task: Tid,
     pub start: Nanos,
@@ -103,7 +101,7 @@ impl Interruption {
 }
 
 /// All noise experienced by one task.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TaskNoise {
     pub tid: Tid,
     pub interruptions: Vec<Interruption>,

@@ -15,13 +15,13 @@
 use osn_kernel::ids::Tid;
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::noise::NoiseAnalysis;
 use crate::stats::{all_class_stats, EventClass};
 
 /// One class's entry in a signature.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct SignatureEntry {
     pub class: EventClass,
     pub freq_per_sec: f64,
@@ -31,7 +31,7 @@ pub struct SignatureEntry {
 }
 
 /// The per-class noise fingerprint of one task set.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct NoiseSignature {
     pub entries: Vec<SignatureEntry>,
     pub total_noise: Nanos,
@@ -112,7 +112,7 @@ impl NoiseSignature {
 }
 
 /// One drifted class in a signature comparison.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Drift {
     pub class: EventClass,
     /// New frequency / baseline frequency.

@@ -5,14 +5,14 @@ use osn_kernel::activity::{Activity, NoiseCategory, SoftirqVec};
 use osn_kernel::ids::Tid;
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::breakdown::Breakdown;
 use crate::noise::NoiseAnalysis;
 
 /// The event classes the paper reports statistics for (each table row
 /// aggregates over the class, e.g. all page-fault kinds together).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum EventClass {
     PageFault,
     TimerInterrupt,
@@ -99,7 +99,7 @@ impl EventClass {
 
 /// One row of a paper statistics table: frequency and duration of one
 /// event class over a set of tasks.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct EventStats {
     pub count: u64,
     /// Events per second of application wall time.

@@ -15,10 +15,8 @@ use osn_kernel::task::TaskMeta;
 use osn_kernel::time::Nanos;
 use osn_trace::{EventKind, Trace};
 
-use serde::{Deserialize, Serialize};
-
 /// A task's scheduling phase.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Phase {
     /// Current on the given CPU.
     Running(CpuId),
@@ -53,7 +51,7 @@ impl Phase {
 }
 
 /// One segment of a task's life.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseSpan {
     pub start: Nanos,
     pub end: Nanos,
@@ -61,7 +59,7 @@ pub struct PhaseSpan {
 }
 
 /// The full reconstructed timeline of one task.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TaskTimeline {
     pub tid: Tid,
     /// Contiguous, non-overlapping, time-ordered spans covering
@@ -106,7 +104,7 @@ impl TaskTimeline {
 }
 
 /// Timelines for every task in a trace.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Timelines {
     map: HashMap<Tid, TaskTimeline>,
 }

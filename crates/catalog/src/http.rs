@@ -115,28 +115,32 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// start the worker pool.
+    /// start the worker pool. If a worker fails to spawn, the workers
+    /// already started are shut down and the spawn error returned.
     pub fn bind(addr: &str, threads: usize, handler: Handler) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
+        let mut server = HttpServer {
+            addr: listener.local_addr()?,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            workers: Vec::with_capacity(threads.max(1)),
+        };
         let listener = Arc::new(listener);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let workers = (0..threads.max(1))
-            .map(|i| {
-                let listener = Arc::clone(&listener);
-                let shutdown = Arc::clone(&shutdown);
-                let handler = Arc::clone(&handler);
-                std::thread::Builder::new()
-                    .name(format!("osn-http-{i}"))
-                    .spawn(move || worker_loop(&listener, &shutdown, &handler))
-                    .expect("spawn http worker")
-            })
-            .collect();
-        Ok(HttpServer {
-            addr,
-            shutdown,
-            workers,
-        })
+        for i in 0..threads.max(1) {
+            let listener = Arc::clone(&listener);
+            let shutdown = Arc::clone(&server.shutdown);
+            let handler = Arc::clone(&handler);
+            let spawned = std::thread::Builder::new()
+                .name(format!("osn-http-{i}"))
+                .spawn(move || worker_loop(&listener, &shutdown, &handler));
+            match spawned {
+                Ok(worker) => server.workers.push(worker),
+                Err(e) => {
+                    server.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(server)
     }
 
     /// The bound address (resolves ephemeral ports).

@@ -212,7 +212,7 @@ pub struct RunsResponse {
 }
 
 /// `/runs/{id}/slice` response.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SliceResponse {
     pub run: String,
     pub t0: u64,
@@ -228,7 +228,7 @@ pub struct SliceResponse {
 }
 
 /// `/runs/{id}/histogram` response.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct HistogramResponse {
     pub run: String,
     pub class: String,
@@ -239,7 +239,7 @@ pub struct HistogramResponse {
 }
 
 /// `/compare` response: `a` compared against baseline `b`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct CompareResponse {
     pub a: String,
     pub b: String,
@@ -254,7 +254,7 @@ pub struct CompareResponse {
 }
 
 /// `/stats` response.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct StatsResponse {
     pub runs: usize,
     pub skipped: usize,
@@ -263,7 +263,7 @@ pub struct StatsResponse {
 }
 
 /// Per-endpoint request accounting.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct EndpointStat {
     pub endpoint: String,
     pub requests: u64,

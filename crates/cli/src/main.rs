@@ -35,6 +35,9 @@ const STORE: Flag = flag("store", "DIR", Kind::Text);
 const CHUNK: Flag = flag("chunk", "EVENTS", Kind::Int(1, u32::MAX as u64));
 const CODEC: Flag = flag("codec", "", Kind::Choice(&["raw", "delta"]));
 const SAMPLES: Flag = flag("samples", "N", Kind::Int(1, u32::MAX as u64));
+/// Ceiling on `--threads` and `--workers`: each is one OS thread, and
+/// a value past what the host can start is a usage error, not a crash.
+const MAX_THREADS: u64 = 1024;
 const TOLERANCE: Flag = flag("tolerance", "NS", UINT);
 const AGAINST: Flag = flag("against", "SEED", UINT);
 const EXPORT_OUT: Flag = Flag {
@@ -81,7 +84,7 @@ const CAPTURE_FLAGS: &[Flag] = &[
 
 const SERVE_FLAGS: &[Flag] = &[
     flag("addr", "HOST:PORT", Kind::Text),
-    flag("threads", "N", UINT),
+    flag("threads", "N", Kind::Int(0, MAX_THREADS)),
     flag("rescan-ms", "MS", UINT),
     flag("cache", "N", UINT),
 ];
@@ -92,7 +95,7 @@ const CLUSTER_FLAGS: &[Flag] = &[
     SEED,
     GRANULARITY,
     flag("cpus", "C", Kind::Int(1, u16::MAX as u64)),
-    flag("workers", "W", POSITIVE),
+    flag("workers", "W", Kind::Int(1, MAX_THREADS)),
     flag("max-phases", "P", UINT),
     flag("stagger", "", Kind::Choice(&["on", "off"])),
     flag("tier", "mechanistic|auto|sampled:<frac>", Kind::Text),
@@ -824,7 +827,7 @@ fn cmd_cluster(args: &Args) -> Result<(), Error> {
     }
     config.stagger = args.text("stagger") != Some("off");
     if let Some(spec) = args.text("inject") {
-        config.inject.specs = osn_core::parse_inject_spec(spec)
+        config.inject = osn_core::parse_inject_spec(spec)
             .map_err(|e| args.usage(format!("bad --inject `{spec}`: {e}")))?;
     }
     if let Some(tier) = args.text("tier") {

@@ -10,7 +10,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 
-use osn_catalog::service::{CompareResponse, RunsResponse, SliceResponse};
+use osn_catalog::service::RunsResponse;
 use osn_catalog::Client;
 
 fn osnoise(args: &[&str]) -> Output {
@@ -24,6 +24,15 @@ fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("osn-cli-serve-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Field `name` of a served JSON object, as an unsigned integer.
+fn uint(v: &serde::Value, name: &str) -> u64 {
+    let map = v.as_map().expect("a JSON object");
+    match map.iter().find(|(k, _)| k == name) {
+        Some((_, serde::Value::U64(n))) => *n,
+        other => panic!("field {name}: expected an unsigned integer, got {other:?}"),
+    }
 }
 
 /// Kills the daemon even when an assertion fails mid-test.
@@ -123,25 +132,24 @@ fn serve_answers_analyze_bytes() {
         .get(&format!("/runs/{id}/slice?t0=0&t1=2000000"))
         .unwrap();
     assert_eq!(status, 200);
-    let slice: SliceResponse = serde_json::from_slice(&body).unwrap();
+    let slice: serde::Value = serde_json::from_slice(&body).unwrap();
+    let (decoded, total) = (uint(&slice, "chunks_decoded"), uint(&slice, "chunks_total"));
     assert!(
-        slice.chunks_total >= 2 * runs.runs[0].ncpus,
-        "store should span at least two default chunks per CPU: {} chunks",
-        slice.chunks_total
+        total >= 2 * runs.runs[0].ncpus as u64,
+        "store should span at least two default chunks per CPU: {total} chunks"
     );
     assert!(
-        slice.chunks_decoded < slice.chunks_total,
-        "narrow slice decoded {} of {} chunks",
-        slice.chunks_decoded,
-        slice.chunks_total
+        decoded < total,
+        "narrow slice decoded {decoded} of {total} chunks"
     );
 
     // A run compared with itself has composition distance 0.
     let (status, body) = client.get(&format!("/compare?a={id}&b={id}")).unwrap();
     assert_eq!(status, 200);
-    let cmp: CompareResponse = serde_json::from_slice(&body).unwrap();
-    assert_eq!(cmp.distance, 0.0);
-    assert!(cmp.same_config);
+    let cmp: serde::Value = serde_json::from_slice(&body).unwrap();
+    let cmp = cmp.as_map().expect("a JSON object");
+    assert!(cmp.contains(&("distance".to_string(), serde::Value::F64(0.0))));
+    assert!(cmp.contains(&("same_config".to_string(), serde::Value::Bool(true))));
 
     let (status, _) = client.get("/runs/nope/report").unwrap();
     assert_eq!(status, 404);

@@ -24,6 +24,16 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Field `name` of a JSON object the CLI wrote.
+fn field<'a>(v: &'a serde::Value, name: &str) -> &'a serde::Value {
+    let map = v.as_map().expect("a JSON object");
+    let (_, value) = map
+        .iter()
+        .find(|(k, _)| k == name)
+        .unwrap_or_else(|| panic!("missing field {name}"));
+    value
+}
+
 /// Run `osnoise`, failing the test if it is still running after
 /// `secs` seconds (a usage error must not start any work).
 fn osnoise_within(args: &[&str], secs: u64) -> Output {
@@ -97,6 +107,10 @@ fn bad_flags_are_usage_errors() {
             vec!["serve", ".", "--threads", "abc"],
             ["--threads", "`abc`"],
         ),
+        (
+            vec!["serve", ".", "--threads", "100000"],
+            ["--threads", "`100000`"],
+        ),
         (vec!["info", ".", "--json"], ["--json", "needs a value"]),
         (vec!["capture", "--quantum", "5"], ["--quantum", "`5`"]),
         (vec!["ftq", "--samples", "0"], ["--samples", "`0`"]),
@@ -111,6 +125,10 @@ fn bad_flags_are_usage_errors() {
         (
             [&cluster[..], &["--tier", "sampled:2"]].concat(),
             ["--tier", "`sampled:2`"],
+        ),
+        (
+            [&cluster[..], &["--workers", "100000"]].concat(),
+            ["--workers", "`100000`"],
         ),
     ];
     for (args, needles) in cases {
@@ -441,11 +459,10 @@ fn cluster_store_spills_one_osn_per_node_and_json_report() {
             "node-{i}.osn missing"
         );
     }
-    let report: osn_core::ClusterReport =
-        serde_json::from_slice(&std::fs::read(&json).unwrap()).unwrap();
-    assert_eq!(report.nodes, 2);
-    assert_eq!(report.node_seeds.len(), 2);
-    assert!(report.slowdown >= 1.0);
+    let report: serde::Value = serde_json::from_slice(&std::fs::read(&json).unwrap()).unwrap();
+    assert_eq!(field(&report, "nodes"), &serde::Value::U64(2));
+    assert_eq!(field(&report, "node_seeds").as_seq().unwrap().len(), 2);
+    assert!(matches!(field(&report, "slowdown"), serde::Value::F64(s) if *s >= 1.0));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -531,18 +548,8 @@ fn info_walks_directories_and_exposes_run_meta_json() {
     };
     assert_eq!(items.len(), 2);
     for item in &items {
-        let serde::Value::Map(fields) = item else {
-            panic!("per-store object expected");
-        };
-        let get = |name: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .unwrap_or_else(|| panic!("missing field {name}"))
-        };
-        assert!(matches!(get("events"), serde::Value::U64(n) if *n > 0));
-        let serde::Value::Map(meta) = get("run_meta") else {
+        assert!(matches!(field(item, "events"), serde::Value::U64(n) if *n > 0));
+        let serde::Value::Map(meta) = field(item, "run_meta") else {
             panic!("run_meta must carry the footer StoredRunMeta");
         };
         for key in ["config", "result", "ranks"] {

@@ -41,7 +41,7 @@ use osn_kernel::time::Nanos;
 use osn_store::StoreOptions;
 use osn_workloads::App;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::experiment::{observed_rank_of, run_app, AppRun, ExperimentConfig};
 use crate::scale::ScaleModel;
@@ -86,7 +86,7 @@ const SYNTH_CHUNK: usize = 256;
 /// [`InjectedClass`] rows in the barrier decomposition. Every schedule
 /// derives from the campaign seed — byte-identical across worker
 /// counts.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Injection {
     /// DVFS/thermal throttling: kernel costs scaled by `factor` for a
     /// `duty` fraction of every `period`, on one node or all.
@@ -133,43 +133,10 @@ impl Injection {
     }
 }
 
-/// The campaign's injection set. A wrapper struct (rather than a bare
-/// `Vec`) so deserialization can treat the whole block as optional:
-/// configs serialized before injection existed read back as "nothing
-/// injected".
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
-pub struct ClusterInjections {
-    pub specs: Vec<Injection>,
-}
-
-impl serde::Deserialize for ClusterInjections {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if v.is_null() {
-            return Ok(Self::default());
-        }
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::expected("map", "ClusterInjections"))?;
-        let specs = serde::__private::field(m, "specs");
-        if specs.is_null() {
-            return Ok(Self::default());
-        }
-        Ok(ClusterInjections {
-            specs: serde::Deserialize::from_value(specs)?,
-        })
-    }
-}
-
-impl ClusterInjections {
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-}
-
 /// Simulation tier of a cluster campaign: how many nodes run the full
 /// mechanistic kernel simulation versus being synthesized from a noise
 /// surrogate fitted to the mechanistic sample.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Tier {
     /// Every node is simulated mechanistically (the pre-tiered
     /// behaviour, and the default).
@@ -182,33 +149,6 @@ pub enum Tier {
     /// least `MIN_SAMPLE` nodes). `fraction: 1.0` is byte-identical
     /// to `Mechanistic`.
     Sampled { fraction: f64 },
-}
-
-/// Hand-written so configs serialized before the field existed (it
-/// reads back as `Null`) default to the old mechanistic behaviour.
-impl serde::Deserialize for Tier {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if v.is_null() {
-            return Ok(Tier::Mechanistic);
-        }
-        if let serde::Value::Str(s) = v {
-            return match s.as_str() {
-                "Mechanistic" => Ok(Tier::Mechanistic),
-                "Auto" => Ok(Tier::Auto),
-                other => Err(serde::DeError::unknown_variant(other, "Tier")),
-            };
-        }
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::expected("string or map", "Tier"))?;
-        let inner = serde::__private::field(m, "Sampled");
-        let inner = inner
-            .as_map()
-            .ok_or_else(|| serde::DeError::expected("Sampled variant body", "Tier"))?;
-        Ok(Tier::Sampled {
-            fraction: serde::Deserialize::from_value(serde::__private::field(inner, "fraction"))?,
-        })
-    }
 }
 
 /// Parse a `--tier` spec: `mechanistic` (or `mech`), `auto`,
@@ -365,7 +305,7 @@ fn parse_one_injection(s: &str) -> Result<Injection, String> {
 }
 
 /// Configuration of one mechanistic cluster campaign.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterConfig {
     pub app: App,
     /// Simulated nodes (one BSP rank per node, as in the paper's
@@ -391,13 +331,9 @@ pub struct ClusterConfig {
     /// Host worker threads for the node simulations (None =
     /// `available_parallelism`). Does not affect results.
     pub workers: Option<usize>,
-    /// Injected perturbations (empty = the healthy cluster; absent in
-    /// old serialized configs, which read back as empty).
-    #[serde(default)]
-    pub inject: ClusterInjections,
-    /// Simulation tier (absent in old serialized configs, which read
-    /// back as fully mechanistic).
-    #[serde(default)]
+    /// Injected perturbations (empty = the healthy cluster).
+    pub inject: Vec<Injection>,
+    /// Simulation tier.
     pub tier: Tier,
 }
 
@@ -413,7 +349,7 @@ impl ClusterConfig {
             max_phases: 0,
             stagger: true,
             workers: None,
-            inject: ClusterInjections::default(),
+            inject: Vec::new(),
             tier: Tier::Mechanistic,
         }
     }
@@ -450,7 +386,6 @@ impl ClusterConfig {
         }
         let mut forced: Vec<usize> = self
             .inject
-            .specs
             .iter()
             .filter_map(|inj| match inj {
                 Injection::Dvfs { node: Some(i), .. }
@@ -534,7 +469,7 @@ impl ClusterConfig {
     /// The kernel-tier perturbations node `index` runs with.
     pub fn node_perturb(&self, index: usize) -> KernelPerturbations {
         let mut p = KernelPerturbations::default();
-        for inj in &self.inject.specs {
+        for inj in &self.inject {
             match inj {
                 Injection::Dvfs {
                     node,
@@ -577,7 +512,7 @@ impl ClusterConfig {
     /// counts.
     pub fn rank_faults(&self, index: usize) -> RankFaults {
         let mut f = RankFaults::default();
-        for inj in &self.inject.specs {
+        for inj in &self.inject {
             match inj {
                 Injection::Crash { node, at, down } if *node == index => {
                     f.outages.push((*at, *at + *down));
@@ -642,7 +577,7 @@ impl SamplePlan {
 /// One surrogate-validation point: the mechanistic sample's first `v`
 /// ranks coupled as-is versus `v` synthetic twins drawn at the same
 /// starts and faults.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct TierValidation {
     pub nodes: usize,
     pub mechanistic_mean_max: Nanos,
@@ -654,7 +589,7 @@ pub struct TierValidation {
 
 /// Tier metadata embedded in the report so tiered runs are
 /// self-describing (absent when the campaign was fully mechanistic).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct TierMeta {
     /// `"auto"` or `"sampled"`.
     pub mode: String,
@@ -676,7 +611,7 @@ pub struct TierMeta {
 /// per-rank [`RankStats`] rows are folded into count/mean/M2/max plus
 /// a fixed-size log2 sketch instead of being materialized in the
 /// report (at 100k ranks the row vector would dominate it).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct RankSummary {
     pub count: usize,
     pub mean_self_noise: Nanos,
@@ -738,7 +673,7 @@ impl RankSummary {
 
 /// One point of the mechanistic amplification curve, with the analytic
 /// expectation on the same granularity for comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ClusterScalePoint {
     pub nodes: usize,
     pub phases: usize,
@@ -757,7 +692,7 @@ pub struct ClusterScalePoint {
 
 /// The serializable cluster campaign report. Byte-identical for a
 /// fixed config regardless of worker threads.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ClusterReport {
     pub app: App,
     pub nodes: usize,
@@ -1604,7 +1539,7 @@ mod tests {
     #[test]
     fn kernel_injections_lower_into_node_configs() {
         let mut config = tiny(3);
-        config.inject.specs =
+        config.inject =
             parse_inject_spec("steal:interval=5ms,duration=200us,node=1; numa:split=1,factor=2.0")
                 .unwrap();
         // Node 0: only the unfiltered NUMA spec.
@@ -1623,7 +1558,7 @@ mod tests {
     #[test]
     fn cluster_faults_lower_into_rank_faults() {
         let mut config = tiny(4);
-        config.inject.specs = parse_inject_spec(
+        config.inject = parse_inject_spec(
             "crash:node=1,at=10ms,down=5ms; straggler:node=2,factor=1.5; jitter:mean=20us",
         )
         .unwrap();
@@ -1647,7 +1582,7 @@ mod tests {
     fn injected_cluster_attributes_each_class() {
         let mut config = tiny(3);
         config.max_phases = 200;
-        config.inject.specs = parse_inject_spec(
+        config.inject = parse_inject_spec(
             "crash:node=1,at=20ms,down=10ms; straggler:node=2,factor=1.2; \
              partition:node=0,at=50ms,dur=150ms,delay=500us; jitter:mean=10us",
         )
@@ -1703,31 +1638,6 @@ mod tests {
     }
 
     #[test]
-    fn tier_field_defaults_on_old_configs_and_round_trips() {
-        let config = tiny(2);
-        let json = serde_json::to_string(&config).unwrap();
-        let idx = json.find(",\"tier\":").expect("tier serialized");
-        let tail = json[idx + 1..].find(',').map(|j| idx + 1 + j);
-        let stripped = match tail {
-            Some(j) => format!("{}{}", &json[..idx], &json[j..]),
-            None => format!("{}}}", &json[..idx]),
-        };
-        let back: ClusterConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.tier, Tier::Mechanistic);
-        for tier in [
-            Tier::Mechanistic,
-            Tier::Auto,
-            Tier::Sampled { fraction: 0.25 },
-        ] {
-            let mut with = tiny(2);
-            with.tier = tier;
-            let json = serde_json::to_string(&with).unwrap();
-            let back: ClusterConfig = serde_json::from_str(&json).unwrap();
-            assert_eq!(back.tier, tier);
-        }
-    }
-
-    #[test]
     fn sample_plan_is_stratified_deterministic_and_forced() {
         let mut config = tiny(64);
         config.tier = Tier::Sampled { fraction: 0.25 };
@@ -1745,12 +1655,11 @@ mod tests {
         assert_eq!(config.sample_plan().mechanistic.len(), 8);
         // A kernel-tier injection forces its node into the sample.
         config.tier = Tier::Sampled { fraction: 0.25 };
-        config.inject.specs =
-            parse_inject_spec("steal:interval=5ms,duration=200us,node=63").unwrap();
+        config.inject = parse_inject_spec("steal:interval=5ms,duration=200us,node=63").unwrap();
         assert!(config.sample_plan().mechanistic.contains(&63));
         // A cluster-tier fault does not (it applies to synthetic ranks
         // too).
-        config.inject.specs = parse_inject_spec("crash:node=62,at=1ms,down=1ms").unwrap();
+        config.inject = parse_inject_spec("crash:node=62,at=1ms,down=1ms").unwrap();
         let plan = config.sample_plan();
         assert_eq!(plan.mechanistic.len(), 16);
         // Full-coverage tiers collapse to the identity plan.
@@ -1795,23 +1704,5 @@ mod tests {
         assert!(mech.report.tier.is_none());
         assert!(mech.report.synthetic_ranks.is_none());
         assert_eq!(mech.report.ranks.len(), 12);
-    }
-
-    /// Cluster configs serialized before the `inject` field existed
-    /// must still deserialize (to the empty injection set).
-    #[test]
-    fn inject_field_defaults_on_old_configs() {
-        let config = tiny(2);
-        let json = serde_json::to_string(&config).unwrap();
-        let idx = json.find(",\"inject\":").expect("inject serialized last");
-        let stripped = format!("{}}}", &json[..idx]);
-        let back: ClusterConfig = serde_json::from_str(&stripped).unwrap();
-        assert!(back.inject.is_empty());
-        // And the full form round-trips.
-        let mut with = tiny(2);
-        with.inject.specs = parse_inject_spec("straggler:node=0,factor=2").unwrap();
-        let json = serde_json::to_string(&with).unwrap();
-        let back: ClusterConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.inject, with.inject);
     }
 }

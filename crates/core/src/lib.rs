@@ -32,8 +32,8 @@ pub use campaign::{campaign_report, run_campaign, CampaignConfig};
 pub use capture::{capture_meta, capture_to_store, write_capture};
 pub use cluster::{
     parse_duration, parse_inject_spec, parse_tier, run_cluster, run_cluster_opts,
-    run_cluster_stored, ClusterConfig, ClusterInjections, ClusterOutcome, ClusterReport,
-    ClusterScalePoint, Injection, RankSummary, RunOpts, SamplePlan, Tier, TierMeta, TierValidation,
+    run_cluster_stored, ClusterConfig, ClusterOutcome, ClusterReport, ClusterScalePoint, Injection,
+    RankSummary, RunOpts, SamplePlan, Tier, TierMeta, TierValidation,
 };
 pub use experiment::{run_app, AppRun, ExperimentConfig};
 pub use figures::{

@@ -12,12 +12,12 @@ use osn_kernel::activity::NoiseCategory;
 use osn_kernel::time::Nanos;
 use osn_workloads::App;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::experiment::{observed_rank_of, wall_of, AppRun};
 
 /// Everything the paper reports about one application.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct AppReport {
     pub app: App,
     pub nranks: usize,
@@ -139,7 +139,7 @@ impl AppReport {
 }
 
 /// The full paper report (all five Sequoia applications).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PaperReport {
     pub apps: Vec<AppReport>,
 }

@@ -25,14 +25,12 @@
 use osn_kernel::rng::Stream;
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
-
 use crate::analysis::chart::NoiseChart;
 use crate::experiment::AppRun;
 
 /// Empirical per-window noise model for one application at one
 /// granularity.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScaleModel {
     /// Compute granularity between barriers.
     pub granularity: Nanos,
@@ -41,7 +39,7 @@ pub struct ScaleModel {
 }
 
 /// One point of the scalability curve.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScalePoint {
     pub nodes: u64,
     /// Expected per-iteration noise `E[max_N W]`.

@@ -150,7 +150,7 @@ fn injected_report_is_byte_identical_across_worker_counts() {
         for workers in [1usize, 4, 8] {
             let mut c = config(App::Sphot, 4, seed);
             c.max_phases = 150;
-            c.inject.specs = osn_core::parse_inject_spec(
+            c.inject = osn_core::parse_inject_spec(
                 "steal:interval=5ms,duration=100us,node=1; \
                  dvfs:period=20ms,duty=0.3,factor=2,node=2; \
                  numa:split=1,factor=2,node=3; \

@@ -127,8 +127,7 @@ fn crash_attributes_on_mechanistic_and_synthetic_ranks() {
 
     for (tag, victim) in [("mechanistic", mech_rank), ("synthetic", synth_rank)] {
         let mut c = base.clone();
-        c.inject.specs =
-            parse_inject_spec(&format!("crash:node={victim},at=100ms,down=80ms")).unwrap();
+        c.inject = parse_inject_spec(&format!("crash:node={victim},at=100ms,down=80ms")).unwrap();
         // Cluster-tier faults never change the sampling plan.
         assert_eq!(c.sample_plan(), plan, "{tag}: plan moved under injection");
         let r = run_cluster(&c).report;
@@ -178,7 +177,7 @@ fn tiered_reports_match_pinned_golden_bytes() {
     // is synthetic, nodes 2 and 3 are in the mechanistic sample.
     let mut faulted = config(App::Amg, 32, 99);
     faulted.tier = Tier::Sampled { fraction: 0.25 };
-    faulted.inject.specs = parse_inject_spec(
+    faulted.inject = parse_inject_spec(
         "crash:node=1,at=100ms,down=30ms; straggler:node=2,factor=1.2; \
          partition:node=3,at=50ms,dur=150ms,delay=500us; jitter:mean=10us",
     )

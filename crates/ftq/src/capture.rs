@@ -35,7 +35,7 @@ use osn_trace::{Event, EventKind};
 use serde::Serialize;
 
 use crate::native::basic_op;
-use crate::procfs::{counter_delta, ProcSnapshot};
+use crate::procfs::{counter_delta, saturating_sum, ProcSnapshot};
 use crate::series::FtqSeries;
 
 /// The virtual CPU every synthesized event lands on.
@@ -46,7 +46,7 @@ pub const CAPTURE_APP_TID: Tid = Tid(1);
 pub const CAPTURE_PREEMPTOR_TID: Tid = Tid(2);
 
 /// What a detected gap was attributed to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GapClass {
     /// The periodic tick (local timer interrupt).
     Tick,
@@ -143,7 +143,7 @@ pub fn deltas_between(before: &ProcSnapshot, after: &ProcSnapshot) -> CounterDel
             ),
         ),
     };
-    let run_delay = |s: &ProcSnapshot| -> u64 { s.sched.iter().map(|c| c.run_delay).sum() };
+    let run_delay = |s: &ProcSnapshot| saturating_sum(s.sched.iter().map(|c| c.run_delay));
     CounterDeltas {
         timer_irqs,
         other_irqs,

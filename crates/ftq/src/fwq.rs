@@ -11,8 +11,6 @@ use osn_kernel::time::Nanos;
 use osn_kernel::workload::{Action, Outcome, Workload, WorkloadCtx};
 use osn_trace::{EventKind, Trace};
 
-use serde::{Deserialize, Serialize};
-
 /// Mark id used for FWQ per-iteration samples.
 pub const FWQ_MARK: u32 = 0xF8;
 
@@ -102,7 +100,7 @@ impl Workload for FwqWorkload {
 }
 
 /// A completed FWQ run: wall time per fixed-work iteration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FwqSeries {
     pub work: Nanos,
     /// Wall time of each iteration.

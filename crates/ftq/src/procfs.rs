@@ -27,11 +27,11 @@ pub struct InterruptsSnapshot {
 
 impl InterruptsSnapshot {
     pub fn timer_total(&self) -> u64 {
-        self.timer.iter().sum()
+        saturating_sum(self.timer.iter().copied())
     }
 
     pub fn other_total(&self) -> u64 {
-        self.other.iter().sum()
+        saturating_sum(self.other.iter().copied())
     }
 
     fn column_of(&self, cpu: u32) -> Option<usize> {
@@ -47,6 +47,12 @@ impl InterruptsSnapshot {
     pub fn other_on(&self, cpu: u32) -> Option<u64> {
         self.column_of(cpu).map(|i| self.other[i])
     }
+}
+
+/// Sum of counters, pinned at `u64::MAX`: counters come from outside
+/// the program, and a sum that wrapped would read as a small count.
+pub(crate) fn saturating_sum(counts: impl IntoIterator<Item = u64>) -> u64 {
+    counts.into_iter().fold(0, u64::saturating_add)
 }
 
 /// Whether an interrupt row is the periodic tick source. The label is
@@ -115,7 +121,7 @@ pub fn parse_interrupts(text: &str) -> InterruptsSnapshot {
                     // (hotplug drift, truncation): missing columns
                     // count 0.
                     for (i, n) in counts.iter().enumerate() {
-                        into[i] += n;
+                        into[i] = into[i].saturating_add(*n);
                     }
                     counts.clear();
                     break;
@@ -126,7 +132,7 @@ pub fn parse_interrupts(text: &str) -> InterruptsSnapshot {
         // or a description-less row): no description to classify by;
         // treat as a device interrupt.
         for (i, n) in counts.iter().enumerate() {
-            snap.other[i] += n;
+            snap.other[i] = snap.other[i].saturating_add(*n);
         }
     }
     snap

@@ -9,10 +9,8 @@
 
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
-
 /// A completed FTQ run: operations counted per quantum.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FtqSeries {
     /// Start time of quantum 0.
     pub origin: Nanos,
@@ -77,7 +75,7 @@ impl FtqSeries {
 
 /// §III-C comparison between the FTQ estimate and the tracer's direct
 /// measurement, per quantum.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FtqComparison {
     /// Per-quantum `(ftq_estimate, traced_noise)`.
     pub per_quantum: Vec<(Nanos, Nanos)>,

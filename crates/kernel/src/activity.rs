@@ -8,10 +8,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The classification of a page fault, mirroring the Linux fault paths.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum FaultKind {
     /// First touch of a fresh anonymous page (zero page mapped).
     AnonZero,
@@ -45,7 +45,7 @@ impl FaultKind {
 /// scheduler cost split by the context switch: "the first part of the
 /// schedule (0.382 µs), the process preemption (2.215 µs), and the second
 /// part of the schedule (0.179 µs)".
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum SchedPart {
     /// Pick-next + dequeue work before the context switch.
     Before,
@@ -55,7 +55,7 @@ pub enum SchedPart {
 
 /// Softirq vectors modeled by the simulator (the subset the paper found
 /// relevant, in Linux priority order).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub enum SoftirqVec {
     /// `run_timer_softirq`: expired software timers (TIMER_SOFTIRQ).
     Timer,
@@ -107,7 +107,7 @@ impl SoftirqVec {
 /// Syscall classes modeled with distinct service costs. Syscall service
 /// time is *requested* work and therefore not noise (paper §III), but it
 /// is traced like every other kernel entry.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum SyscallKind {
     Read,
     Write,
@@ -135,7 +135,7 @@ impl SyscallKind {
 /// Every instrumented kernel activity (a kernel entry/exit pair in the
 /// trace). This is the unit the paper's quantitative statistics are
 /// computed over.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Activity {
     /// Periodic (tick) local timer interrupt top half.
     TimerInterrupt,
@@ -160,7 +160,7 @@ pub enum Activity {
 /// The five noise categories of the paper's Fig 3, plus a bucket for
 /// requested (non-noise) kernel services so every traced activity has a
 /// classification.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub enum NoiseCategory {
     /// Timer interrupt handler and `run_timer_softirq`.
     Periodic,

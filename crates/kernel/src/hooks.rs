@@ -15,10 +15,10 @@ use crate::activity::{Activity, SoftirqVec};
 use crate::ids::{CpuId, Tid};
 use crate::time::Nanos;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Why a task ceased to be `current` at a context switch.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum SwitchState {
     /// Still runnable; it was preempted by the next task.
     Preempted,

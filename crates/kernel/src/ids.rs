@@ -48,13 +48,11 @@ impl fmt::Display for Tid {
 }
 
 /// A virtual memory region handle inside one task's address space.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RegionId(pub u32);
 
 /// A software-timer handle (kernel `struct timer_list` analogue).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerId(pub u32);
 
 /// An MPI-like job: a gang of ranks that synchronize on barriers.

@@ -7,8 +7,6 @@
 //! pages; the first touch of a non-present page raises a fault whose
 //! service-cost class depends on how the region is backed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::activity::FaultKind;
 use crate::ids::RegionId;
 
@@ -18,7 +16,7 @@ pub const PAGE_SIZE: u64 = 4096;
 
 /// How a mapped region is backed, which decides the fault class of its
 /// first-touch faults.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Backing {
     /// Fresh anonymous memory: first touch maps the shared zero page
     /// (cheap minor fault).

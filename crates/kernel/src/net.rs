@@ -16,11 +16,11 @@ use crate::rng::{Dist, Stream};
 use crate::time::Nanos;
 
 /// RPC handle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RpcId(pub u64);
 
 /// RPC direction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RpcOp {
     Read,
     Write,

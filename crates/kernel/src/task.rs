@@ -12,7 +12,7 @@ use crate::workload::{Outcome, Workload};
 
 /// Scheduling class/weight. We model two levels, mirroring the paper's
 /// setup where kernel daemons (rpciod) outrank the (nice-0) HPC tasks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SchedClass {
     /// Normal CFS task at nice 0 (load weight 1024).
     Normal,

@@ -218,7 +218,7 @@ impl fmt::Display for Nanos {
 }
 
 /// A half-open time interval `[start, end)`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Interval {
     pub start: Nanos,
     pub end: Nanos,

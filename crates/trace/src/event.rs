@@ -8,10 +8,10 @@ use osn_kernel::ids::{CpuId, Tid};
 use crate::columns::EventColumns;
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The payload of one trace record.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum EventKind {
     /// A kernel activity began (interrupt, softirq, exception,
     /// syscall, scheduler half).
@@ -38,7 +38,7 @@ pub enum EventKind {
 
 /// One timestamped trace record. `tid` is the task context the CPU was
 /// in when the event fired (`Tid::IDLE` for the idle loop).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct Event {
     pub t: Nanos,
     pub cpu: CpuId,

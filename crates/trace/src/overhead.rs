@@ -13,14 +13,12 @@ use osn_kernel::hooks::NullProbe;
 use osn_kernel::node::{Node, RunResult};
 use osn_kernel::time::Nanos;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-tracepoint cost representative of LTTng-class tracers
 /// (~119 ns/event on 2010-era hardware per Desnoyers & Dagenais).
 pub const LTTNG_CLASS_OVERHEAD: Nanos = Nanos(120);
 
 /// Result of one overhead measurement.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OverheadReport {
     /// Wall time with probes free.
     pub base: Nanos,

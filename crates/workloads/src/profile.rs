@@ -58,7 +58,7 @@ impl App {
 }
 
 /// A weighted mix of region backings for steady-state allocations.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BackingMix {
     /// `(weight, backing)`; weights are relative.
     pub parts: Vec<(f64, Backing)>,
@@ -82,7 +82,7 @@ impl BackingMix {
 }
 
 /// The full stimulus profile of one rank of one application.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Profile {
     pub app: App,
     /// Interrupt-cost inflation while this rank runs (per-app tick
