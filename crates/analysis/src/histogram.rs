@@ -38,8 +38,28 @@ impl Histogram {
     /// assert_eq!(h.counts.iter().sum::<u64>() + h.overflow, 100);
     /// ```
     pub fn build(samples: &[Nanos], bins: usize, pct: f64) -> Histogram {
+        let mut sorted: Vec<Nanos> = samples.to_vec();
+        sorted.sort_unstable();
+        Histogram::from_sorted(&sorted, bins, pct)
+    }
+
+    /// [`Histogram::build`] over samples already in ascending order:
+    /// no copy and no sort, O(bins · log n).
+    ///
+    /// ```
+    /// use osn_analysis::Histogram;
+    /// use osn_kernel::time::Nanos;
+    ///
+    /// let sorted: Vec<Nanos> = (0..100).map(|i| Nanos(2_000 + i * 10)).collect();
+    /// assert_eq!(Histogram::from_sorted(&sorted, 10, 99.0), Histogram::build(&sorted, 10, 99.0));
+    /// ```
+    pub fn from_sorted(sorted: &[Nanos], bins: usize, pct: f64) -> Histogram {
         assert!(bins > 0, "need at least one bin");
-        if samples.is_empty() {
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0] <= w[1]),
+            "samples not sorted"
+        );
+        if sorted.is_empty() {
             return Histogram {
                 lo: Nanos::ZERO,
                 width: Nanos(1),
@@ -48,10 +68,8 @@ impl Histogram {
                 total: 0,
             };
         }
-        let mut sorted: Vec<Nanos> = samples.to_vec();
-        sorted.sort_unstable();
         let lo = sorted[0];
-        let cut = percentile_sorted(&sorted, pct);
+        let cut = percentile_sorted(sorted, pct);
         let span = (cut - lo).max(Nanos(1));
         let width = Nanos(span.as_nanos().div_ceil(bins as u64)).max(Nanos(1));
         // The samples are sorted, so each bin is a contiguous run:
@@ -76,7 +94,7 @@ impl Histogram {
             width,
             counts,
             overflow,
-            total: samples.len() as u64,
+            total: sorted.len() as u64,
         }
     }
 

@@ -47,6 +47,6 @@ pub use par::{default_workers, parallel_map};
 pub use signature::{comparison_table, Drift, NoiseSignature, SignatureEntry};
 pub use stats::{
     all_class_stats, class_histogram, class_samples, class_samples_timed, class_stats, job_stats,
-    EventClass, EventStats, JobStats,
+    ClassColumns, EventClass, EventStats, JobStats,
 };
 pub use timeline::{Phase, PhaseSpan, TaskTimeline, Timelines};

@@ -18,7 +18,7 @@ use osn_kernel::time::Nanos;
 use serde::Serialize;
 
 use crate::noise::NoiseAnalysis;
-use crate::stats::{all_class_stats, EventClass};
+use crate::stats::{all_class_stats, EventClass, EventStats};
 
 /// One class's entry in a signature.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize)]
@@ -41,7 +41,12 @@ impl NoiseSignature {
     /// Build from an analysis over the given tasks: one pass over their
     /// interruption components ([`all_class_stats`]).
     pub fn build(analysis: &NoiseAnalysis, tids: &[Tid]) -> NoiseSignature {
-        let stats = all_class_stats(analysis, tids);
+        NoiseSignature::from_stats(all_class_stats(analysis, tids))
+    }
+
+    /// Build from per-class statistics rows, e.g. [`all_class_stats`]
+    /// or [`ClassColumns::all_stats`](crate::stats::ClassColumns::all_stats).
+    pub fn from_stats(stats: Vec<(EventClass, EventStats)>) -> NoiseSignature {
         let total: Nanos = stats.iter().map(|(_, s)| s.total).sum();
         let entries = stats
             .into_iter()

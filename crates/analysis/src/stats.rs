@@ -8,6 +8,7 @@ use osn_kernel::time::Nanos;
 use serde::Serialize;
 
 use crate::breakdown::Breakdown;
+use crate::histogram::Histogram;
 use crate::noise::NoiseAnalysis;
 
 /// The event classes the paper reports statistics for (each table row
@@ -236,24 +237,97 @@ fn wall_of(analysis: &NoiseAnalysis, tids: &[Tid]) -> Nanos {
         .unwrap_or(Nanos::ZERO)
 }
 
-/// Query-shaped entry point: one class's table row *and* its
-/// percentile-cut duration histogram from a single sample collection
-/// pass — what a catalog service answering `histogram?class=` needs
-/// from a cached analysis without re-running the full report assembly.
-/// Bit-identical to [`class_stats`] +
-/// [`Histogram::build`](crate::histogram::Histogram::build) over
-/// [`class_samples`] run separately.
+/// One class's table row *and* its percentile-cut duration histogram
+/// from a single sample collection pass. Bit-identical to
+/// [`class_stats`] + [`Histogram::build`] over [`class_samples`] run
+/// separately; the offline reference that [`ClassColumns`] answers are
+/// tested against.
 pub fn class_histogram(
     analysis: &NoiseAnalysis,
     tids: &[Tid],
     class: EventClass,
     bins: usize,
     pct: f64,
-) -> (EventStats, crate::histogram::Histogram) {
+) -> (EventStats, Histogram) {
     let samples = class_samples(analysis, tids, class);
     let stats = EventStats::from_samples(&samples, wall_of(analysis, tids));
-    let histogram = crate::histogram::Histogram::build(&samples, bins, pct);
+    let histogram = Histogram::build(&samples, bins, pct);
     (stats, histogram)
+}
+
+/// Every class's duration samples over one task set, each column in
+/// ascending order, with its sum and the set's wall basis. Built in one
+/// pass over the tasks' interruption components (8 bytes per classified
+/// component), it answers [`class_stats`] and [`class_histogram`] for
+/// any class, bin count and cut with no further pass, sort or sample
+/// copy — what a long-lived query service keeps per run.
+pub struct ClassColumns {
+    sorted: [Vec<Nanos>; EventClass::ALL.len()],
+    totals: [Nanos; EventClass::ALL.len()],
+    wall: Nanos,
+}
+
+impl ClassColumns {
+    /// Gather and sort the columns of `tids` (visited in order, like
+    /// [`class_samples`]).
+    pub fn build(analysis: &NoiseAnalysis, tids: &[Tid]) -> ClassColumns {
+        use crate::noise::Component;
+
+        let mut sorted: [Vec<Nanos>; EventClass::ALL.len()] = Default::default();
+        let mut totals = [Nanos::ZERO; EventClass::ALL.len()];
+        for tn in tids.iter().filter_map(|t| analysis.tasks.get(t)) {
+            for i in &tn.interruptions {
+                for (c, d) in &i.components {
+                    if let Component::Activity(a) = c {
+                        if let Some(class) = EventClass::of(*a) {
+                            sorted[class as usize].push(*d);
+                            totals[class as usize] += *d;
+                        }
+                    }
+                }
+            }
+        }
+        for column in &mut sorted {
+            column.sort_unstable();
+            column.shrink_to_fit();
+        }
+        ClassColumns {
+            sorted,
+            totals,
+            wall: wall_of(analysis, tids),
+        }
+    }
+
+    /// [`class_stats`] of `class`: count, extremes and sum read off the
+    /// sorted column, then the same arithmetic.
+    pub fn stats(&self, class: EventClass) -> EventStats {
+        let column = &self.sorted[class as usize];
+        let acc = match (column.first(), column.last()) {
+            (Some(&min), Some(&max)) => ClassAccum {
+                count: column.len() as u64,
+                total: self.totals[class as usize],
+                min,
+                max,
+            },
+            _ => ClassAccum::EMPTY,
+        };
+        acc.finish(self.wall)
+    }
+
+    /// Every class's [`ClassColumns::stats`], in [`EventClass::ALL`]
+    /// order: equal to [`all_class_stats`].
+    pub fn all_stats(&self) -> Vec<(EventClass, EventStats)> {
+        EventClass::ALL
+            .iter()
+            .map(|c| (*c, self.stats(*c)))
+            .collect()
+    }
+
+    /// The histogram half of [`class_histogram`], binned straight from
+    /// the sorted column.
+    pub fn histogram(&self, class: EventClass, bins: usize, pct: f64) -> Histogram {
+        Histogram::from_sorted(&self.sorted[class as usize], bins, pct)
+    }
 }
 
 /// Streaming equivalent of [`EventStats::from_samples`]: count, total,

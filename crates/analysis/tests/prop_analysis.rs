@@ -7,7 +7,10 @@ use proptest::prelude::*;
 use osn_analysis::histogram::{percentile, Histogram};
 use osn_analysis::nesting::{reconstruct_reference, ActivityInstance, NestingReport};
 use osn_analysis::noise::NoiseAnalysis;
-use osn_analysis::stats::EventStats;
+use osn_analysis::signature::NoiseSignature;
+use osn_analysis::stats::{
+    all_class_stats, class_histogram, class_stats, ClassColumns, EventClass, EventStats,
+};
 use osn_analysis::timeline::build_timelines_events;
 use osn_kernel::activity::Activity;
 use osn_kernel::hooks::SwitchState;
@@ -163,6 +166,22 @@ fn noisy_trace() -> impl Strategy<Value = Vec<Event>> {
     })
 }
 
+/// Application tasks `t1`..`t3`, the tids [`sched_stream_on`] switches
+/// between.
+fn three_tasks() -> Vec<TaskMeta> {
+    (1..=3u32)
+        .map(|i| TaskMeta {
+            tid: Tid(i),
+            name: format!("t{i}"),
+            kind: "app".into(),
+            job: None,
+            rank: 0,
+            user_time: Nanos::ZERO,
+            faults: 0,
+        })
+        .collect()
+}
+
 /// Well-formed nesting structures on several CPUs, merged into one
 /// `(t, cpu)`-ordered trace.
 fn multi_cpu_stream() -> impl Strategy<Value = Vec<Event>> {
@@ -294,17 +313,7 @@ proptest! {
     fn analysis_matches_reference(events in noisy_trace(), workers in 1usize..4) {
         let end = events.last().map(|e| e.t + Nanos(10)).unwrap_or(Nanos(100));
         let trace = Trace::new(events, vec![]);
-        let tasks: Vec<TaskMeta> = (1..=3u32)
-            .map(|i| TaskMeta {
-                tid: Tid(i),
-                name: format!("t{i}"),
-                kind: "app".into(),
-                job: None,
-                rank: 0,
-                user_time: Nanos::ZERO,
-                faults: 0,
-            })
-            .collect();
+        let tasks = three_tasks();
         let engine = NoiseAnalysis::analyze_with_workers(&trace, &tasks, end, workers);
         let reference = NoiseAnalysis::analyze_reference(&trace, &tasks, end);
         prop_assert_eq!(&engine.instances, &reference.instances);
@@ -425,5 +434,41 @@ proptest! {
         prop_assert_eq!(s.total, nanos.iter().copied().sum::<Nanos>());
         let expected_freq = nanos.len() as f64 / wall_secs as f64;
         prop_assert!((s.freq_per_sec - expected_freq).abs() < 1e-6);
+    }
+}
+
+proptest! {
+    // Most generated task lists miss the tasks the frames interrupt, so
+    // this property runs more cases than the default to see plenty of
+    // non-empty columns.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sorted class columns answer every class's statistics and
+    /// histogram exactly as the per-class oracles do, for any task list
+    /// (missing and repeated tids included), and the signature read off
+    /// them equals `NoiseSignature::build`.
+    #[test]
+    fn class_columns_match_class_oracles(
+        events in noisy_trace(),
+        tids in prop::collection::vec(0u32..5, 0..6),
+        bins in 1usize..=4096,
+        pct in 0.0f64..=100.0,
+    ) {
+        let end = events.last().map(|e| e.t + Nanos(10)).unwrap_or(Nanos(100));
+        let trace = Trace::new(events, vec![]);
+        let analysis = NoiseAnalysis::analyze(&trace, &three_tasks(), end);
+        let tids: Vec<Tid> = tids.into_iter().map(Tid).collect();
+        let columns = ClassColumns::build(&analysis, &tids);
+        for class in EventClass::ALL {
+            let (stats, histogram) = class_histogram(&analysis, &tids, class, bins, pct);
+            prop_assert_eq!(stats, class_stats(&analysis, &tids, class));
+            prop_assert_eq!(columns.stats(class), stats, "{:?}", class);
+            prop_assert_eq!(columns.histogram(class, bins, pct), histogram, "{:?}", class);
+        }
+        prop_assert_eq!(columns.all_stats(), all_class_stats(&analysis, &tids));
+        prop_assert_eq!(
+            NoiseSignature::from_stats(columns.all_stats()),
+            NoiseSignature::build(&analysis, &tids)
+        );
     }
 }

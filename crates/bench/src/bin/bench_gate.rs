@@ -6,9 +6,10 @@
 //! bench_gate <baseline_dir> <fresh_dir> [--threshold 0.85] [--metric-floor 0.70]
 //! ```
 //!
-//! Every `BENCH_PR*.json` in the baseline dir must exist in the fresh
-//! dir. For each file the top-level `aggregate_*` metrics are scored
-//! `fresh/baseline` (or inverted for lower-is-better metrics); the
+//! Every `BENCH_PR*.json` in the baseline dir that holds an
+//! `aggregate_*` metric must exist in the fresh dir. For each file the
+//! top-level `aggregate_*` metrics are scored `fresh/baseline` (or
+//! inverted for lower-is-better metrics); the
 //! gate passes when the geometric mean over all metrics stays at or
 //! above the threshold (default 0.85, i.e. at most a 15% aggregate
 //! regression) AND no single metric falls below the per-metric floor
@@ -140,6 +141,13 @@ fn main() -> ExitCode {
                 continue;
             }
         };
+        let base = aggregates(&base_text);
+        if base.is_empty() {
+            // A snapshot with nothing to gate, such as a `benchmark
+            // compare` summary: no bench binary writes a fresh copy.
+            println!("{file}: no aggregate_* metrics, nothing to gate");
+            continue;
+        }
         let fresh_path = Path::new(fresh_dir).join(file);
         let fresh_text = match std::fs::read_to_string(&fresh_path) {
             Ok(t) => t,
@@ -150,7 +158,7 @@ fn main() -> ExitCode {
             }
         };
         let fresh = aggregates(&fresh_text);
-        for (key, base) in aggregates(&base_text) {
+        for (key, base) in base {
             let new = fresh.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
             let lower = LOWER_IS_BETTER.contains(&key.as_str());
             let (score, verdict, failing) = match new {

@@ -11,7 +11,10 @@
 //! Robustness contract: a malformed request gets a `400` and the
 //! connection is closed; a handler panic is caught and answered with a
 //! `500`; oversized headers (> 16 KiB) and bodies (> 1 MiB) are
-//! rejected. The worker threads never unwind.
+//! rejected; a client that stops sending a request for [`IO_TIMEOUT`],
+//! or takes longer than that to accept one 64 KiB slice of a response,
+//! loses its connection, so a stalled client cannot pin a worker. The
+//! worker threads never unwind.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -19,14 +22,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Cap on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Cap on a request body (read and discarded — all endpoints are GET).
 const MAX_BODY_BYTES: u64 = 1024 * 1024;
-/// Socket read timeout: a stalled client frees its worker.
-const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// Socket read and write timeout: a client that stops sending, or stops
+/// reading a response, frees its worker after this long.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Response bodies are written in slices of this size, so a large
 /// `.prv` export streams to the socket instead of requiring one giant
 /// `write` syscall.
@@ -191,7 +195,8 @@ fn serve_connection(
     shutdown: &AtomicBool,
     handler: &Handler,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     stream.set_nodelay(true).ok();
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     while !shutdown.load(Ordering::SeqCst) {
@@ -391,11 +396,39 @@ fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool)
         response.body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
+    write_within(stream, head.as_bytes())?;
     for slice in response.body.chunks(WRITE_SLICE) {
-        stream.write_all(slice)?;
+        write_within(stream, slice)?;
     }
     stream.flush()
+}
+
+/// Write all of `bytes` within [`IO_TIMEOUT`]. The socket's write
+/// timeout (always `IO_TIMEOUT` between calls) bounds one `write`; this
+/// also bounds their sum, so a reader whose window lets a few bytes
+/// trickle through now and then still frees the worker.
+fn write_within(stream: &mut TcpStream, mut bytes: &[u8]) -> io::Result<()> {
+    let deadline = Instant::now() + IO_TIMEOUT;
+    let mut shortened = false;
+    let result = loop {
+        match stream.write(bytes) {
+            Ok(n) if n == bytes.len() => break Ok(()),
+            Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        shortened = true;
+    };
+    if shortened {
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    }
+    result
 }
 
 #[cfg(test)]

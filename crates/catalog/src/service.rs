@@ -10,9 +10,12 @@
 //!   `osnoise analyze --json` writes);
 //! * `/runs/{id}/slice` events ≡ a filtered [`StoreReader::column_chunks`]
 //!   walk ([`slice_events`] is the shared implementation);
-//! * `/runs/{id}/histogram` ≡ [`osn_analysis::class_histogram`];
+//! * `/runs/{id}/histogram` ≡ [`osn_analysis::class_histogram`],
+//!   binned from the run's cached [`ClassColumns`] (each class's
+//!   durations, sorted once when the products are built);
 //! * `/compare` ≡ [`NoiseSignature`] distance/drift of the two runs'
-//!   signatures, built once with the run's other products;
+//!   signatures, read off the same columns when the products are
+//!   built;
 //! * `/runs/{id}/paraver` ≡ [`osn_paraver::write_full_prv`].
 //!
 //! Bounded memory per endpoint:
@@ -24,7 +27,9 @@
 //! * report/histogram/compare serve from the products cache — at most
 //!   `cache_runs` analyses resident, LRU-evicted; each run's products
 //!   are built once outside the cache lock, so a cold build holds up
-//!   only the requests for that run;
+//!   only the requests for that run. The class columns add 8 bytes per
+//!   classified rank component, and a warm `/histogram` costs
+//!   O(bins · log n): no gather, no sort, no sample copy;
 //! * paraver materializes one trace for the duration of the request
 //!   (the one endpoint that is O(store) by nature; documented in
 //!   DESIGN.md).
@@ -38,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use osn_analysis::{class_histogram, Drift, EventClass, EventStats, Histogram, NoiseSignature};
+use osn_analysis::{ClassColumns, Drift, EventClass, EventStats, Histogram, NoiseSignature};
 use osn_core::report::PaperReport;
 use osn_core::{analyze_store, StoredRunMeta};
 use osn_kernel::activity::Activity;
@@ -83,12 +88,14 @@ impl ServiceConfig {
 
 /// Everything derived from one store that report-shaped endpoints
 /// need, built once and cached: the parsed footer meta, the streamed
-/// analysis, the pretty report bytes, the ranks' noise signature, and
-/// the shared reader handle.
+/// analysis, the pretty report bytes, the ranks' sorted per-class
+/// duration columns and the noise signature read off them, and the
+/// shared reader handle.
 struct RunProducts {
     meta: StoredRunMeta,
     analysis: osn_analysis::NoiseAnalysis,
     report_json: Arc<Vec<u8>>,
+    columns: ClassColumns,
     signature: NoiseSignature,
     reader: Arc<StoreReader>,
 }
@@ -135,12 +142,23 @@ const ENDPOINT_NAMES: [&str; 8] = [
     "(other)",
 ];
 
+/// Fixed log2 latency buckets per endpoint: bucket 0 counts requests
+/// answered in under 1 µs, bucket `k` those of `[2^(k-1), 2^k)` µs, and
+/// the last one everything from `2^30` µs up.
+const LATENCY_BUCKETS: usize = 32;
+
 #[derive(Default)]
 struct Counter {
     requests: AtomicU64,
     errors: AtomicU64,
     total_us: AtomicU64,
     max_us: AtomicU64,
+    latency_log2_us: [AtomicU64; LATENCY_BUCKETS],
+}
+
+/// The [`LATENCY_BUCKETS`] slot of a latency: its bit length.
+fn latency_bucket(us: u64) -> usize {
+    ((u64::BITS - us.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
 }
 
 struct State {
@@ -181,6 +199,7 @@ impl State {
         let us = elapsed.as_micros() as u64;
         c.total_us.fetch_add(us, Ordering::Relaxed);
         c.max_us.fetch_max(us, Ordering::Relaxed);
+        c.latency_log2_us[latency_bucket(us)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Re-scan the root and swap the catalog in, purging cached
@@ -271,6 +290,11 @@ pub struct EndpointStat {
     pub total_us: u64,
     pub max_us: u64,
     pub mean_us: f64,
+    /// Request counts per log2 latency bucket: entry 0 is under 1 µs,
+    /// entry `k` is `[2^(k-1), 2^k)` µs, the last is open-ended. With
+    /// no request in flight they sum to `requests`, error responses
+    /// included.
+    pub latency_log2_us: Vec<u64>,
 }
 
 /// The running service: HTTP workers + optional rescan thread.
@@ -553,11 +577,13 @@ fn build_products(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts
     let paper = PaperReport { apps: vec![report] };
     let report_json = serde_json::to_vec_pretty(&paper)
         .map_err(|e| Response::error(500, &format!("serialization failed: {e}")))?;
-    let signature = NoiseSignature::build(&analysis, &meta.ranks);
+    let columns = ClassColumns::build(&analysis, &meta.ranks);
+    let signature = NoiseSignature::from_stats(columns.all_stats());
     Ok(Arc::new(RunProducts {
         meta,
         analysis,
         report_json: Arc::new(report_json),
+        columns,
         signature,
         reader,
     }))
@@ -770,15 +796,13 @@ fn handle_histogram(state: &State, id: &str, req: &Request) -> Result<Response, 
         }
     };
     let products = products_for(state, &entry)?;
-    let (stats, histogram) =
-        class_histogram(&products.analysis, &products.meta.ranks, class, bins, pct);
     Ok(json_pretty(&HistogramResponse {
         run: entry.id,
         class: class.name().to_string(),
         bins,
         pct,
-        stats,
-        histogram,
+        stats: products.columns.stats(class),
+        histogram: products.columns.histogram(class, bins, pct),
     }))
 }
 
@@ -852,6 +876,11 @@ fn handle_stats(state: &State) -> Response {
                 } else {
                     total_us as f64 / requests as f64
                 },
+                latency_log2_us: c
+                    .latency_log2_us
+                    .iter()
+                    .map(|b| b.load(Ordering::Relaxed))
+                    .collect(),
             }
         })
         .collect();
@@ -869,6 +898,19 @@ mod tests {
     use crate::Client;
     use osn_core::{record_app, ExperimentConfig};
     use osn_workloads::App;
+
+    #[test]
+    fn latency_buckets_are_bit_lengths() {
+        assert_eq!(latency_bucket(0), 0);
+        assert_eq!(latency_bucket(1), 1);
+        assert_eq!(latency_bucket(2), 2);
+        assert_eq!(latency_bucket(3), 2);
+        assert_eq!(latency_bucket(1023), 10);
+        assert_eq!(latency_bucket(1024), 11);
+        assert_eq!(latency_bucket(1 << 29), 30);
+        assert_eq!(latency_bucket(1 << 30), LATENCY_BUCKETS - 1);
+        assert_eq!(latency_bucket(u64::MAX), LATENCY_BUCKETS - 1);
+    }
 
     /// A handler that panics while holding the shared locks must not
     /// wedge the daemon: later requests recover the guards and answer

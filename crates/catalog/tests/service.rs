@@ -1,15 +1,18 @@
 //! End-to-end service tests against a live in-process daemon:
 //! byte-identity of every endpoint with the offline library path
 //! (including under concurrent load), bounded chunk decoding for
-//! slices, and typed-error robustness for malformed requests, unknown
-//! ids, and stores appearing/disappearing mid-flight.
+//! slices, typed-error robustness for malformed requests, unknown ids,
+//! and stores appearing/disappearing mid-flight, and a worker freed
+//! from a client that stops reading.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use osn_analysis::{class_histogram, class_stats, EventClass, NoiseSignature, SignatureEntry};
+use osn_catalog::http::IO_TIMEOUT;
 use osn_catalog::service::{
     event_matches_class, slice_events, CompareResponse, HistogramResponse, RunsResponse,
     SliceResponse,
@@ -496,6 +499,19 @@ fn service_end_to_end() {
         "404/410 counted as errors"
     );
     assert!(by_name("{id}/histogram", "requests") >= 3);
+    // Every request, error responses included, lands in exactly one
+    // latency bucket.
+    for e in endpoints {
+        let buckets = get(e, "latency_log2_us").as_seq().unwrap();
+        assert_eq!(buckets.len(), 32);
+        assert_eq!(
+            buckets.iter().map(uint).sum::<u64>(),
+            uint(get(e, "requests")),
+            "{:?}: latency buckets do not sum to requests",
+            get(e, "endpoint")
+        );
+    }
+    assert!(by_name("(other)", "errors") >= 2, "404 and 405 counted");
 
     drop(client);
     service.shutdown();
@@ -638,6 +654,138 @@ fn served_pretty_json_matches_pinned_hashes() {
         assert_eq!(got, want, "{name}: body hash {got:#018x} drifted");
     }
     drop(client);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every class × bins {1, 64, 4096} × pct {0, 50, 99, 100} of run `id`
+/// must be served byte for byte as [`class_histogram`] builds it from
+/// an offline analysis of `path`. Returns how many classes had no
+/// samples.
+fn assert_histograms_match_offline(client: &mut Client, id: &str, path: &Path) -> usize {
+    let (_reader, meta, analysis) = offline_analysis(path);
+    let mut empty_classes = 0;
+    for class in EventClass::ALL {
+        for bins in [1usize, 64, 4096] {
+            for pct in [0.0f64, 50.0, 99.0, 100.0] {
+                let target = format!(
+                    "/runs/{id}/histogram?class={}&bins={bins}&pct={pct}",
+                    class.name()
+                );
+                let (status, body) = client.get(&target).unwrap();
+                assert_eq!(status, 200, "{target}");
+                let (stats, histogram) = class_histogram(&analysis, &meta.ranks, class, bins, pct);
+                let expected = serde_json::to_vec_pretty(&HistogramResponse {
+                    run: id.to_string(),
+                    class: class.name().to_string(),
+                    bins,
+                    pct,
+                    stats,
+                    histogram,
+                })
+                .unwrap();
+                assert!(
+                    body == expected,
+                    "{target}: body differs from class_histogram"
+                );
+            }
+        }
+        if class_stats(&analysis, &meta.ranks, class).count == 0 {
+            empty_classes += 1;
+        }
+    }
+    empty_classes
+}
+
+/// `/histogram` serves every class, bin count and cut from the run's
+/// cached columns with the bytes of the offline `class_histogram`, on a
+/// healthy store and on one whose tail was torn off by a corrupt chunk.
+#[test]
+fn histograms_match_class_histogram_on_healthy_and_recovered_stores() {
+    use osn_core::store::format::CHUNK_HEADER_BYTES;
+
+    let dir = tmpdir("histograms");
+    let healthy = dir.join("healthy.osn");
+    let damaged = dir.join("damaged.osn");
+    record_app(tiny_config(App::Amg, 3), &healthy, store_opts()).unwrap();
+    // One flipped payload byte mid-file: recovery keeps the footer and
+    // drops that chunk and everything after it.
+    let chunks = StoreReader::open(&healthy).unwrap().chunks().to_vec();
+    let victim = chunks[chunks.len() / 2];
+    let mut bytes = std::fs::read(&healthy).unwrap();
+    bytes[victim.offset as usize + CHUNK_HEADER_BYTES + 1] ^= 0x01;
+    std::fs::write(&damaged, &bytes).unwrap();
+
+    let mut config = ServiceConfig::new(dir.clone());
+    config.rescan = None;
+    let service = Service::start(config).unwrap();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let (_, body) = client.get("/runs").unwrap();
+    let runs: RunsResponse = serde_json::from_slice(&body).unwrap();
+    assert_eq!(runs.count, 2, "both stores indexed: {:?}", runs.skipped);
+    for (path, file, recovered) in [
+        (&healthy, "healthy.osn", false),
+        (&damaged, "damaged.osn", true),
+    ] {
+        let entry = runs.runs.iter().find(|r| r.path == file).unwrap();
+        assert_eq!(entry.recovered, recovered, "{file}");
+        let empty = assert_histograms_match_offline(&mut client, &entry.id, path);
+        assert!(
+            empty > 0 && empty < EventClass::ALL.len(),
+            "{file}: {empty} empty classes; both shapes must be covered"
+        );
+    }
+    drop(client);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A keep-alive client that asks for large slices and never reads the
+/// answers holds its worker only until the write timeout: with a single
+/// worker, a second client's `/stats` is still answered within
+/// `IO_TIMEOUT` plus slack.
+#[test]
+fn stalled_reader_frees_its_worker() {
+    let dir = tmpdir("stalled");
+    let mut config = ExperimentConfig::paper(App::Sphot, Nanos::from_secs(1)).with_seed(7);
+    config.node.cpus = 2;
+    config.nranks = 2;
+    record_app(config, &dir.join("sphot.osn"), store_opts()).unwrap();
+
+    let mut service_config = ServiceConfig::new(dir.clone());
+    service_config.rescan = None;
+    service_config.threads = 1;
+    let service = Service::start(service_config).unwrap();
+    let addr = service.addr();
+    let mut client = Client::connect(addr).unwrap();
+    let (_, body) = client.get("/runs").unwrap();
+    let runs: RunsResponse = serde_json::from_slice(&body).unwrap();
+    let target = format!("/runs/{}/slice", runs.runs[0].id);
+    let (status, body) = client.get(&target).unwrap();
+    assert_eq!(status, 200);
+    drop(client);
+
+    // Pipeline enough copies of the whole-run slice that the answers
+    // overflow the loopback socket buffers many times over.
+    let copies = (64 << 20) / body.len() + 1;
+    let request = format!("GET {target} HTTP/1.1\r\nHost: stalled\r\n\r\n").repeat(copies);
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.write_all(request.as_bytes()).unwrap();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let second = std::thread::spawn(move || {
+        let answer = Client::connect(addr).and_then(|mut c| c.get("/stats"));
+        tx.send(answer.map(|(status, _)| status)).ok();
+    });
+    let answered = rx.recv_timeout(IO_TIMEOUT + Duration::from_secs(10));
+    // Close the stalled connection before asserting, so a failure
+    // cannot leave the worker (and the shutdown) blocked behind it.
+    drop(stalled);
+    let status = answered
+        .expect("/stats unanswered while a stalled reader held the only worker")
+        .unwrap();
+    assert_eq!(status, 200);
+    second.join().unwrap();
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
