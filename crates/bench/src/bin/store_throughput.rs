@@ -14,6 +14,10 @@
 //!   comparison since both sides pay decode + checksum + I/O). Every
 //!   timed rep asserts byte-identical serialized reports — each rep
 //!   doubles as a differential check.
+//! * **Chunk kernel** — ns per record to fetch every chunk of the
+//!   store through the column cursors (header check, then the one pass
+//!   that checksums and decodes the payload into columns), best of
+//!   reps.
 //! * **Memory** — the reader's chunk-residency proxy (peak resident
 //!   chunks × chunk capacity × record size) against the materialized
 //!   trace footprint.
@@ -50,6 +54,9 @@ struct AppRow {
     streamed_analyze_s: f64,
     streamed_over_in_memory: f64,
     streamed_over_resident: f64,
+    /// Best-of-reps ns per record to checksum and decode every chunk
+    /// of the compressed store through the column cursors.
+    chunk_fetch_ns_per_record: f64,
     /// Chunk reads served from the memory map (false = pread fallback).
     mapped: bool,
     /// Reader residency proxy: peak chunks × capacity × record bytes.
@@ -189,6 +196,22 @@ fn main() {
             );
             s
         });
+        // The chunk kernel alone: every chunk of every CPU, fetched
+        // and decoded into columns, nothing downstream.
+        let reader = store::Reader::open(&path).expect("open");
+        let chunk_fetch_s = best_of(reps, || {
+            let t = Instant::now();
+            let mut records = 0usize;
+            for cpu in 0..reader.ncpus() as u16 {
+                let mut cursor = reader.column_chunks(osn_kernel::ids::CpuId(cpu));
+                while let Some(cols) = cursor.next_chunk() {
+                    records += std::hint::black_box(cols.expect("intact store")).len();
+                }
+            }
+            let s = t.elapsed().as_secs_f64();
+            assert_eq!(records as u64, reader.events(), "every record decoded");
+            s
+        });
         let in_memory_analyze_s = best_of(reps, || {
             let t = Instant::now();
             let analysis = osn_core::analysis::NoiseAnalysis::analyze(
@@ -222,6 +245,7 @@ fn main() {
             streamed_analyze_s,
             streamed_over_in_memory: streamed_analyze_s / in_memory_from_file_s,
             streamed_over_resident: streamed_analyze_s / in_memory_analyze_s,
+            chunk_fetch_ns_per_record: chunk_fetch_s * 1e9 / summary.events as f64,
             mapped,
             peak_resident_chunks: peak_resident,
             streamed_peak_bytes: (peak_resident
@@ -229,11 +253,12 @@ fn main() {
                 * std::mem::size_of::<osn_trace::Event>()) as u64,
         };
         println!(
-            "{:>10}: {:>9} events  write {:>7.1} MB/s  {:>5.2}x smaller  streamed/from-file {:>5.2}x  /resident {:>5.2}x  peak {:>3} chunks",
+            "{:>10}: {:>9} events  write {:>7.1} MB/s  {:>5.2}x smaller  chunk fetch {:>5.1} ns/record  streamed/from-file {:>5.2}x  /resident {:>5.2}x  peak {:>3} chunks",
             row.app,
             row.events,
             row.write_mb_per_sec,
             row.compression_ratio,
+            row.chunk_fetch_ns_per_record,
             row.streamed_over_in_memory,
             row.streamed_over_resident,
             row.peak_resident_chunks

@@ -12,9 +12,10 @@
 //! connection is closed; a handler panic is caught and answered with a
 //! `500`; oversized headers (> 16 KiB) and bodies (> 1 MiB) are
 //! rejected; a client that stops sending a request for [`IO_TIMEOUT`],
+//! takes longer than that to send a request head from its first byte,
 //! or takes longer than that to accept one 64 KiB slice of a response,
-//! loses its connection, so a stalled client cannot pin a worker. The
-//! worker threads never unwind.
+//! loses its connection, so a stalled or trickling client cannot pin a
+//! worker. The worker threads never unwind.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -29,7 +30,8 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Cap on a request body (read and discarded — all endpoints are GET).
 const MAX_BODY_BYTES: u64 = 1024 * 1024;
 /// Socket read and write timeout: a client that stops sending, or stops
-/// reading a response, frees its worker after this long.
+/// reading a response, frees its worker after this long. It also bounds
+/// the time from a request head's first byte to its end.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Response bodies are written in slices of this size, so a large
 /// `.prv` export streams to the socket instead of requiring one giant
@@ -233,7 +235,14 @@ enum ReadOutcome {
 
 /// Read one request head (and discard its body). `buf` carries bytes
 /// already read past the previous request (keep-alive pipelining).
+///
+/// An idle connection waits for the first byte under the socket's
+/// per-read timeout; from that byte on, the whole head must arrive
+/// within [`IO_TIMEOUT`], so a client trickling bytes cannot hold the
+/// worker by restarting the per-read timeout.
 fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<ReadOutcome> {
+    let mut deadline = (!buf.is_empty()).then(|| Instant::now() + IO_TIMEOUT);
+    let mut shortened = false;
     let head_end = loop {
         if let Some(pos) = find_head_end(buf) {
             break pos;
@@ -241,8 +250,28 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<ReadOut
         if buf.len() > MAX_HEAD_BYTES {
             return Ok(ReadOutcome::Bad("request head too large"));
         }
+        if let Some(deadline) = deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(ReadOutcome::Bad("request head not received in time"));
+            }
+            stream.set_read_timeout(Some(left))?;
+            shortened = true;
+        }
         let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
+        let n = match stream.read(&mut chunk) {
+            Ok(n) => n,
+            Err(e)
+                if deadline.is_some()
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                return Ok(ReadOutcome::Bad("request head not received in time"));
+            }
+            Err(e) => return Err(e),
+        };
         if n == 0 {
             return Ok(if buf.is_empty() {
                 ReadOutcome::Closed
@@ -251,7 +280,11 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<ReadOut
             });
         }
         buf.extend_from_slice(&chunk[..n]);
+        deadline.get_or_insert_with(|| Instant::now() + IO_TIMEOUT);
     };
+    if shortened {
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    }
 
     let head = buf[..head_end].to_vec();
     let body_already = buf.split_off(head_end + 4);
@@ -496,5 +529,54 @@ mod tests {
         // worker sits in read() until the socket timeout.
         drop(client);
         server.shutdown();
+    }
+
+    /// A client that sends its request head one byte per second never
+    /// lets a single read wait `IO_TIMEOUT`, yet gets a 400 or a closed
+    /// connection within `IO_TIMEOUT` of its first byte (plus slack).
+    #[test]
+    fn trickled_request_head_times_out() {
+        let handler: Handler = Arc::new(|_: &Request| Response::text("served".to_string()));
+        let server = HttpServer::bind("127.0.0.1:0", 1, handler).unwrap();
+        let mut slow = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = slow.try_clone().unwrap();
+        let limit = IO_TIMEOUT + Duration::from_secs(3);
+        reader.set_read_timeout(Some(limit)).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let head = b"GET /x HTTP/1.1\r\nX-Slow: ".iter();
+                for &byte in head.chain(std::iter::repeat(&b'a')) {
+                    if stop.load(Ordering::SeqCst) || slow.write_all(&[byte]).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_secs(1));
+                }
+            })
+        };
+        let started = Instant::now();
+        let mut answer = Vec::new();
+        let outcome = reader.read_to_end(&mut answer);
+        let elapsed = started.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        trickle.join().unwrap();
+        drop(reader);
+        server.shutdown();
+        assert!(elapsed <= limit, "answered after {elapsed:?}");
+        match outcome {
+            Ok(_) => assert!(
+                answer.is_empty() || answer.starts_with(b"HTTP/1.1 400"),
+                "{}",
+                String::from_utf8_lossy(&answer)
+            ),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionAborted
+                ),
+                "{e} after {elapsed:?}"
+            ),
+        }
     }
 }

@@ -642,11 +642,12 @@ pub fn event_matches_class(e: &Event, class: EventClass) -> bool {
     }
 }
 
-/// [`event_matches_class`] for record `i` of a decoded block, read off
-/// its `code` and `a` columns without building the [`Event`].
-fn record_matches_class(cols: &EventColumns, i: usize, class: EventClass) -> bool {
-    matches!(cols.code[i], code::ENTER | code::EXIT)
-        && Activity::from_code(cols.a[i] as u16).is_some_and(|a| class.matches(a))
+/// The activity codes `class` matches, as bits of a `u32` indexed by
+/// [`Activity::code`] (every code is below 32).
+fn class_code_mask(class: EventClass) -> u32 {
+    (0..u32::BITS as u16)
+        .filter(|&c| Activity::from_code(c).is_some_and(|a| class.matches(a)))
+        .fold(0, |mask, c| mask | 1 << c)
 }
 
 /// The slice query's library path, shared verbatim by the endpoint:
@@ -654,8 +655,10 @@ fn record_matches_class(cols: &EventColumns, i: usize, class: EventClass) -> boo
 /// chunks overlapping `[t0, t1)` (footer-index binary search — skipped
 /// chunks are never read), narrow each block to `[t0, t1)` with two
 /// binary searches on its timestamp column, filter those records by
-/// class on the `code`/`a` columns, build `Event`s for the matches
-/// only, and k-way merge to global `(t, cpu)` order. Returns
+/// class on the `code`/`a` columns (a bit test against the class's
+/// activity-code mask, built once per call; the same selection as
+/// [`event_matches_class`]), build `Event`s for the matches only, and
+/// k-way merge to global `(t, cpu)` order. Returns
 /// `(events, chunks_decoded, chunks_total)`.
 pub fn slice_events(
     reader: &StoreReader,
@@ -667,6 +670,15 @@ pub fn slice_events(
     let cpus: Vec<CpuId> = match cpu {
         Some(c) => vec![c],
         None => (0..reader.ncpus() as u16).map(CpuId).collect(),
+    };
+    let mask = class.map(class_code_mask);
+    let in_class = |cols: &EventColumns, i: usize| {
+        mask.is_none_or(|mask| {
+            matches!(cols.code[i], code::ENTER | code::EXIT)
+                && 1u32
+                    .checked_shl(cols.a[i] as u16 as u32)
+                    .is_some_and(|bit| mask & bit != 0)
+        })
     };
     let mut chunks_total = 0;
     let mut chunks_decoded = 0;
@@ -684,7 +696,7 @@ pub fn slice_events(
                 let hi = cols.t.partition_point(|&t| t < t1.as_nanos());
                 stream.extend(
                     (lo..hi)
-                        .filter(|&i| class.is_none_or(|cl| record_matches_class(cols, i, cl)))
+                        .filter(|&i| in_class(cols, i))
                         .map(|i| cols.event(i)),
                 );
             }

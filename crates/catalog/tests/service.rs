@@ -21,10 +21,13 @@ use osn_catalog::{Client, Service, ServiceConfig};
 use osn_core::report::PaperReport;
 use osn_core::store::Options;
 use osn_core::{analyze_store, record_app, ExperimentConfig, StoredRunMeta};
+use osn_kernel::activity::Activity;
+use osn_kernel::hooks::SwitchState;
 use osn_kernel::ids::CpuId;
+use osn_kernel::ids::Tid;
 use osn_kernel::time::Nanos;
-use osn_store::StoreReader;
-use osn_trace::Event;
+use osn_store::{write_store, StoreReader};
+use osn_trace::{Event, EventKind, Trace};
 use osn_workloads::App;
 use serde::Value;
 
@@ -787,5 +790,100 @@ fn stalled_reader_frees_its_worker() {
     assert_eq!(status, 200);
     second.join().unwrap();
     service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every activity code in the `a` word of every record kind, on each
+/// of 8 CPUs: only a class's own ENTER/EXIT records may match it.
+fn every_code_trace() -> Trace {
+    let streams = (0..8u16)
+        .map(|cpu| {
+            let mut t = 0;
+            let mut events = Vec::new();
+            for code in 1..=22u16 {
+                let act = Activity::from_code(code).unwrap();
+                let mut kinds = vec![
+                    EventKind::KernelEnter(act),
+                    EventKind::KernelExit(act),
+                    EventKind::Wakeup {
+                        tid: Tid(5),
+                        waker: Tid(code as u32),
+                    },
+                    EventKind::Migrate {
+                        tid: Tid(5),
+                        from: CpuId(0),
+                        to: CpuId(code),
+                    },
+                    EventKind::SchedSwitch {
+                        prev: Tid(5),
+                        prev_state: SwitchState::Preempted,
+                        next: Tid(code as u32),
+                    },
+                    EventKind::AppMark {
+                        mark: code as u32,
+                        value: code as u64,
+                    },
+                    EventKind::TaskExit {
+                        tid: Tid(code as u32),
+                    },
+                ];
+                if let Activity::Softirq(vec) = act {
+                    kinds.push(EventKind::SoftirqRaise(vec));
+                }
+                for kind in kinds {
+                    t += 1;
+                    events.push(Event {
+                        t: Nanos(t),
+                        cpu: CpuId(cpu),
+                        tid: Tid(5),
+                        kind,
+                    });
+                }
+            }
+            events
+        })
+        .collect();
+    Trace::from_streams(streams, vec![0; 8])
+}
+
+/// The slice path's class filter (a bit test of each record's activity
+/// code against the class's mask) selects exactly the records
+/// `event_matches_class` selects on the built events: every class, every
+/// record of a recorded 8-CPU store and of an 8-CPU store holding every
+/// activity code in every record kind, against a full typed walk.
+#[test]
+fn class_mask_selects_what_event_matches_class_selects() {
+    let dir = tmpdir("mask");
+    let recorded = dir.join("amg.osn");
+    let mut config = ExperimentConfig::paper(App::Amg, Nanos::from_millis(300)).with_seed(23);
+    config.node.cpus = 8;
+    record_app(config, &recorded, store_opts()).unwrap();
+    let every_code = dir.join("codes.osn");
+    write_store(&every_code, &every_code_trace(), b"", store_opts()).unwrap();
+
+    for path in [recorded, every_code] {
+        let reader = StoreReader::open(&path).unwrap();
+        assert_eq!(reader.ncpus(), 8);
+        let mut selected = 0;
+        for class in EventClass::ALL {
+            let (events, _, _) =
+                slice_events(&reader, Nanos(0), Nanos(u64::MAX), None, Some(class));
+            assert_eq!(
+                events,
+                full_walk_slice(&reader, 0, u64::MAX, Some(class)),
+                "{} in {}",
+                class.name(),
+                path.display()
+            );
+            selected += events.len();
+        }
+        let all = full_walk_slice(&reader, 0, u64::MAX, None);
+        assert_eq!(all.len() as u64, reader.events());
+        assert!(
+            selected > 0 && selected < all.len(),
+            "{selected} of {}",
+            all.len()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,12 +13,16 @@
 //!   microseconds apart, so deltas are 1–3 bytes; typical payloads
 //!   shrink to roughly a third of raw.
 //!
-//! Every payload is integrity-checked by a fnv1a-64 in the header
-//! before decoding — a torn tail chunk is detected, never misparsed.
+//! Every payload is integrity-checked against a fnv1a-64 in the header
+//! in the same pass that decodes it
+//! ([`decode_chunk_columns`]); a block is lent only after its checksum
+//! matched, so a torn tail chunk is detected, never misparsed.
 
 use osn_kernel::ids::CpuId;
 use osn_kernel::time::Nanos;
-use osn_trace::wire::{fnv1a64, pack_record, unpack_record};
+use osn_trace::wire::{
+    fnv1a64, fnv1a64_update, pack_record, record_is_valid, unpack_record, FNV1A64_OFFSET,
+};
 use osn_trace::{Event, EventColumns};
 
 use crate::varint::{get_uvarint, put_uvarint};
@@ -32,6 +36,8 @@ pub const CHUNK_HEADER_BYTES: usize = 40;
 pub const FLAG_COMPRESSED: u16 = 1;
 /// Raw (uncompressed) record size inside a chunk payload.
 pub const RAW_RECORD_BYTES: usize = 30;
+/// Fewest bytes a compressed record takes: five one-byte varints.
+const MIN_COMPRESSED_RECORD_BYTES: usize = 5;
 
 /// Parsed chunk header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,7 +102,7 @@ impl ChunkHeader {
 pub(crate) fn count_fits(flags: u16, count: u32, payload_len: u32) -> bool {
     let (count, len) = (count as u64, payload_len as u64);
     if flags & FLAG_COMPRESSED != 0 {
-        count * 5 <= len
+        count * MIN_COMPRESSED_RECORD_BYTES as u64 <= len
     } else {
         count * RAW_RECORD_BYTES as u64 == len
     }
@@ -177,74 +183,180 @@ pub fn encode_chunk(events: &[Event], cpu: u16, compress: bool, out: &mut Vec<u8
     }
 }
 
-/// Decode a chunk payload into columnar storage, reusing `out`'s
-/// capacity (the payload slice normally points into the reader's
-/// memory map). This is the store's only payload decoder: typed rows
-/// are read back out of the columns ([`EventColumns::events`]).
+/// Checksum and decode a chunk payload into columnar storage in one
+/// pass, reusing `out`'s capacity (the payload slice normally points
+/// into the reader's memory map). This is the store's only payload
+/// decoder: typed rows are read back out of the columns
+/// ([`EventColumns::events`]).
 ///
-/// The caller has already verified the payload checksum; this
-/// validates structure — length, varint structure, timestamp
-/// overflow, field widths, record well-formedness via
-/// [`unpack_record`], exact payload consumption, span agreement — so
-/// downstream column consumers may assume every record decodes
-/// ([`EventColumns`]'s accessor contract).
+/// Each record's bytes are folded into the FNV-1a 64 of the payload as
+/// they are consumed, and the result is compared with `checksum` (the
+/// header's). The record loop validates structure — length, varint
+/// structure, timestamp overflow, field widths, record
+/// well-formedness ([`record_is_valid`], named by [`unpack_record`]),
+/// exact payload consumption, span agreement — so downstream column
+/// consumers may assume every record decodes ([`EventColumns`]'s
+/// accessor contract). The checksum takes precedence over every
+/// structural error, as if it had been checked in a pass of its own:
+/// when the loop stops early, the rest of the payload is hashed before
+/// either error is returned. `Ok` means the checksum matched; on `Err`
+/// `out` is left empty.
 pub fn decode_chunk_columns(
     meta: &ChunkMeta,
+    checksum: u64,
     payload: &[u8],
     out: &mut EventColumns,
 ) -> Result<(), StoreError> {
-    let corrupt = |reason: &'static str| StoreError::CorruptChunk {
-        offset: meta.offset,
-        reason,
-    };
     out.cpu = CpuId(meta.cpu);
-    out.clear();
+    let (hash, hashed, decoded) = decode_records(meta, payload, out);
+    let result = if fnv1a64_update(hash, &payload[hashed..]) != checksum {
+        Err(StoreError::CorruptChunk {
+            offset: meta.offset,
+            reason: "payload checksum mismatch",
+        })
+    } else {
+        decoded
+    };
+    if result.is_err() {
+        out.clear();
+    }
+    result
+}
+
+/// The record loop of [`decode_chunk_columns`]: decode `payload` into
+/// `out`, hashing each record as it is consumed. Returns the FNV-1a 64
+/// state, how many leading payload bytes it covers (all of them unless
+/// a structural check stopped the loop), and the first structural
+/// error.
+fn decode_records(
+    meta: &ChunkMeta,
+    payload: &[u8],
+    out: &mut EventColumns,
+) -> (u64, usize, Result<(), StoreError>) {
+    let corrupt = |reason: &'static str| {
+        Err(StoreError::CorruptChunk {
+            offset: meta.offset,
+            reason,
+        })
+    };
+    let wire = |code: u16, tid: u32, a: u64, b: u64| {
+        Err(StoreError::Wire(
+            unpack_record(code, tid, a, b).expect_err("record_is_valid agrees with unpack_record"),
+        ))
+    };
+    let mut h = FNV1A64_OFFSET;
     if payload.len() != meta.payload_len as usize {
-        return Err(corrupt("payload length mismatch"));
+        return (h, 0, corrupt("payload length mismatch"));
     }
     let count = meta.count as usize;
-    out.reserve(count);
+    let rows = if meta.compressed() {
+        // Record `i` starts at byte `5 * i` or later, so any record past
+        // this many fails as a truncated varint before it is written: a
+        // count the payload cannot hold never sizes the columns.
+        count.min(payload.len() / MIN_COMPRESSED_RECORD_BYTES)
+    } else if payload.len() != count * RAW_RECORD_BYTES {
+        return (h, 0, corrupt("raw payload size mismatch"));
+    } else {
+        count
+    };
+    out.reset_zeroed(rows);
+    let EventColumns {
+        t: t_col,
+        code: code_col,
+        tid: tid_col,
+        a: a_col,
+        b: b_col,
+        ..
+    } = out;
     if meta.compressed() {
         let mut pos = 0usize;
         let mut prev = meta.t_first.0;
-        for _ in 0..count {
-            let mut next =
-                || get_uvarint(payload, &mut pos).ok_or_else(|| corrupt("truncated varint"));
-            let dt = next()?;
-            let code = next()?;
-            let tid = next()?;
-            let a = next()?;
-            let b = next()?;
-            let t = prev
-                .checked_add(dt)
-                .ok_or_else(|| corrupt("timestamp overflow"))?;
+        for i in 0..count {
+            let (start, h_start) = (pos, h);
+            let Some((dt, code, tid, a, b)) = read_varint_record(payload, &mut pos, &mut h) else {
+                return (h_start, start, corrupt("truncated varint"));
+            };
+            let Some(t) = prev.checked_add(dt) else {
+                return (h, pos, corrupt("timestamp overflow"));
+            };
             prev = t;
-            let code = u16::try_from(code).map_err(|_| corrupt("record code overflow"))?;
-            let tid = u32::try_from(tid).map_err(|_| corrupt("tid overflow"))?;
-            unpack_record(code, tid, a, b)?;
-            out.push_raw(t, code, tid, a, b);
+            let Ok(code) = u16::try_from(code) else {
+                return (h, pos, corrupt("record code overflow"));
+            };
+            let Ok(tid) = u32::try_from(tid) else {
+                return (h, pos, corrupt("tid overflow"));
+            };
+            if !record_is_valid(code, a) {
+                return (h, pos, wire(code, tid, a, b));
+            }
+            t_col[i] = t;
+            code_col[i] = code;
+            tid_col[i] = tid;
+            a_col[i] = a;
+            b_col[i] = b;
         }
         if pos != payload.len() {
-            return Err(corrupt("trailing payload bytes"));
+            return (h, pos, corrupt("trailing payload bytes"));
         }
     } else {
-        if payload.len() != count * RAW_RECORD_BYTES {
-            return Err(corrupt("raw payload size mismatch"));
-        }
-        for rec in payload.chunks_exact(RAW_RECORD_BYTES) {
+        for (i, rec) in payload.chunks_exact(RAW_RECORD_BYTES).enumerate() {
+            h = fnv1a64_update(h, rec);
             let t = u64::from_le_bytes(rec[0..8].try_into().unwrap());
             let code = u16::from_le_bytes(rec[8..10].try_into().unwrap());
             let tid = u32::from_le_bytes(rec[10..14].try_into().unwrap());
             let a = u64::from_le_bytes(rec[14..22].try_into().unwrap());
             let b = u64::from_le_bytes(rec[22..30].try_into().unwrap());
-            unpack_record(code, tid, a, b)?;
-            out.push_raw(t, code, tid, a, b);
+            if !record_is_valid(code, a) {
+                return (h, (i + 1) * RAW_RECORD_BYTES, wire(code, tid, a, b));
+            }
+            t_col[i] = t;
+            code_col[i] = code;
+            tid_col[i] = tid;
+            a_col[i] = a;
+            b_col[i] = b;
         }
     }
-    if out.t.first() != Some(&meta.t_first.0) || out.t.last() != Some(&meta.t_last.0) {
-        return Err(corrupt("span disagrees with header"));
+    if t_col.first() != Some(&meta.t_first.0) || t_col.last() != Some(&meta.t_last.0) {
+        return (h, payload.len(), corrupt("span disagrees with header"));
     }
-    Ok(())
+    (h, payload.len(), Ok(()))
+}
+
+/// The five varints of one compressed record, `(dt, code, tid, a, b)`,
+/// advancing `*pos` and folding their bytes into `*h`; `None` if the
+/// payload ends or a varint is malformed first.
+#[inline(always)]
+fn read_varint_record(
+    payload: &[u8],
+    pos: &mut usize,
+    h: &mut u64,
+) -> Option<(u64, u64, u64, u64, u64)> {
+    Some((
+        take_varint(payload, pos, h)?,
+        take_varint(payload, pos, h)?,
+        take_varint(payload, pos, h)?,
+        take_varint(payload, pos, h)?,
+        take_varint(payload, pos, h)?,
+    ))
+}
+
+/// One varint at `*pos`, its bytes folded into the FNV-1a 64 state
+/// `*h`. Most payload fields (codes, small tids, short deltas) fit in
+/// one byte: that case is inlined here, with its hash step, so the
+/// hash chain runs alongside the decode instead of in a pass of its
+/// own. Longer varints go through [`get_uvarint`].
+#[inline(always)]
+fn take_varint(payload: &[u8], pos: &mut usize, h: &mut u64) -> Option<u64> {
+    let start = *pos;
+    let first = *payload.get(start)?;
+    if first < 0x80 {
+        *pos += 1;
+        *h = fnv1a64_update(*h, &[first]);
+        return Some(first as u64);
+    }
+    let v = get_uvarint(payload, pos)?;
+    *h = fnv1a64_update(*h, &payload[start..*pos]);
+    Some(v)
 }
 
 #[cfg(test)]
@@ -282,7 +394,7 @@ mod tests {
             assert_eq!(header.checksum, fnv1a64(&out));
             let meta = ChunkMeta::from_header(0, &header);
             let mut cols = EventColumns::new(CpuId(0));
-            decode_chunk_columns(&meta, &out, &mut cols).unwrap();
+            decode_chunk_columns(&meta, header.checksum, &out, &mut cols).unwrap();
             assert_eq!(cols.cpu, CpuId(3));
             assert_eq!(cols.events().collect::<Vec<_>>(), events);
         }
@@ -299,7 +411,7 @@ mod tests {
                 let mut out = Vec::new();
                 let header = encode_chunk(&events, cpu, compress, &mut out);
                 let meta = ChunkMeta::from_header(0, &header);
-                decode_chunk_columns(&meta, &out, &mut cols).unwrap();
+                decode_chunk_columns(&meta, header.checksum, &out, &mut cols).unwrap();
                 assert_eq!(cols.cpu, CpuId(cpu));
                 let typed: Vec<Event> = cols.events().collect();
                 assert_eq!(typed, events, "compress={compress} cpu={cpu}");
@@ -352,7 +464,7 @@ mod tests {
             for cut in 0..payload.len() {
                 assert!(
                     matches!(
-                        decode_chunk_columns(&meta, &payload[..cut], &mut cols),
+                        decode_chunk_columns(&meta, header.checksum, &payload[..cut], &mut cols),
                         Err(StoreError::CorruptChunk { .. })
                     ),
                     "compress={compress} cut={cut}"
@@ -370,7 +482,7 @@ mod tests {
         payload.truncate(payload.len() / 2);
         let mut cols = EventColumns::new(CpuId(0));
         assert!(matches!(
-            decode_chunk_columns(&meta, &payload, &mut cols),
+            decode_chunk_columns(&meta, header.checksum, &payload, &mut cols),
             Err(StoreError::CorruptChunk { .. })
         ));
     }

@@ -4,7 +4,7 @@
 //! a [`Trace`], and the one bounded-memory per-CPU chunk cursor,
 //! [`ColumnChunks`], which lends column blocks to both the streamed
 //! analysis path and the catalog's slice path. Every payload is
-//! decoded by the one column decoder,
+//! checksummed and decoded in one pass by the one column decoder,
 //! [`crate::chunk::decode_chunk_columns`].
 
 use std::fs::File;
@@ -106,8 +106,9 @@ struct FileHeader {
 /// the reader and every cursor it hands out.
 ///
 /// When the map is present, chunk images are borrowed straight out of
-/// the mapped file — header parse, checksum, and payload decode all
-/// run over the mapped bytes with no intermediate copy. When mapping
+/// the mapped file — the header parse and the one pass that checksums
+/// and decodes the payload run over the mapped bytes with no
+/// intermediate copy. When mapping
 /// fails (exotic filesystems, resource limits) every access falls back
 /// to bounded `pread`s into a scratch buffer, preserving the
 /// bounded-memory contract rather than slurping the file into RAM.
@@ -399,12 +400,14 @@ impl StoreReader {
     }
 
     /// A bounded-memory columnar cursor over one CPU's chunks: each
-    /// call to [`ColumnChunks::next_chunk`] decodes the next chunk —
-    /// straight out of the memory map when available — into a reused
-    /// [`EventColumns`] block. No `Event` structs are materialized, and
-    /// one block's worth of columns is the only resident decoded state
-    /// (tracked by the reader's [`ChunkStats`]). A chunk that fails
-    /// validation ends the cursor and counts in `stats().decode_errors`.
+    /// call to [`ColumnChunks::next_chunk`] checksums and decodes the
+    /// next chunk in one pass — straight out of the memory map when
+    /// available — into a reused [`EventColumns`] block, and lends the
+    /// block only after its checksum matched. No `Event` structs are
+    /// materialized, and one block's worth of columns is the only
+    /// resident decoded state (tracked by the reader's [`ChunkStats`]).
+    /// A chunk that fails validation ends the cursor and counts in
+    /// `stats().decode_errors`.
     pub fn column_chunks(&self, cpu: CpuId) -> ColumnChunks {
         self.cursor(cpu, None)
     }
@@ -511,9 +514,10 @@ impl Drop for ColumnChunks {
     }
 }
 
-/// Parse, cross-check, and checksum-verify one chunk image, returning
-/// its payload bytes.
-fn verify_chunk<'a>(raw: &'a [u8], meta: &ChunkMeta) -> Result<&'a [u8], StoreError> {
+/// Parse one chunk image's header and cross-check it against the
+/// index entry, returning the payload bytes and the header's checksum
+/// ([`decode_chunk_columns`] verifies it while decoding).
+fn verify_chunk<'a>(raw: &'a [u8], meta: &ChunkMeta) -> Result<(&'a [u8], u64), StoreError> {
     let corrupt = |reason: &'static str| StoreError::CorruptChunk {
         offset: meta.offset,
         reason,
@@ -524,15 +528,12 @@ fn verify_chunk<'a>(raw: &'a [u8], meta: &ChunkMeta) -> Result<&'a [u8], StoreEr
     if on_disk != *meta {
         return Err(corrupt("index disagrees with chunk header"));
     }
-    let payload = &raw[CHUNK_HEADER_BYTES..];
-    if fnv1a64(payload) != header.checksum {
-        return Err(corrupt("payload checksum mismatch"));
-    }
-    Ok(payload)
+    Ok((&raw[CHUNK_HEADER_BYTES..], header.checksum))
 }
 
 /// Read, verify, and decode one chunk from the file (or map) into
-/// `cols`; `scratch` backs the read when the file is not mapped.
+/// `cols` in one pass over the payload; `scratch` backs the read when
+/// the file is not mapped.
 fn fetch_chunk(
     data: &StoreData,
     meta: &ChunkMeta,
@@ -540,8 +541,8 @@ fn fetch_chunk(
     scratch: &mut Vec<u8>,
 ) -> Result<(), StoreError> {
     let raw = data.chunk_bytes(meta, scratch)?;
-    let payload = verify_chunk(raw, meta)?;
-    decode_chunk_columns(meta, payload, cols)
+    let (payload, checksum) = verify_chunk(raw, meta)?;
+    decode_chunk_columns(meta, checksum, payload, cols)
 }
 
 fn read_file_header(file: &File) -> Result<FileHeader, StoreError> {

@@ -15,16 +15,9 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Read a LEB128 unsigned varint from `buf` at `*pos`, advancing
 /// `*pos`. Returns `None` on truncation or a varint longer than the
-/// 10-byte maximum for u64.
-#[inline]
+/// 10-byte maximum for u64. (The chunk decoder inlines the one-byte
+/// case itself and calls this for longer varints.)
 pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    // Fast path: most payload fields (codes, small tids, short deltas)
-    // fit in one byte.
-    let first = *buf.get(*pos)?;
-    if first < 0x80 {
-        *pos += 1;
-        return Some(first as u64);
-    }
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {

@@ -97,13 +97,16 @@ impl EventColumns {
         self.b.clear();
     }
 
-    /// Reserve room for `n` more records.
-    pub fn reserve(&mut self, n: usize) {
-        self.t.reserve(n);
-        self.code.reserve(n);
-        self.tid.reserve(n);
-        self.a.reserve(n);
-        self.b.reserve(n);
+    /// Drop all records and hold `n` zeroed ones instead, keeping the
+    /// capacity: a store decoder then writes each column by index, and
+    /// must overwrite every record before it lends the block.
+    pub fn reset_zeroed(&mut self, n: usize) {
+        self.clear();
+        self.t.resize(n, 0);
+        self.code.resize(n, 0);
+        self.tid.resize(n, 0);
+        self.a.resize(n, 0);
+        self.b.resize(n, 0);
     }
 
     /// Append one raw record tuple. The caller must have validated it

@@ -39,7 +39,17 @@ impl std::error::Error for WireError {}
 /// footers. Not cryptographic; it exists to catch torn writes and bit
 /// rot, like CTF's packet checksums.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_update(FNV1A64_OFFSET, bytes)
+}
+
+/// The FNV-1a 64 state before any byte: `fnv1a64(b"")`.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a 64 state `h`, so a payload can be
+/// hashed piecewise as a decoder consumes it:
+/// `fnv1a64_update(fnv1a64_update(FNV1A64_OFFSET, x), y) == fnv1a64(x ++ y)`.
+#[inline]
+pub fn fnv1a64_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -100,6 +110,22 @@ pub fn pack_record(e: &Event) -> (u16, u32, u64, u64) {
         ),
         EventKind::AppMark { mark, value } => (code::MARK, e.tid.0, mark as u64, value),
         EventKind::TaskExit { tid } => (code::TASK_EXIT, tid.0, 0, 0),
+    }
+}
+
+/// Whether [`unpack_record`] accepts a tuple with record code `c` and
+/// first payload word `a` (the `tid` and `b` fields never make it
+/// fail). Decoders that keep the raw tuple test this per record and
+/// call [`unpack_record`] only to name the [`WireError`] of a rejected
+/// one.
+#[inline]
+pub fn record_is_valid(c: u16, a: u64) -> bool {
+    match c {
+        code::ENTER | code::EXIT => Activity::from_code(a as u16).is_some(),
+        code::RAISE => matches!(Activity::from_code(a as u16), Some(Activity::Softirq(_))),
+        code::SWITCH => SwitchState::from_code((a >> 32) as u16).is_some(),
+        code::WAKEUP | code::MIGRATE | code::MARK | code::TASK_EXIT => true,
+        _ => false,
     }
 }
 
@@ -248,5 +274,10 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // Piecewise hashing agrees with one pass at every split.
+        for cut in 0..=6 {
+            let (x, y) = b"foobar".split_at(cut);
+            assert_eq!(fnv1a64_update(fnv1a64(x), y), 0x85944171f73967e8);
+        }
     }
 }
