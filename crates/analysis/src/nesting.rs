@@ -16,7 +16,7 @@ use osn_kernel::activity::Activity;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 use osn_trace::columns::code;
-use osn_trace::{Event, EventColumns, EventKind, Trace};
+use osn_trace::{merge_by_key, Event, EventColumns, EventKind};
 
 /// One executed kernel activity, reconstructed from its enter/exit pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -262,7 +262,7 @@ fn fix_equal_start_runs(v: &mut [ActivityInstance], close_seq: &[u32]) {
 }
 
 /// K-way merge of per-CPU shards by (start, cpu), summing the reports.
-/// Keys never tie across shards (the cpu differs), so heap order plus
+/// Keys never tie across shards (the cpu differs), so the merge plus
 /// per-shard FIFO reproduces the reference stable sort exactly: the
 /// result is bit-identical to [`reconstruct_reference`], instances
 /// sorted by `(start, cpu, Reverse(end))` — a *parent* sorts before its
@@ -276,44 +276,26 @@ pub fn merge_shards(
         report.unclosed_enters += r.unclosed_enters;
         report.mismatched_exits += r.mismatched_exits;
     }
-
-    let total: usize = shards.iter().map(|(v, _)| v.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    // Shard count is the CPU count — single digits — so a linear scan
-    // over the head keys beats a binary heap: no sift traffic, and the
-    // branch on `<` is predictable. Heads are cached in a small array
-    // so the scan never touches the shard vectors except to refill.
-    // Exhausted shards park at a key above every real one (`cpu` breaks
-    // ties among them, so the sentinel never collides with a live key).
-    const DONE: (Nanos, u16) = (Nanos(u64::MAX), u16::MAX);
-    let mut cursors = vec![0usize; shards.len()];
-    let mut heads: Vec<(Nanos, u16)> = shards
-        .iter()
-        .map(|(shard, _)| shard.first().map_or(DONE, |f| (f.start, f.cpu.0)))
-        .collect();
-    for _ in 0..total {
-        let mut best = 0usize;
-        for i in 1..heads.len() {
-            if heads[i] < heads[best] {
-                best = i;
-            }
-        }
-        let shard = &shards[best].0;
-        let cur = cursors[best];
-        out.push(shard[cur]);
-        cursors[best] = cur + 1;
-        heads[best] = shard.get(cur + 1).map_or(DONE, |n| (n.start, n.cpu.0));
-    }
+    let lens: Vec<usize> = shards.iter().map(|(v, _)| v.len()).collect();
+    let mut out = Vec::with_capacity(lens.iter().sum());
+    merge_by_key(
+        &lens,
+        |i, j| {
+            let inst = &shards[i].0[j];
+            (inst.start, inst.cpu.0)
+        },
+        |i, j| out.push(shards[i].0[j]),
+    );
     (out, report)
 }
 
 /// The retained sequential reference path (the pre-sharding
 /// implementation): one global walk over all events with per-CPU
 /// stacks, then a global sort. Kept as the differential-test oracle and
-/// the benchmark baseline.
-pub fn reconstruct_reference(trace: &Trace) -> (Vec<ActivityInstance>, NestingReport) {
-    let ncpus = trace
-        .events
+/// the benchmark baseline. `events` is the trace in `(t, cpu)` order
+/// ([`osn_trace::Trace::events`]).
+pub fn reconstruct_reference(events: &[Event]) -> (Vec<ActivityInstance>, NestingReport) {
+    let ncpus = events
         .iter()
         .map(|e| e.cpu.0 as usize + 1)
         .max()
@@ -322,7 +304,7 @@ pub fn reconstruct_reference(trace: &Trace) -> (Vec<ActivityInstance>, NestingRe
     let mut out = Vec::new();
     let mut report = NestingReport::default();
 
-    for event in &trace.events {
+    for event in events {
         let Event { t, cpu, tid, kind } = *event;
         let stack = &mut stacks[cpu.0 as usize];
         match kind {
@@ -384,6 +366,7 @@ mod tests {
     use super::*;
     use crate::NoiseAnalysis;
     use osn_kernel::activity::SoftirqVec;
+    use osn_trace::Trace;
 
     /// The instances and report of the analysis engine's pairing.
     fn pair(trace: &Trace) -> (Vec<ActivityInstance>, NestingReport) {

@@ -410,8 +410,19 @@ impl NoiseAnalysis {
     /// O(ranks × instances) obstruction gather. Kept as the
     /// differential-test oracle and the benchmark baseline.
     pub fn analyze_reference(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> NoiseAnalysis {
-        let (instances, nesting_report) = reconstruct_reference(trace);
-        let timelines = build_timelines_reference(trace, tasks, end);
+        Self::analyze_reference_events(&trace.events(), tasks, end)
+    }
+
+    /// [`NoiseAnalysis::analyze_reference`] over a trace already merged
+    /// into `(t, cpu)` order ([`Trace::events`]), so a benchmark can
+    /// time the reference engine without the merge.
+    pub fn analyze_reference_events(
+        events: &[Event],
+        tasks: &[TaskMeta],
+        end: Nanos,
+    ) -> NoiseAnalysis {
+        let (instances, nesting_report) = reconstruct_reference(events);
+        let timelines = build_timelines_reference(events, tasks, end);
 
         let per_cpu = per_cpu_positions(&instances);
         let running = running_segments(&timelines, per_cpu.len());

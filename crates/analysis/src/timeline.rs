@@ -13,7 +13,7 @@ use osn_kernel::hooks::SwitchState;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::task::TaskMeta;
 use osn_kernel::time::Nanos;
-use osn_trace::{EventKind, Trace};
+use osn_trace::{Event, EventKind};
 
 /// A task's scheduling phase.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -267,14 +267,15 @@ pub fn build_timelines_events(
 /// The retained single-walk reference implementation (the
 /// pre-partitioning seed path): one pass over all events mutating every
 /// task's builder in stream order. Kept as the differential-test oracle
-/// and the benchmark baseline.
-pub fn build_timelines_reference(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> Timelines {
+/// and the benchmark baseline. `events` is the trace in `(t, cpu)`
+/// order ([`osn_trace::Trace::events`]).
+pub fn build_timelines_reference(events: &[Event], tasks: &[TaskMeta], end: Nanos) -> Timelines {
     let mut builders: HashMap<Tid, Builder> = tasks
         .iter()
         .map(|meta| (meta.tid, Builder::new(meta)))
         .collect();
 
-    for event in &trace.events {
+    for event in events {
         match event.kind {
             EventKind::SchedSwitch {
                 prev,
@@ -320,7 +321,7 @@ pub fn build_timelines_reference(trace: &Trace, tasks: &[TaskMeta], end: Nanos) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osn_trace::Event;
+    use osn_trace::Trace;
 
     fn meta(tid: u32, kind: &str) -> TaskMeta {
         TaskMeta {
@@ -377,7 +378,7 @@ mod tests {
             vec![],
         );
         let tls = build_timelines_events(
-            &trace.events,
+            &trace.events(),
             &[meta(1, "app"), meta(2, "events")],
             Nanos(150),
             1,
@@ -407,7 +408,7 @@ mod tests {
     #[test]
     fn daemon_starts_blocked() {
         let trace = Trace::new(vec![wakeup(30, 0, 2, 1)], vec![]);
-        let tls = build_timelines_events(&trace.events, &[meta(2, "rpciod")], Nanos(50), 1);
+        let tls = build_timelines_events(&trace.events(), &[meta(2, "rpciod")], Nanos(50), 1);
         let tl = tls.get(Tid(2)).unwrap();
         assert_eq!(
             tl.phase_at(Nanos(10)),
@@ -427,7 +428,7 @@ mod tests {
             ],
             vec![],
         );
-        let tls = build_timelines_events(&trace.events, &[meta(1, "app")], Nanos(100), 1);
+        let tls = build_timelines_events(&trace.events(), &[meta(1, "app")], Nanos(100), 1);
         let tl = tls.get(Tid(1)).unwrap();
         for w in tl.spans.windows(2) {
             assert_eq!(w[0].end, w[1].start, "gap in timeline");
@@ -438,7 +439,7 @@ mod tests {
     #[test]
     fn phase_at_boundaries() {
         let trace = Trace::new(vec![switch(10, 0, 0, SwitchState::Preempted, 1)], vec![]);
-        let tls = build_timelines_events(&trace.events, &[meta(1, "app")], Nanos(20), 1);
+        let tls = build_timelines_events(&trace.events(), &[meta(1, "app")], Nanos(20), 1);
         let tl = tls.get(Tid(1)).unwrap();
         // Half-open: at exactly t=10 the new phase holds.
         assert_eq!(tl.phase_at(Nanos(10)), Some(Phase::Running(CpuId(0))));
@@ -450,7 +451,7 @@ mod tests {
     #[test]
     fn unknown_tasks_ignored() {
         let trace = Trace::new(vec![switch(10, 0, 9, SwitchState::Preempted, 8)], vec![]);
-        let tls = build_timelines_events(&trace.events, &[meta(1, "app")], Nanos(20), 1);
+        let tls = build_timelines_events(&trace.events(), &[meta(1, "app")], Nanos(20), 1);
         assert_eq!(tls.len(), 1);
         assert!(tls.get(Tid(9)).is_none());
     }
@@ -464,7 +465,7 @@ mod tests {
             ],
             vec![],
         );
-        let tls = build_timelines_events(&trace.events, &[meta(1, "app")], Nanos(30), 1);
+        let tls = build_timelines_events(&trace.events(), &[meta(1, "app")], Nanos(30), 1);
         let tl = tls.get(Tid(1)).unwrap();
         assert_eq!(tl.phase_at(Nanos(25)), Some(Phase::Running(CpuId(0))));
     }

@@ -275,7 +275,7 @@ proptest! {
         workers in 1usize..5,
     ) {
         let trace = Trace::new(events, vec![]);
-        let reference = reconstruct_reference(&trace);
+        let reference = reconstruct_reference(&trace.events());
         let sharded = NoiseAnalysis::analyze_with_workers(&trace, &[], Nanos::ZERO, workers);
         prop_assert_eq!(paired(sharded), reference.clone());
         prop_assert_eq!(paired(NoiseAnalysis::analyze(&trace, &[], Nanos::ZERO)), reference);
@@ -302,7 +302,7 @@ proptest! {
         events.sort_by_key(|e| e.key());
         let trace = Trace::new(events, vec![]);
         let sharded = NoiseAnalysis::analyze_with_workers(&trace, &[], Nanos::ZERO, workers);
-        prop_assert_eq!(paired(sharded), reconstruct_reference(&trace));
+        prop_assert_eq!(paired(sharded), reconstruct_reference(&trace.events()));
     }
 
     /// The full parallel engine — sharded reconstruction, partitioned
@@ -384,7 +384,7 @@ proptest! {
             faults: 0,
         };
         let trace = Trace::new(events, vec![]);
-        let tls = build_timelines_events(&trace.events, &[meta], end, 1);
+        let tls = build_timelines_events(&trace.events(), &[meta], end, 1);
         let tl = tls.get(Tid(1)).unwrap();
         // Partition: contiguous, ordered, covering [0, end).
         prop_assert!(!tl.spans.is_empty());

@@ -27,6 +27,7 @@ use std::time::Instant;
 use osn_bench::{duration, load_or_run, seed};
 use osn_core::analysis::NoiseAnalysis;
 use osn_core::report::AppReport;
+use osn_core::trace::Event;
 use osn_core::{run_app, AppRun, ExperimentConfig};
 use osn_kernel::time::Nanos;
 use osn_workloads::App;
@@ -114,8 +115,11 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
     (best, out)
 }
 
-fn analyze_reference(run: &AppRun) -> NoiseAnalysis {
-    NoiseAnalysis::analyze_reference(&run.trace, &run.result.tasks, run.result.end_time)
+/// The reference engine over `events`, the run's trace already merged
+/// into `(t, cpu)` order: the merge is left out of the timed region, as
+/// the engine's inputs (the trace's columns) are.
+fn analyze_reference(run: &AppRun, events: &[Event]) -> NoiseAnalysis {
+    NoiseAnalysis::analyze_reference_events(events, &run.result.tasks, run.result.end_time)
 }
 
 fn analyze_engine(run: &AppRun) -> NoiseAnalysis {
@@ -147,8 +151,9 @@ fn main() {
     let (mut tot_ref, mut tot_eng) = (0.0f64, 0.0f64);
     for &app in App::ALL.iter() {
         let run = load_or_run(app);
+        let events = run.trace.events();
         // Warm-up rep of each side, then timed reps.
-        let reference_report = AppReport::build_reference(&run, &analyze_reference(&run));
+        let reference_report = AppReport::build_reference(&run, &analyze_reference(&run, &events));
         let engine_json = serde_json::to_vec(&engine_report(&run)).expect("serializable");
         let reference_json = serde_json::to_vec(&reference_report).expect("serializable");
         assert_eq!(
@@ -160,7 +165,7 @@ fn main() {
 
         let (reference_s, _) = best_of(reps, || {
             timed(false, || {
-                AppReport::build_reference(&run, &analyze_reference(&run))
+                AppReport::build_reference(&run, &analyze_reference(&run, &events))
             })
         });
         let (engine_s, _) = best_of(reps, || timed(multi, || engine_report(&run)));
@@ -205,9 +210,10 @@ fn main() {
         config.node.cpus = cpus;
         config.nranks = ranks;
         let run = run_app(config);
+        let events = run.trace.events();
 
         // Differential check once per configuration.
-        let reference = analyze_reference(&run);
+        let reference = analyze_reference(&run, &events);
         assert_eq!(
             run.analysis.instances, reference.instances,
             "sweep ranks={ranks}: instances differ"
@@ -220,7 +226,7 @@ fn main() {
             );
         }
 
-        let (reference_s, _) = best_of(reps, || timed(false, || analyze_reference(&run)));
+        let (reference_s, _) = best_of(reps, || timed(false, || analyze_reference(&run, &events)));
         let (engine_s, _) = best_of(reps, || timed(multi, || analyze_engine(&run)));
         let row = SweepRow {
             cpus,

@@ -12,10 +12,10 @@
 //! connection is closed; a handler panic is caught and answered with a
 //! `500`; oversized headers (> 16 KiB) and bodies (> 1 MiB) are
 //! rejected; a client that stops sending a request for [`IO_TIMEOUT`],
-//! takes longer than that to send a request head from its first byte,
-//! or takes longer than that to accept one 64 KiB slice of a response,
-//! loses its connection, so a stalled or trickling client cannot pin a
-//! worker. The worker threads never unwind.
+//! takes longer than that to send a request head and body from its
+//! first byte, or takes longer than that to accept one 64 KiB slice of
+//! a response, loses its connection, so a stalled or trickling client
+//! cannot pin a worker. The worker threads never unwind.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -31,7 +31,7 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 const MAX_BODY_BYTES: u64 = 1024 * 1024;
 /// Socket read and write timeout: a client that stops sending, or stops
 /// reading a response, frees its worker after this long. It also bounds
-/// the time from a request head's first byte to its end.
+/// the time from a request's first byte to the end of its body.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Response bodies are written in slices of this size, so a large
 /// `.prv` export streams to the socket instead of requiring one giant
@@ -237,11 +237,12 @@ enum ReadOutcome {
 /// already read past the previous request (keep-alive pipelining).
 ///
 /// An idle connection waits for the first byte under the socket's
-/// per-read timeout; from that byte on, the whole head must arrive
-/// within [`IO_TIMEOUT`], so a client trickling bytes cannot hold the
-/// worker by restarting the per-read timeout.
+/// per-read timeout; from that byte on, the whole head and body must
+/// arrive within [`IO_TIMEOUT`], so a client trickling bytes cannot
+/// hold the worker by restarting the per-read timeout.
 fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<ReadOutcome> {
     let mut deadline = (!buf.is_empty()).then(|| Instant::now() + IO_TIMEOUT);
+    // Whether a read ran under a cut timeout that must be restored.
     let mut shortened = false;
     let head_end = loop {
         if let Some(pos) = find_head_end(buf) {
@@ -250,27 +251,13 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<ReadOut
         if buf.len() > MAX_HEAD_BYTES {
             return Ok(ReadOutcome::Bad("request head too large"));
         }
-        if let Some(deadline) = deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Ok(ReadOutcome::Bad("request head not received in time"));
-            }
-            stream.set_read_timeout(Some(left))?;
-            shortened = true;
-        }
         let mut chunk = [0u8; 4096];
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e)
-                if deadline.is_some()
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                return Ok(ReadOutcome::Bad("request head not received in time"));
-            }
-            Err(e) => return Err(e),
+        let n = match deadline {
+            None => stream.read(&mut chunk)?,
+            Some(deadline) => match read_before(stream, &mut chunk, deadline, &mut shortened)? {
+                Some(n) => n,
+                None => return Ok(ReadOutcome::Bad("request head not received in time")),
+            },
         };
         if n == 0 {
             return Ok(if buf.is_empty() {
@@ -282,9 +269,7 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<ReadOut
         buf.extend_from_slice(&chunk[..n]);
         deadline.get_or_insert_with(|| Instant::now() + IO_TIMEOUT);
     };
-    if shortened {
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    }
+    let deadline = deadline.expect("a head was read, so its first byte set the deadline");
 
     let head = buf[..head_end].to_vec();
     let body_already = buf.split_off(head_end + 4);
@@ -347,11 +332,15 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<ReadOut
     let mut sink = [0u8; 4096];
     while remaining > 0 {
         let want = remaining.min(sink.len() as u64) as usize;
-        let n = stream.read(&mut sink[..want])?;
-        if n == 0 {
-            return Ok(ReadOutcome::Bad("connection closed mid-body"));
-        }
+        let n = match read_before(stream, &mut sink[..want], deadline, &mut shortened)? {
+            Some(0) => return Ok(ReadOutcome::Bad("connection closed mid-body")),
+            Some(n) => n,
+            None => return Ok(ReadOutcome::Bad("request body not received in time")),
+        };
         remaining -= n as u64;
+    }
+    if shortened {
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
     }
 
     let (path, query) = match parse_target(target) {
@@ -366,6 +355,35 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<ReadOut
         },
         keep_alive,
     })
+}
+
+/// One read into `chunk` that gives up at `deadline`: the socket's read
+/// timeout is cut to the time left and `shortened` set, for the caller
+/// to restore it. `None` when the deadline passed first.
+fn read_before(
+    stream: &mut TcpStream,
+    chunk: &mut [u8],
+    deadline: Instant,
+    shortened: &mut bool,
+) -> io::Result<Option<usize>> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Ok(None);
+    }
+    stream.set_read_timeout(Some(left))?;
+    *shortened = true;
+    match stream.read(chunk) {
+        Ok(n) => Ok(Some(n)),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            Ok(None)
+        }
+        Err(e) => Err(e),
+    }
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -551,6 +569,57 @@ mod tests {
                     if stop.load(Ordering::SeqCst) || slow.write_all(&[byte]).is_err() {
                         return;
                     }
+                    std::thread::sleep(Duration::from_secs(1));
+                }
+            })
+        };
+        let started = Instant::now();
+        let mut answer = Vec::new();
+        let outcome = reader.read_to_end(&mut answer);
+        let elapsed = started.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        trickle.join().unwrap();
+        drop(reader);
+        server.shutdown();
+        assert!(elapsed <= limit, "answered after {elapsed:?}");
+        match outcome {
+            Ok(_) => assert!(
+                answer.is_empty() || answer.starts_with(b"HTTP/1.1 400"),
+                "{}",
+                String::from_utf8_lossy(&answer)
+            ),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionAborted
+                ),
+                "{e} after {elapsed:?}"
+            ),
+        }
+    }
+
+    /// A client that sends a whole head declaring a 1 MiB body, then
+    /// trickles the body one byte per second, shares the head's
+    /// deadline: it gets a 400 or a closed connection within
+    /// `IO_TIMEOUT` of its first byte (plus slack), never a worker held
+    /// for as long as it keeps trickling.
+    #[test]
+    fn trickled_request_body_times_out() {
+        let handler: Handler = Arc::new(|_: &Request| Response::text("served".to_string()));
+        let server = HttpServer::bind("127.0.0.1:0", 1, handler).unwrap();
+        let mut slow = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = slow.try_clone().unwrap();
+        let limit = IO_TIMEOUT + Duration::from_secs(3);
+        reader.set_read_timeout(Some(limit)).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let head = b"GET /x HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n";
+                if slow.write_all(head).is_err() {
+                    return;
+                }
+                while !stop.load(Ordering::SeqCst) && slow.write_all(b"a").is_ok() {
                     std::thread::sleep(Duration::from_secs(1));
                 }
             })

@@ -27,7 +27,7 @@ use osn_kernel::ids::CpuId;
 use osn_kernel::ids::Tid;
 use osn_kernel::time::Nanos;
 use osn_store::{write_store, StoreReader};
-use osn_trace::{Event, EventKind, Trace};
+use osn_trace::{merge_streams, Event, EventKind, Trace};
 use osn_workloads::App;
 use serde::Value;
 
@@ -130,7 +130,7 @@ fn full_walk_slice(
         }
         streams.push(stream);
     }
-    osn_trace::merge_streams(streams)
+    merge_streams(streams)
 }
 
 fn offline_analysis(
@@ -843,7 +843,7 @@ fn every_code_trace() -> Trace {
             events
         })
         .collect();
-    Trace::from_streams(streams, vec![0; 8])
+    Trace::new(merge_streams(streams), vec![0; 8])
 }
 
 /// The slice path's class filter (a bit test of each record's activity

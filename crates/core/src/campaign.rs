@@ -45,10 +45,12 @@ impl CampaignConfig {
 }
 
 /// Run every app of the campaign in parallel (the simulations are
-/// independent nodes) on [`parallel_map`]'s pool of at most
-/// `available_parallelism()` host threads, so a campaign larger than
-/// the host never oversubscribes it. Results come back in
-/// `config.apps` order regardless of completion order.
+/// independent nodes) on [`parallel_map`]'s pool of at most the
+/// calling thread's worker budget (`available_parallelism()` at top
+/// level). Each app's analysis runs inside its worker on that worker's
+/// share of the budget, so the nested pools together never start more
+/// threads than the budget. Results come back in `config.apps` order
+/// regardless of completion order.
 pub fn run_campaign(config: &CampaignConfig) -> Vec<AppRun> {
     let napps = config.apps.len();
     parallel_map(napps, default_workers(napps), |idx| {
@@ -99,6 +101,6 @@ mod tests {
         let b = run_campaign(&config);
         assert_eq!(a[0].trace.len(), b[0].trace.len());
         assert_eq!(a[0].result.end_time, b[0].result.end_time);
-        assert_eq!(a[0].trace.events, b[0].trace.events);
+        assert_eq!(a[0].trace.events(), b[0].trace.events());
     }
 }

@@ -33,7 +33,7 @@ use osn_analysis::collective::{
     BspParams, CollectiveBreakdown, DelayWindow, InjectedClass, NoiseSurrogate, RankFaults,
     RankSeries, RankStats, SyntheticRank,
 };
-use osn_analysis::parallel_map;
+use osn_analysis::{default_workers, parallel_map};
 use osn_kernel::activity::NoiseCategory;
 use osn_kernel::perturb::{DvfsSpec, KernelPerturbations, NumaSpec, StealSpec};
 use osn_kernel::rng::{bounded, derive_indexed_seed};
@@ -328,8 +328,9 @@ pub struct ClusterConfig {
     /// phase-aligned across the whole cluster — the perfectly
     /// co-scheduled ablation, where tick noise does *not* amplify.
     pub stagger: bool,
-    /// Host worker threads for the node simulations (None =
-    /// `available_parallelism`). Does not affect results.
+    /// Host worker threads for the node simulations (None = the
+    /// calling thread's worker budget, `available_parallelism` at top
+    /// level). Does not affect results.
     pub workers: Option<usize>,
     /// Injected perturbations (empty = the healthy cluster).
     pub inject: Vec<Injection>,
@@ -784,11 +785,9 @@ fn largest_first<T: Send>(
 }
 
 fn worker_count(config: &ClusterConfig) -> usize {
-    config.workers.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    config
+        .workers
+        .unwrap_or_else(|| default_workers(usize::MAX))
 }
 
 /// Extract one node's BSP rank input on the bare trace clock: the
@@ -1387,7 +1386,8 @@ mod tests {
         let node1 = run_app(config.node_experiment(1)).trace;
         assert_ne!(node0.len(), 0, "node 0 produced no events");
         assert_ne!(
-            node0.events, node1.events,
+            node0.events(),
+            node1.events(),
             "nodes 0 and 1 are identical — seed derivation broken"
         );
     }

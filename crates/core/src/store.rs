@@ -258,7 +258,7 @@ mod tests {
         let run = crate::experiment::run_app(tiny_config(App::Sphot));
         persist_run(&run, &path, StoreOptions::default()).unwrap();
         let loaded = load_run(&path).unwrap();
-        assert_eq!(loaded.trace.events, run.trace.events);
+        assert_eq!(loaded.trace.events(), run.trace.events());
         assert_eq!(loaded.trace.lost, run.trace.lost);
         assert_eq!(loaded.ranks, run.ranks);
         assert_eq!(loaded.result.end_time, run.result.end_time);
@@ -274,7 +274,7 @@ mod tests {
         assert!(summary.events > 0);
         let reference = crate::experiment::run_app(config);
         let loaded = load_run(&path).unwrap();
-        assert_eq!(loaded.trace.events, reference.trace.events);
+        assert_eq!(loaded.trace.events(), reference.trace.events());
         assert_eq!(meta.ranks, reference.ranks);
         assert_eq!(meta.result.end_time, reference.result.end_time);
         let _ = std::fs::remove_dir_all(&dir);

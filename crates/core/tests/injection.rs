@@ -36,7 +36,8 @@ fn empty_perturbations_are_byte_identical_to_default() {
         explicit.node.perturb = KernelPerturbations::default();
         let empty = run_app(explicit);
         assert_eq!(
-            healthy.trace.events, empty.trace.events,
+            healthy.trace.events(),
+            empty.trace.events(),
             "seed {seed}: an empty injection config must not alter the trace"
         );
         assert_eq!(healthy.trace.lost, empty.trace.lost);
@@ -59,14 +60,14 @@ fn steal_injection_appears_as_new_signature_row() {
         // The trace carries the new activity...
         let has_steal = stolen
             .trace
-            .events
+            .events()
             .iter()
             .any(|e| matches!(e.kind, osn_trace::EventKind::KernelEnter(Activity::Steal)));
         assert!(has_steal, "seed {seed}: no steal frames in the trace");
         assert!(
             !healthy
                 .trace
-                .events
+                .events()
                 .iter()
                 .any(|e| matches!(e.kind, osn_trace::EventKind::KernelEnter(Activity::Steal))),
             "seed {seed}: healthy run must not contain steal frames"

@@ -51,7 +51,12 @@ fn streamed_analysis_matches_in_memory() {
         // Full materialization is byte-identical to the original trace.
         let reader = store::Reader::open(path).unwrap();
         let trace = reader.read_trace().unwrap();
-        assert_eq!(trace.events, run.trace.events, "{}: events", run.app.name());
+        assert_eq!(
+            trace.events(),
+            run.trace.events(),
+            "{}: events",
+            run.app.name()
+        );
         assert_eq!(trace.lost, run.trace.lost, "{}: lost", run.app.name());
 
         // Out-of-core path: fresh reader so the chunk gauge is clean.

@@ -134,7 +134,7 @@ impl FwqSeries {
 /// Rebuild the FWQ series from a trace's marks.
 pub fn fwq_series_from_trace(trace: &Trace, params: &FwqParams) -> Option<FwqSeries> {
     let walls: Vec<Nanos> = trace
-        .events
+        .events()
         .iter()
         .filter_map(|e| match e.kind {
             EventKind::AppMark { mark, value } if mark == FWQ_MARK => Some(Nanos(value)),

@@ -197,7 +197,7 @@ impl Workload for FtqWorkload {
 pub fn series_from_trace(trace: &Trace, params: &FtqParams) -> Option<FtqSeries> {
     let mut ops = Vec::new();
     let mut first_mark: Option<Nanos> = None;
-    for e in &trace.events {
+    for e in &trace.events() {
         if let EventKind::AppMark { mark, value } = e.kind {
             if mark == FTQ_MARK {
                 first_mark.get_or_insert(e.t);
@@ -281,7 +281,7 @@ mod tests {
         };
         let (trace, _) = run_ftq(params, 1, 11);
         let gettimes = trace
-            .events
+            .events()
             .iter()
             .filter(|e| {
                 matches!(

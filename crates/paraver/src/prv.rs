@@ -54,14 +54,10 @@ pub enum PrvRecord {
 /// `tasks` maps tids to Paraver task ids (their order); `end` is the
 /// trace end time.
 pub fn write_prv(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> String {
-    let ncpus = trace
-        .events
-        .iter()
-        .map(|e| e.cpu.0 as u32 + 1)
-        .max()
-        .unwrap_or(1);
+    let events = trace.events();
+    let ncpus = events.iter().map(|e| e.cpu.0 as u32 + 1).max().unwrap_or(1);
     let ntasks = tasks.len();
-    let mut out = String::with_capacity(trace.events.len() * 32);
+    let mut out = String::with_capacity(events.len() * 32);
     // Header: fixed fake date (determinism), one node, one application
     // with `ntasks` tasks of one thread each, all on node 1.
     let _ = write!(
@@ -88,7 +84,7 @@ pub fn write_prv(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> String {
 
     // State records from the reconstructed task timelines.
     let workers = osn_analysis::default_workers(tasks.len());
-    let timelines = build_timelines_events(&trace.events, tasks, end, workers);
+    let timelines = build_timelines_events(&events, tasks, end, workers);
     for meta in tasks {
         let Some(tl) = timelines.get(meta.tid) else {
             continue;
@@ -116,7 +112,7 @@ pub fn write_prv(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> String {
     }
 
     // Kernel activity state records + punctual events.
-    for e in &trace.events {
+    for e in &events {
         let cpu = e.cpu.0 as u32 + 1;
         match e.kind {
             EventKind::KernelEnter(a) => {
@@ -449,7 +445,7 @@ pub fn write_prv_window(
 ) -> String {
     let windowed = Trace::new(
         trace
-            .events
+            .events()
             .iter()
             .filter(|e| e.t >= from && e.t < to)
             .cloned()

@@ -18,12 +18,12 @@
 //! ([`decode_chunk_columns`]); a block is lent only after its checksum
 //! matched, so a torn tail chunk is detected, never misparsed.
 
+use std::ops::Range;
+
 use osn_kernel::ids::CpuId;
 use osn_kernel::time::Nanos;
-use osn_trace::wire::{
-    fnv1a64, fnv1a64_update, pack_record, record_is_valid, unpack_record, FNV1A64_OFFSET,
-};
-use osn_trace::{Event, EventColumns};
+use osn_trace::wire::{fnv1a64, fnv1a64_update, record_is_valid, unpack_record, FNV1A64_OFFSET};
+use osn_trace::EventColumns;
 
 use crate::varint::{get_uvarint, put_uvarint};
 use crate::StoreError;
@@ -140,45 +140,53 @@ impl ChunkMeta {
     }
 }
 
-/// Encode `events` (one CPU, time-sorted, non-empty) into `out` and
-/// return the finished header. The header's checksum covers exactly
-/// the bytes appended here.
-pub fn encode_chunk(events: &[Event], cpu: u16, compress: bool, out: &mut Vec<u8>) -> ChunkHeader {
-    assert!(!events.is_empty(), "chunks are never empty");
+/// Encode records `range` of `cols` (time-sorted, non-empty) into
+/// `out` and return the finished header. The header's checksum covers
+/// exactly the bytes appended here.
+pub fn encode_columns(
+    cols: &EventColumns,
+    range: Range<usize>,
+    compress: bool,
+    out: &mut Vec<u8>,
+) -> ChunkHeader {
+    assert!(!range.is_empty(), "chunks are never empty");
     let start = out.len();
+    let (t, code, tid, a, b) = (
+        &cols.t[range.clone()],
+        &cols.code[range.clone()],
+        &cols.tid[range.clone()],
+        &cols.a[range.clone()],
+        &cols.b[range],
+    );
     if compress {
-        let mut prev = events[0].t.0;
-        for e in events {
-            debug_assert_eq!(e.cpu.0, cpu, "chunk events must belong to its CPU");
-            debug_assert!(e.t.0 >= prev, "chunk events must be time-sorted");
-            let (code, tid, a, b) = pack_record(e);
-            put_uvarint(out, e.t.0 - prev);
-            prev = e.t.0;
-            put_uvarint(out, code as u64);
-            put_uvarint(out, tid as u64);
-            put_uvarint(out, a);
-            put_uvarint(out, b);
+        let mut prev = t[0];
+        for i in 0..t.len() {
+            debug_assert!(t[i] >= prev, "chunk events must be time-sorted");
+            put_uvarint(out, t[i] - prev);
+            prev = t[i];
+            put_uvarint(out, code[i] as u64);
+            put_uvarint(out, tid[i] as u64);
+            put_uvarint(out, a[i]);
+            put_uvarint(out, b[i]);
         }
     } else {
-        out.reserve(events.len() * RAW_RECORD_BYTES);
-        for e in events {
-            debug_assert_eq!(e.cpu.0, cpu, "chunk events must belong to its CPU");
-            let (code, tid, a, b) = pack_record(e);
-            out.extend_from_slice(&e.t.0.to_le_bytes());
-            out.extend_from_slice(&code.to_le_bytes());
-            out.extend_from_slice(&tid.to_le_bytes());
-            out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&b.to_le_bytes());
+        out.reserve(t.len() * RAW_RECORD_BYTES);
+        for i in 0..t.len() {
+            out.extend_from_slice(&t[i].to_le_bytes());
+            out.extend_from_slice(&code[i].to_le_bytes());
+            out.extend_from_slice(&tid[i].to_le_bytes());
+            out.extend_from_slice(&a[i].to_le_bytes());
+            out.extend_from_slice(&b[i].to_le_bytes());
         }
     }
     let payload = &out[start..];
     ChunkHeader {
-        cpu,
+        cpu: cols.cpu.0,
         flags: if compress { FLAG_COMPRESSED } else { 0 },
-        count: events.len() as u32,
+        count: t.len() as u32,
         payload_len: payload.len() as u32,
-        t_first: events[0].t,
-        t_last: events[events.len() - 1].t,
+        t_first: Nanos(t[0]),
+        t_last: Nanos(t[t.len() - 1]),
         checksum: fnv1a64(payload),
     }
 }
@@ -364,7 +372,15 @@ mod tests {
     use super::*;
     use osn_kernel::activity::Activity;
     use osn_kernel::ids::Tid;
-    use osn_trace::EventKind;
+    use osn_trace::{Event, EventKind};
+
+    /// [`encode_columns`] for typed `events` (all of CPU `cpu`,
+    /// time-sorted, non-empty).
+    fn encode_chunk(events: &[Event], cpu: u16, compress: bool, out: &mut Vec<u8>) -> ChunkHeader {
+        let mut cols = EventColumns::with_capacity(CpuId(cpu), events.len());
+        events.iter().for_each(|e| cols.push_event(e));
+        encode_columns(&cols, 0..events.len(), compress, out)
+    }
 
     fn sample(cpu: u16) -> Vec<Event> {
         (0..50)

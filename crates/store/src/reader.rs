@@ -16,7 +16,7 @@ use std::sync::Arc;
 use osn_kernel::ids::CpuId;
 use osn_kernel::time::Nanos;
 use osn_trace::wire::fnv1a64;
-use osn_trace::{Event, EventColumns, Trace};
+use osn_trace::{EventColumns, Trace};
 
 use crate::chunk::{count_fits, decode_chunk_columns, ChunkHeader, ChunkMeta, CHUNK_HEADER_BYTES};
 use crate::mmap::Mmap;
@@ -435,11 +435,11 @@ impl StoreReader {
     }
 
     /// Materialize the full trace — the inverse of
-    /// [`crate::writer::write_store`], byte-identical to the in-memory
-    /// collection path: per-CPU chunk streams are k-way merged exactly
-    /// like `TraceSession::stop` merges its rings.
+    /// [`crate::writer::write_store`], identical to the in-memory
+    /// collection path: each CPU's chunks are decoded in order into
+    /// that CPU's columns, as `TraceSession::stop` drains its rings.
     pub fn read_trace(&self) -> Result<Trace, StoreError> {
-        let mut streams: Vec<Vec<Event>> = Vec::with_capacity(self.ncpus);
+        let mut columns = Vec::with_capacity(self.ncpus);
         let mut cols = EventColumns::default();
         let mut scratch = Vec::new();
         for c in 0..self.ncpus {
@@ -448,15 +448,15 @@ impl StoreReader {
                 .iter()
                 .map(|&i| self.chunks[i as usize].count as usize)
                 .sum();
-            let mut stream = Vec::with_capacity(total);
+            let mut block = EventColumns::with_capacity(CpuId(c as u16), total);
             for meta in positions.iter().map(|&i| &self.chunks[i as usize]) {
                 fetch_chunk(&self.data, meta, &mut cols, &mut scratch)?;
                 self.stats.decoded.fetch_add(1, Ordering::AcqRel);
-                stream.extend(cols.events());
+                block.extend_from(&cols, 0..cols.len());
             }
-            streams.push(stream);
+            columns.push(block);
         }
-        Ok(Trace::from_streams(streams, self.lost.clone()))
+        Ok(Trace::from_columns(columns, self.lost.clone()))
     }
 }
 

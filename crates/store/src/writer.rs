@@ -4,14 +4,15 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use osn_kernel::ids::CpuId;
 use osn_trace::wire::fnv1a64;
-use osn_trace::{Event, EventSink, Trace};
+use osn_trace::{Event, EventColumns, EventSink, Trace};
 
-use crate::chunk::{encode_chunk, ChunkMeta, CHUNK_HEADER_BYTES};
+use crate::chunk::{encode_columns, ChunkMeta, CHUNK_HEADER_BYTES};
 use crate::{END_MAGIC, FILE_FLAG_COMPRESSED, FILE_MAGIC, FOOTER_MAGIC, STORE_VERSION};
 
 /// Store creation knobs.
@@ -70,8 +71,8 @@ pub struct StoreWriter {
     offset: u64,
     ncpus: usize,
     opts: StoreOptions,
-    /// Per-CPU buffered events not yet chunked.
-    pending: Vec<Vec<Event>>,
+    /// Per-CPU buffered records not yet chunked.
+    pending: Vec<EventColumns>,
     index: Vec<ChunkMeta>,
     lost: Vec<u64>,
     meta: Vec<u8>,
@@ -104,7 +105,9 @@ impl StoreWriter {
             offset: header.len() as u64,
             ncpus,
             opts,
-            pending: (0..ncpus).map(|_| Vec::new()).collect(),
+            pending: (0..ncpus)
+                .map(|c| EventColumns::new(CpuId(c as u16)))
+                .collect(),
             index: Vec::new(),
             lost: vec![0; ncpus],
             meta: Vec::new(),
@@ -127,12 +130,12 @@ impl StoreWriter {
             "cpu {c} out of range for {}-cpu store",
             self.ncpus
         );
-        self.pending[c].extend_from_slice(events);
+        events.iter().for_each(|e| self.pending[c].push_event(e));
         self.events += events.len() as u64;
         self.flush_full_chunks(c)
     }
 
-    /// Append a whole in-memory trace (its per-CPU streams, loss
+    /// Append a whole in-memory trace (its per-CPU columns, loss
     /// counters included). The store must span at least the trace's
     /// CPUs.
     pub fn append_trace(&mut self, trace: &Trace) -> std::io::Result<()> {
@@ -142,21 +145,30 @@ impl StoreWriter {
             trace.ncpus(),
             self.ncpus
         );
-        // One pass deals the merged events out to the per-CPU pending
-        // buffers; each CPU's chunks then flush in CPU order, as
-        // `append` per CPU would write them.
-        for (c, pending) in self.pending.iter_mut().enumerate() {
-            pending.reserve(trace.cpu_columns(CpuId(c as u16)).map_or(0, |b| b.len()));
-        }
-        for e in &trace.events {
-            self.pending[e.cpu.index()].push(*e);
-        }
-        self.events += trace.len() as u64;
-        for c in 0..trace.ncpus() {
-            self.flush_full_chunks(c)?;
+        for cols in trace.columns() {
+            self.append_columns(cols)?;
         }
         self.set_lost(&trace.lost);
         Ok(())
+    }
+
+    /// Append one CPU's block (time-sorted, at or after everything
+    /// previously appended for that CPU). With nothing pending for the
+    /// CPU, its whole chunks are encoded straight from `cols`; only the
+    /// tail is buffered.
+    fn append_columns(&mut self, cols: &EventColumns) -> std::io::Result<()> {
+        let c = cols.cpu.index();
+        let cap = self.opts.chunk_capacity;
+        let mut done = 0;
+        if self.pending[c].is_empty() {
+            while cols.len() - done >= cap {
+                self.write_chunk(cols, done..done + cap)?;
+                done += cap;
+            }
+        }
+        self.pending[c].extend_from(cols, done..cols.len());
+        self.events += cols.len() as u64;
+        self.flush_full_chunks(c)
     }
 
     /// Record per-CPU ring loss counters for the footer (padded or
@@ -179,39 +191,35 @@ impl StoreWriter {
         self.flush_chunks(c, self.pending[c].len() / cap * cap)
     }
 
-    /// Write the first `n` pending events of CPU `c` as chunks of
+    /// Write the first `n` pending records of CPU `c` as chunks of
     /// `chunk_capacity` (the last may be shorter), then drop the written
-    /// prefix with one `drain`, so a large batch costs one memmove of
-    /// its remainder instead of one per chunk.
+    /// prefix with one copy of its remainder, so a large batch costs
+    /// one memmove instead of one per chunk.
     fn flush_chunks(&mut self, c: usize, n: usize) -> std::io::Result<()> {
+        let pending = std::mem::take(&mut self.pending[c]);
         let mut done = 0;
         let mut result = Ok(());
         while done < n {
             let end = (done + self.opts.chunk_capacity).min(n);
-            result = self.write_chunk(c, done, end);
+            result = self.write_chunk(&pending, done..end);
             if result.is_err() {
                 break;
             }
             done = end;
         }
-        self.pending[c].drain(..done);
+        self.pending[c] = pending;
+        self.pending[c].drain_front(done);
         result
     }
 
-    /// Write pending events `start..end` of CPU `c` as one chunk.
-    fn write_chunk(&mut self, c: usize, start: usize, end: usize) -> std::io::Result<()> {
-        debug_assert!(start < end && end <= self.pending[c].len());
+    /// Write records `range` of `cols` as one chunk of `cols.cpu`.
+    fn write_chunk(&mut self, cols: &EventColumns, range: Range<usize>) -> std::io::Result<()> {
         // Reserve the header slot, encode the payload after it, then
         // patch the header in — one write, one reused buffer.
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
         buf.resize(CHUNK_HEADER_BYTES, 0);
-        let header = encode_chunk(
-            &self.pending[c][start..end],
-            c as u16,
-            self.opts.compress,
-            &mut buf,
-        );
+        let header = encode_columns(cols, range, self.opts.compress, &mut buf);
         let mut img = Vec::with_capacity(CHUNK_HEADER_BYTES);
         header.write_to(&mut img);
         buf[..CHUNK_HEADER_BYTES].copy_from_slice(&img);

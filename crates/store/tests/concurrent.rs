@@ -17,7 +17,7 @@ use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 use osn_store::writer::write_store;
 use osn_store::{StoreOptions, StoreReader, FILE_HEADER_BYTES};
-use osn_trace::{Event, EventKind, Trace};
+use osn_trace::{merge_streams, Event, EventKind, Trace};
 
 fn scratch_path() -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -85,7 +85,7 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
             let mut streams = vec![s0, s1, s2, s3];
             streams.truncate(ncpus);
             lost.truncate(ncpus);
-            Trace::from_streams(streams, lost)
+            Trace::new(merge_streams(streams), lost)
         })
 }
 
@@ -166,7 +166,7 @@ proptest! {
         let sliced: Vec<Vec<Event>> = (0..ncpus)
             .map(|c| walk(&reader, c as u16, Some((t0, t1))))
             .collect();
-        let merged = reader.read_trace().expect("read").events;
+        let merged = reader.read_trace().expect("read").events();
 
         // The index seek may only skip chunks, never events: a range
         // walk narrowed to [t0, t1] equals the filtered full walk.
@@ -189,7 +189,7 @@ proptest! {
                         assert_eq!(&slice, &sliced[c], "concurrent slice diverged");
                     }
                     let trace = reader.read_trace().expect("concurrent read_trace");
-                    assert_eq!(&trace.events, merged, "concurrent merge diverged");
+                    assert_eq!(&trace.events(), merged, "concurrent merge diverged");
                 });
             }
         });
@@ -222,7 +222,7 @@ fn range_stream_yields_only_in_window_events() {
             kind: EventKind::KernelEnter(Activity::TimerInterrupt),
         })
         .collect();
-    let trace = Trace::from_streams(vec![events.clone()], vec![0]);
+    let trace = Trace::new(events.clone(), vec![0]);
     let path = scratch_path();
     let opts = StoreOptions::default().with_chunk_capacity(16);
     write_store(&path, &trace, b"", opts).expect("write");

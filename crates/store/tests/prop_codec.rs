@@ -17,7 +17,7 @@ use osn_kernel::activity::{Activity, FaultKind, SoftirqVec};
 use osn_kernel::hooks::SwitchState;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
-use osn_store::chunk::{decode_chunk_columns, encode_chunk, ChunkMeta, RAW_RECORD_BYTES};
+use osn_store::chunk::{decode_chunk_columns, encode_columns, ChunkMeta, RAW_RECORD_BYTES};
 use osn_store::varint::{get_uvarint, put_uvarint};
 use osn_store::StoreError;
 use osn_trace::wire::{code, fnv1a64, pack_record, record_is_valid, unpack_record};
@@ -35,8 +35,10 @@ fn mark(t: u64, value: u64) -> Event {
 /// Encode `events` with the chosen codec and return
 /// `(meta, checksum, payload)`.
 fn encoded(events: &[Event], compress: bool) -> (ChunkMeta, u64, Vec<u8>) {
+    let mut cols = EventColumns::with_capacity(CpuId(0), events.len());
+    events.iter().for_each(|e| cols.push_event(e));
     let mut payload = Vec::new();
-    let header = encode_chunk(events, 0, compress, &mut payload);
+    let header = encode_columns(&cols, 0..events.len(), compress, &mut payload);
     (ChunkMeta::from_header(0, &header), header.checksum, payload)
 }
 

@@ -15,7 +15,7 @@ use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 use osn_store::writer::write_store;
 use osn_store::{StoreOptions, StoreReader, StoreWriter, TRAILER_BYTES};
-use osn_trace::{Event, EventKind, Trace};
+use osn_trace::{merge_streams, Event, EventKind, Trace};
 
 fn scratch_path() -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -99,14 +99,14 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
             let mut streams = vec![s0, s1, s2, s3];
             streams.truncate(ncpus);
             lost.truncate(ncpus);
-            Trace::from_streams(streams, lost)
+            Trace::new(merge_streams(streams), lost)
         })
 }
 
 /// One CPU's records of `trace`, in stream order.
 fn cpu_stream(trace: &Trace, c: usize) -> Vec<Event> {
     trace
-        .events
+        .events()
         .iter()
         .filter(|e| e.cpu.index() == c)
         .copied()
@@ -145,7 +145,7 @@ proptest! {
         let streams: Vec<Vec<Event>> = (0..trace.ncpus())
             .map(|c| tiled(&cpu_stream(&trace, c), times))
             .collect();
-        let merged = Trace::from_streams(streams.clone(), vec![0; streams.len()]);
+        let merged = Trace::new(merge_streams(streams.clone()), vec![0; streams.len()]);
         for capacity in [1usize, 7, 4096] {
             let opts = StoreOptions::default()
                 .with_chunk_capacity(capacity)
@@ -205,9 +205,9 @@ proptest! {
 
         let reader = StoreReader::open(&path).expect("open");
         prop_assert_eq!(reader.metadata(), &meta[..]);
-        prop_assert_eq!(reader.events(), trace.events.len() as u64);
+        prop_assert_eq!(reader.events(), trace.events().len() as u64);
         let back = reader.read_trace().expect("read");
-        prop_assert_eq!(&back.events, &trace.events);
+        prop_assert_eq!(&back.events(), &trace.events());
         prop_assert_eq!(&back.lost[..trace.lost.len()], &trace.lost[..]);
 
         // The columnar cursor yields the same per-CPU sequences, and
@@ -261,7 +261,7 @@ proptest! {
         prop_assert_eq!(report.torn_chunks, 0);
         prop_assert_eq!(reader.chunks().len(), expected_chunks);
         let back = reader.read_trace().expect("read");
-        prop_assert_eq!(&back.events, &trace.events);
+        prop_assert_eq!(&back.events(), &trace.events());
         // The loss counters lived in the footer; without it they are
         // zero, and the metadata blob is gone.
         prop_assert!(reader.lost().iter().all(|&l| l == 0));

@@ -29,7 +29,7 @@ fn synthetic_trace(n: u64) -> Trace {
             },
         })
         .collect();
-    Trace::from_streams(vec![events], vec![3])
+    Trace::new(events, vec![3])
 }
 
 #[test]
@@ -48,7 +48,7 @@ fn clean_file_recovers_clean() {
     assert!(report.clean(), "clean store reported damage: {report:?}");
     assert!(report.footer_ok);
     let back = reader.read_trace().unwrap();
-    assert_eq!(back.events, trace.events);
+    assert_eq!(back.events(), trace.events());
     assert_eq!(back.lost, vec![3]);
     assert_eq!(reader.metadata(), b"meta");
     let _ = std::fs::remove_file(&path);
@@ -132,7 +132,7 @@ fn torn_final_chunk_by_truncation() {
     // the loss counters into `Trace::lost`.
     assert_eq!(reader.events(), intact_events);
     let back = reader.read_trace().unwrap();
-    assert_eq!(back.events, trace.events[..intact_events as usize]);
+    assert_eq!(back.events(), trace.events()[..intact_events as usize]);
     assert_eq!(back.lost, vec![last.count as u64]);
     let _ = std::fs::remove_file(&path);
 }
@@ -182,7 +182,7 @@ fn torn_footer_is_dropped_garbage_not_clean_end() {
     // All events salvage; the recorded ring losses die with the footer.
     assert_eq!(reader.events(), total_events);
     let back = reader.read_trace().unwrap();
-    assert_eq!(back.events, trace.events);
+    assert_eq!(back.events(), trace.events());
     assert_eq!(back.lost, vec![0]);
     let _ = std::fs::remove_file(&path);
 }
@@ -219,7 +219,7 @@ fn corrupt_final_chunk_checksum_salvages_footer() {
     assert_eq!(reader.metadata(), b"meta");
     assert_eq!(reader.lost(), &[3 + last.count as u64]);
     let back = reader.read_trace().unwrap();
-    assert_eq!(back.events, trace.events[..intact_events as usize]);
+    assert_eq!(back.events(), trace.events()[..intact_events as usize]);
     let _ = std::fs::remove_file(&path);
 }
 

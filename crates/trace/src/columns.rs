@@ -15,6 +15,8 @@
 //! timestamp. A block holds records of *one* CPU in stream order, so
 //! the CPU id lives once on the block, not per record.
 
+use std::ops::Range;
+
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 
@@ -119,6 +121,25 @@ impl EventColumns {
         self.tid.push(tid);
         self.a.push(a);
         self.b.push(b);
+    }
+
+    /// Append records `range` of `other` (a block of the same CPU).
+    pub fn extend_from(&mut self, other: &EventColumns, range: Range<usize>) {
+        debug_assert_eq!(other.cpu, self.cpu, "records from the wrong cpu");
+        self.t.extend_from_slice(&other.t[range.clone()]);
+        self.code.extend_from_slice(&other.code[range.clone()]);
+        self.tid.extend_from_slice(&other.tid[range.clone()]);
+        self.a.extend_from_slice(&other.a[range.clone()]);
+        self.b.extend_from_slice(&other.b[range]);
+    }
+
+    /// Drop the first `n` records, keeping the rest in order.
+    pub fn drain_front(&mut self, n: usize) {
+        self.t.drain(..n);
+        self.code.drain(..n);
+        self.tid.drain(..n);
+        self.a.drain(..n);
+        self.b.drain(..n);
     }
 
     /// Append a typed event (must belong to this block's CPU).

@@ -55,73 +55,77 @@ impl Event {
     }
 }
 
-/// A complete collected trace: events in global `(t, cpu)` order plus
-/// loss accounting and per-CPU [`EventColumns`] blocks.
+/// A complete collected trace: each CPU's records as one
+/// [`EventColumns`] block, in that CPU's stream order, plus loss
+/// accounting.
 ///
-/// The columns are built once at construction so the reconstruction
-/// hot loop runs over each CPU's flat structure-of-arrays records
-/// instead of filtering the whole trace.
+/// The columns are what the analysis reads: the reconstruction hot
+/// loop runs over each CPU's flat structure-of-arrays records instead
+/// of filtering the whole trace. The global `(t, cpu)` order is
+/// merged from them on demand ([`Trace::events`]).
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
-    pub events: Vec<Event>,
     /// Records dropped per CPU because its ring buffer was full
     /// (discard mode, as the paper's low-interference configuration).
     pub lost: Vec<u64>,
-    /// Per-CPU columnar blocks, each CPU's records in stream order;
+    /// Per-CPU columnar blocks, block `c` holding CPU `c`'s records;
     /// one per CPU the trace covers, `max(lost.len(), 1 + highest cpu
     /// id)`.
     columns: Vec<EventColumns>,
 }
 
-/// Split `events` into per-CPU column blocks, at least `ncpus_hint`
-/// of them.
-fn build_columns(events: &[Event], ncpus_hint: usize) -> Vec<EventColumns> {
-    let mut columns: Vec<EventColumns> = Vec::with_capacity(ncpus_hint);
-    for e in events {
-        let cpu = e.cpu.index();
-        if cpu >= columns.len() {
-            columns.extend((columns.len()..=cpu).map(|c| EventColumns::new(CpuId(c as u16))));
-        }
-        columns[cpu].push_event(e);
-    }
-    columns.extend((columns.len()..ncpus_hint).map(|c| EventColumns::new(CpuId(c as u16))));
-    columns
-}
-
 impl Trace {
+    /// A trace of `events`, given in global `(t, cpu)` order.
     pub fn new(events: Vec<Event>, lost: Vec<u64>) -> Self {
         debug_assert!(
             events.windows(2).all(|w| w[0].key() <= w[1].key()),
             "trace must be sorted"
         );
-        let columns = build_columns(&events, lost.len());
-        Trace {
-            events,
-            lost,
-            columns,
+        let mut columns: Vec<EventColumns> = Vec::new();
+        for e in &events {
+            let cpu = e.cpu.index();
+            if cpu >= columns.len() {
+                columns.extend((columns.len()..=cpu).map(|c| EventColumns::new(CpuId(c as u16))));
+            }
+            columns[cpu].push_event(e);
         }
+        Trace::from_columns(columns, lost)
     }
 
-    /// Build a trace by k-way merging already time-sorted per-CPU
-    /// streams (see [`crate::merge::merge_streams`]). This is the
-    /// collection path: no global re-sort happens.
-    pub fn from_streams(streams: Vec<Vec<Event>>, lost: Vec<u64>) -> Self {
-        let nstreams = streams.len();
-        let events = crate::merge::merge_streams(streams);
-        let columns = build_columns(&events, lost.len().max(nstreams));
-        Trace {
-            events,
-            lost,
-            columns,
-        }
+    /// A trace of per-CPU blocks, block `c` holding CPU `c`'s records in
+    /// stream order; blocks are added, empty, up to `lost.len()`.
+    pub fn from_columns(mut columns: Vec<EventColumns>, lost: Vec<u64>) -> Self {
+        debug_assert!(
+            columns.iter().enumerate().all(|(c, b)| b.cpu.index() == c),
+            "block c must hold cpu c"
+        );
+        let have = columns.len();
+        columns.extend((have..lost.len()).map(|c| EventColumns::new(CpuId(c as u16))));
+        Trace { lost, columns }
+    }
+
+    /// Every record in global `(t, cpu)` order, merged from the
+    /// per-CPU columns ([`crate::merge::merge_by_key`]).
+    pub fn events(&self) -> Vec<Event> {
+        let cols = &self.columns;
+        let lens: Vec<usize> = cols.iter().map(EventColumns::len).collect();
+        let mut out = Vec::with_capacity(self.len());
+        // Block c is CPU c: ties on `t` go to the lower CPU by stream
+        // index, which is the `(t, cpu)` key.
+        crate::merge::merge_by_key(
+            &lens,
+            |c, i| cols[c].t[i],
+            |c, i| out.push(cols[c].event(i)),
+        );
+        out
     }
 
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.columns.iter().map(EventColumns::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.columns.iter().all(EventColumns::is_empty)
     }
 
     pub fn total_lost(&self) -> u64 {
@@ -143,9 +147,17 @@ impl Trace {
         self.columns.get(cpu.index())
     }
 
+    /// Every CPU's block, block `c` holding CPU `c`'s records.
+    #[inline]
+    pub fn columns(&self) -> &[EventColumns] {
+        &self.columns
+    }
+
     /// The time span covered by the trace.
     pub fn span(&self) -> Option<(Nanos, Nanos)> {
-        Some((self.events.first()?.t, self.events.last()?.t))
+        let first = self.columns.iter().filter_map(|b| b.t.first()).min()?;
+        let last = self.columns.iter().filter_map(|b| b.t.last()).max()?;
+        Some((Nanos(*first), Nanos(*last)))
     }
 }
 
@@ -169,7 +181,8 @@ mod tests {
             ev(12, 1, EventKind::KernelEnter(Activity::TimerInterrupt)),
             ev(15, 0, EventKind::KernelExit(Activity::TimerInterrupt)),
         ];
-        let trace = Trace::new(events, vec![0, 2]);
+        let trace = Trace::new(events.clone(), vec![0, 2]);
+        assert_eq!(trace.events(), events);
         assert_eq!(trace.len(), 3);
         assert!(!trace.is_empty());
         assert_eq!(trace.total_lost(), 2);

@@ -4,8 +4,8 @@
 //! LTTng: it implements the kernel's instrumentation surface
 //! ([`osn_kernel::hooks::Probe`]) with per-CPU lock-free ring buffers
 //! and nanosecond timestamps. A session ends in one of two ways: drained
-//! once into an in-memory [`Trace`] (global `(t, cpu)` order plus
-//! per-CPU [`EventColumns`]), or spilled by a background consumer
+//! once into an in-memory [`Trace`] (per-CPU [`EventColumns`], merged
+//! into global `(t, cpu)` order on demand), or spilled by a background consumer
 //! thread to an [`EventSink`] while the run produces. The crate also
 //! holds the record codec the chunked store writes ([`wire`]) and the
 //! instrumentation-overhead experiment of §III-A.
@@ -36,5 +36,5 @@ pub mod wire;
 
 pub use columns::EventColumns;
 pub use event::{Event, EventKind, Trace};
-pub use merge::merge_streams;
+pub use merge::{merge_by_key, merge_streams};
 pub use session::{EventMask, EventSink, SpillSession, TraceSession, Tracer};

@@ -1,19 +1,52 @@
-//! K-way merge of per-CPU event streams.
+//! K-way merge of sorted streams.
 //!
-//! Collection used to concatenate the per-CPU ring-buffer streams and
-//! re-sort globally — O(n log n) over the whole trace even though every
-//! stream is already time-ordered. The merge below is O(n log k) with
-//! k = number of streams, and reproduces the stable-sort order exactly:
-//! the global contract is `(t, cpu)` order ([`Event::key`]), and within
-//! one `(t, cpu)` key all records come from the same stream, whose FIFO
-//! order the merge preserves.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use osn_kernel::time::Nanos;
+//! Every merge in the workspace goes through [`merge_by_key`]: the
+//! per-CPU event streams ([`merge_streams`]), a trace's per-CPU columns
+//! ([`crate::Trace::events`]) and the analysis's per-CPU pairing shards
+//! (`osn_analysis::nesting::merge_shards`). The stream count is the
+//! CPU count — single digits — so a linear scan over the live heads
+//! beats a binary heap: no sift traffic, and the branch on `<` is
+//! predictable. It is O(n k) with k streams, and reproduces the
+//! stable-sort order exactly: ties go to the earlier stream, and each
+//! stream's own order is kept.
 
 use crate::event::Event;
+
+/// Visit the records of `lens.len()` streams, each sorted by `key`, in
+/// ascending key order: `emit(i, j)` is called once for record `j` of
+/// stream `i`, whose key is `key(i, j)`. Equal keys go in stream
+/// order, then in each stream's order — the order of a stable sort of
+/// the concatenated streams.
+pub fn merge_by_key<K: Ord + Copy>(
+    lens: &[usize],
+    key: impl Fn(usize, usize) -> K,
+    mut emit: impl FnMut(usize, usize),
+) {
+    // (head key, stream, cursor) of every stream with records left, in
+    // stream order, so the first minimum found is the earliest stream.
+    let mut live: Vec<(K, usize, usize)> = (0..lens.len())
+        .filter(|&i| lens[i] > 0)
+        .map(|i| (key(i, 0), i, 0))
+        .collect();
+    while live.len() > 1 {
+        let mut best = 0;
+        for h in 1..live.len() {
+            if live[h].0 < live[best].0 {
+                best = h;
+            }
+        }
+        let (_, i, j) = live[best];
+        emit(i, j);
+        if j + 1 < lens[i] {
+            live[best] = (key(i, j + 1), i, j + 1);
+        } else {
+            live.remove(best);
+        }
+    }
+    if let Some(&(_, i, first)) = live.first() {
+        (first..lens[i]).for_each(|j| emit(i, j));
+    }
+}
 
 /// Merge already time-sorted streams into one `(t, cpu)`-ordered
 /// vector. Equivalent to concatenating the streams in order and
@@ -21,33 +54,16 @@ use crate::event::Event;
 /// internally sorted by key.
 pub fn merge_streams(mut streams: Vec<Vec<Event>>) -> Vec<Event> {
     streams.retain(|s| !s.is_empty());
-    match streams.len() {
-        0 => return Vec::new(),
-        1 => return streams.pop().expect("one stream"),
-        _ => {}
+    if streams.len() <= 1 {
+        return streams.pop().unwrap_or_default();
     }
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // Heap entries: (t, cpu, stream-index). The stream index both
-    // breaks key ties the way a stable sort of the concatenation would
-    // (earlier stream first) and locates the cursor to advance.
-    let mut cursors = vec![0usize; streams.len()];
-    let mut heap: BinaryHeap<Reverse<(Nanos, u16, usize)>> =
-        BinaryHeap::with_capacity(streams.len());
-    for (i, s) in streams.iter().enumerate() {
-        let (t, cpu) = s[0].key();
-        heap.push(Reverse((t, cpu, i)));
-    }
-    while let Some(Reverse((_, _, i))) = heap.pop() {
-        let cur = cursors[i];
-        out.push(streams[i][cur]);
-        let next = cur + 1;
-        cursors[i] = next;
-        if next < streams[i].len() {
-            let (t, cpu) = streams[i][next].key();
-            heap.push(Reverse((t, cpu, i)));
-        }
-    }
+    let lens: Vec<usize> = streams.iter().map(Vec::len).collect();
+    let mut out = Vec::with_capacity(lens.iter().sum());
+    merge_by_key(
+        &lens,
+        |i, j| streams[i][j].key(),
+        |i, j| out.push(streams[i][j]),
+    );
     out
 }
 
@@ -56,6 +72,7 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use osn_kernel::ids::{CpuId, Tid};
+    use osn_kernel::time::Nanos;
 
     fn ev(t: u64, cpu: u16) -> Event {
         Event {

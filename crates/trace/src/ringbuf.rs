@@ -159,19 +159,60 @@ impl<T> Consumer<T> {
         Some(value)
     }
 
-    /// Drain everything currently visible into `out`; returns the count.
-    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
-        let mut n = 0;
-        while let Some(v) = self.pop() {
-            out.push(v);
-            n += 1;
-        }
-        n
-    }
-
     /// Records lost so far (producer-side counter).
     pub fn lost(&self) -> u64 {
         self.shared.lost.load(Ordering::Relaxed)
+    }
+
+    /// Number of records currently buffered (a lower bound while the
+    /// producer runs).
+    pub fn len(&self) -> usize {
+        let s = &*self.shared;
+        s.tail
+            .load(Ordering::Acquire)
+            .wrapping_sub(s.head.load(Ordering::Relaxed))
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<T: Copy> Consumer<T> {
+    /// Drain everything currently visible in bulk: `f` sees the records
+    /// as at most two contiguous slices of the ring (before and after
+    /// the wrap point), oldest first, and each slice's slots go back to
+    /// the producer with one `head` store after `f` returns. Returns
+    /// the count. Records published during the drain wait for the next
+    /// one.
+    pub fn drain(&mut self, mut f: impl FnMut(&[T])) -> usize {
+        let s = &*self.shared;
+        let mut head = s.head.load(Ordering::Relaxed);
+        self.cached_tail = s.tail.load(Ordering::Acquire);
+        let total = self.cached_tail.wrapping_sub(head);
+        let mut left = total;
+        while left > 0 {
+            let start = head & s.mask;
+            let n = left.min(s.mask + 1 - start);
+            // SAFETY: slots `head..head + n` were written and released
+            // by the producer (acquire-observed `tail`), and it cannot
+            // reuse them before the `head` store below. `UnsafeCell`
+            // and `MaybeUninit` are `repr(transparent)`, so the buffer
+            // is laid out as `[T]`; `T: Copy` means reading the slots
+            // in place takes nothing the ring would have to drop.
+            let slots =
+                unsafe { std::slice::from_raw_parts(s.buf.as_ptr().add(start).cast::<T>(), n) };
+            f(slots);
+            head = head.wrapping_add(n);
+            s.head.store(head, Ordering::Release);
+            left -= n;
+        }
+        total
+    }
+
+    /// Drain everything currently visible into `out`; returns the count.
+    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
+        self.drain(|records| out.extend_from_slice(records))
     }
 }
 

@@ -5,9 +5,10 @@
 //! architecture). The kernel side is a [`Tracer`], which implements
 //! [`Probe`] and appends fixed-size records with no locking. A session
 //! ends one of two ways: [`TraceSession::stop`] drains the rings once
-//! into an in-memory [`Trace`], or [`TraceSession::spill`] hands them
-//! to a background thread that streams them to an [`EventSink`] while
-//! the run produces, mirroring LTTng's consumer daemon.
+//! into an in-memory columnar [`Trace`], or [`TraceSession::spill`]
+//! hands them to a background thread that streams them to an
+//! [`EventSink`] while the run produces, mirroring LTTng's consumer
+//! daemon.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,6 +20,7 @@ use osn_kernel::hooks::{Probe, SwitchState};
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 
+use crate::columns::EventColumns;
 use crate::event::{Event, EventKind, Trace};
 use crate::ringbuf::{ring, Consumer, Producer};
 
@@ -276,23 +278,22 @@ impl TraceSession {
         SpillSession { stop, handle }
     }
 
-    /// Finish the session: drain every ring and return the merged,
-    /// time-sorted trace.
+    /// Finish the session: drain each ring in bulk straight into its
+    /// CPU's [`EventColumns`] and return the trace. Each ring holds
+    /// its CPU's records in time order, so no merge or sort happens.
     pub fn stop(mut self) -> Trace {
-        let per_cpu: Vec<Vec<Event>> = self
+        let columns = self
             .consumers
             .iter_mut()
-            .map(|c| {
-                let mut events = Vec::new();
-                c.drain_into(&mut events);
-                events
+            .enumerate()
+            .map(|(c, ring)| {
+                let mut cols = EventColumns::with_capacity(CpuId(c as u16), ring.len());
+                ring.drain(|records| records.iter().for_each(|e| cols.push_event(e)));
+                cols
             })
             .collect();
-        let lost: Vec<u64> = self.consumers.iter().map(|c| c.lost()).collect();
-        // Per-CPU streams are already in time order: a k-way merge
-        // preserves the `(t, cpu)` key contract without the global
-        // O(n log n) re-sort, and the intra-CPU FIFO order exactly.
-        Trace::from_streams(per_cpu, lost)
+        let lost = self.consumers.iter().map(|c| c.lost()).collect();
+        Trace::from_columns(columns, lost)
     }
 }
 
@@ -340,7 +341,7 @@ mod tests {
         tracer.kernel_exit(Nanos(7), CpuId(0), Tid(2), Activity::TimerInterrupt);
         let trace = session.stop();
         assert_eq!(trace.len(), 4);
-        let ts: Vec<u64> = trace.events.iter().map(|e| e.t.as_nanos()).collect();
+        let ts: Vec<u64> = trace.events().iter().map(|e| e.t.as_nanos()).collect();
         assert_eq!(ts, vec![3, 5, 7, 9], "global time order");
         assert_eq!(trace.total_lost(), 0);
     }

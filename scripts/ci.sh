@@ -80,19 +80,30 @@ shellcheck_scripts() {
 
 # Fast tiered-cluster smoke: a 512-rank sampled campaign through the
 # release CLI must finish quickly, embed self-describing tier metadata
-# in --json, and print the tier section in the text report.
+# in --json, and print the tier section in the text report. It runs at
+# 1 and at 2 node workers (with the nested analysis pools on their
+# share of the thread budget), and the two --json reports must be
+# byte-identical.
 tier_smoke() {
     cargo build -q --release --offline -p osn-cli
     local out
     out="$(mktemp -d)"
-    target/release/osnoise cluster umt --nodes 512 --secs 1 --cpus 2 --seed 7 \
-        --tier sampled:0.125 --json "$out/tier.json" > "$out/report.txt"
+    local w
+    for w in 1 2; do
+        target/release/osnoise cluster umt --nodes 512 --secs 1 --cpus 2 --seed 7 \
+            --tier sampled:0.125 --workers "$w" --json "$out/tier-$w.json" \
+            > "$out/report-$w.txt"
+    done
     local ok=0
-    grep -q '"sample_fraction"' "$out/tier.json" \
-        && grep -q '"validation"' "$out/tier.json" \
-        && grep -q 'tier' "$out/report.txt" || ok=1
+    grep -q '"sample_fraction"' "$out/tier-1.json" \
+        && grep -q '"validation"' "$out/tier-1.json" \
+        && grep -q 'tier' "$out/report-1.txt" || ok=1
     if [[ $ok -ne 0 ]]; then
         echo "ci: tiered smoke: tier metadata missing from report" >&2
+    fi
+    if ! cmp "$out/tier-1.json" "$out/tier-2.json"; then
+        echo "ci: tiered smoke: report differs between 1 and 2 workers" >&2
+        ok=1
     fi
     rm -rf "$out"
     return $ok

@@ -497,6 +497,6 @@ fn same_seed_reproduces_identical_traces() {
     let config = ExperimentConfig::paper(App::Sphot, Nanos::from_millis(800));
     let a = run_app(config.clone());
     let b = run_app(config);
-    assert_eq!(a.trace.events, b.trace.events);
+    assert_eq!(a.trace.events(), b.trace.events());
     assert_eq!(a.result.end_time, b.result.end_time);
 }

@@ -33,7 +33,7 @@ fn wire_roundtrip_on_a_real_trace() {
     persist_run(&run, &path, StoreOptions::default()).expect("persist");
     let loaded = load_run(&path).expect("own store must load");
     std::fs::remove_file(&path).ok();
-    assert_eq!(loaded.trace.events, run.trace.events);
+    assert_eq!(loaded.trace.events(), run.trace.events());
     assert_eq!(loaded.trace.lost, run.trace.lost);
 
     // Re-analysis of the loaded trace gives identical noise totals.
@@ -120,7 +120,7 @@ fn event_mask_reduces_trace_volume() {
     // Identical simulation under the hood: kernel-only events are a
     // subset of the full trace's events.
     let full_kernel = full
-        .events
+        .events()
         .iter()
         .filter(|e| {
             matches!(
@@ -154,7 +154,7 @@ fn ftq_series_survives_the_wire() {
     write_store(&path, &trace, &[], StoreOptions::default()).expect("write");
     let roundtripped = StoreReader::open(&path).unwrap().read_trace().unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(roundtripped.events, trace.events);
+    assert_eq!(roundtripped.events(), trace.events());
     let indirect = series_from_trace(&roundtripped, &params).expect("series");
     assert_eq!(direct, indirect);
     assert_eq!(direct.ops.len(), 200);
