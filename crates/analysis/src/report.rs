@@ -4,7 +4,6 @@
 use std::fmt::Write as _;
 
 use osn_kernel::activity::NoiseCategory;
-use osn_kernel::ids::Tid;
 use osn_kernel::task::TaskMeta;
 use osn_kernel::time::Nanos;
 
@@ -76,24 +75,12 @@ pub fn task_report(analysis: &NoiseAnalysis, meta: &TaskMeta) -> String {
     out
 }
 
-/// Render reports for a set of tasks (e.g. a job's ranks).
-pub fn job_report(analysis: &NoiseAnalysis, tasks: &[TaskMeta], tids: &[Tid]) -> String {
-    let mut out = String::new();
-    for tid in tids {
-        if let Some(meta) = tasks.iter().find(|m| m.tid == *tid) {
-            out.push_str(&task_report(analysis, meta));
-            out.push('\n');
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use osn_kernel::activity::Activity;
     use osn_kernel::hooks::SwitchState;
-    use osn_kernel::ids::CpuId;
+    use osn_kernel::ids::{CpuId, Tid};
     use osn_trace::{Event, EventKind, Trace};
 
     fn fixture() -> (NoiseAnalysis, Vec<TaskMeta>) {
@@ -156,13 +143,5 @@ mod tests {
         let (analysis, tasks) = fixture();
         let text = task_report(&analysis, &tasks[1]);
         assert!(text.contains("not analyzed"));
-    }
-
-    #[test]
-    fn job_report_concatenates() {
-        let (analysis, tasks) = fixture();
-        let text = job_report(&analysis, &tasks, &[Tid(1), Tid(2)]);
-        assert!(text.contains("app.0"));
-        assert!(text.contains("rpciod"));
     }
 }

@@ -229,7 +229,7 @@ pub fn all_class_stats(analysis: &NoiseAnalysis, tids: &[Tid]) -> Vec<(EventClas
 
 /// The wall basis of a job's statistics: the longest extent among its
 /// tasks (the application's runtime).
-fn wall_of(analysis: &NoiseAnalysis, tids: &[Tid]) -> Nanos {
+pub fn wall_of(analysis: &NoiseAnalysis, tids: &[Tid]) -> Nanos {
     tids.iter()
         .filter_map(|t| analysis.tasks.get(t))
         .map(|tn| tn.wall)

@@ -31,6 +31,7 @@ fn main() {
     }
     println!(
         "\n(a spilling session, as `osnoise record` runs, drains the rings while the run \
-         produces, so even small rings survive; see osn-trace's TraceSession::spill)"
+         produces, so far smaller rings survive, though rings too small for the drain \
+         to keep up still lose records; see osn-trace's TraceSession::spill)"
     );
 }

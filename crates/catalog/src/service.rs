@@ -105,19 +105,16 @@ struct RunProducts {
 /// other runs and warm hits never wait on a build.
 type ProductsSlot = Arc<OnceLock<Result<Arc<RunProducts>, Response>>>;
 
-struct CachedProducts {
+/// One cached value of a run, valid while the store's mtime and size
+/// match; `seq` orders least-recent use.
+struct Cached<V> {
     mtime_ns: u64,
     bytes: u64,
     seq: u64,
-    slot: ProductsSlot,
+    value: V,
 }
 
-struct CachedReader {
-    mtime_ns: u64,
-    bytes: u64,
-    seq: u64,
-    reader: Arc<StoreReader>,
-}
+type Cache<V> = Mutex<HashMap<String, Cached<V>>>;
 
 /// Slice queries share readers without paying for an analysis; cap is
 /// generous because a reader is just a file handle + mmap + index.
@@ -165,8 +162,8 @@ struct State {
     root: PathBuf,
     cache_runs: usize,
     catalog: RwLock<Catalog>,
-    products: Mutex<HashMap<String, CachedProducts>>,
-    readers: Mutex<HashMap<String, CachedReader>>,
+    products: Cache<ProductsSlot>,
+    readers: Cache<Arc<StoreReader>>,
     seq: AtomicU64,
     scans: AtomicU64,
     counters: [Counter; 8],
@@ -385,7 +382,7 @@ impl Service {
     /// Chunk accounting of the shared reader for `id`, if one is open:
     /// the residency gauge the bounded-memory tests assert on.
     pub fn store_stats(&self, id: &str) -> Option<ChunkStatsSnapshot> {
-        lock(&self.state.readers).get(id).map(|c| c.reader.stats())
+        lock(&self.state.readers).get(id).map(|c| c.value.stats())
     }
 
     /// Serve until shut down from another thread (never, in the CLI).
@@ -457,55 +454,70 @@ fn entry_for(state: &State, id: &str) -> Result<CatalogEntry, Response> {
         .ok_or_else(|| Response::error(404, &format!("unknown run id {id:?}")))
 }
 
-/// Shared read-only handle for `entry`'s store, cached per run id and
-/// invalidated on mtime/size change. A store deleted since the last
-/// scan answers `410 Gone` (the catalog entry outlives the file until
-/// the next rescan).
-fn reader_for(state: &State, entry: &CatalogEntry) -> Result<Arc<StoreReader>, Response> {
-    let mut readers = lock(&state.readers);
-    if let Some(cached) = readers.get_mut(&entry.id) {
-        if cached.mtime_ns == entry.mtime_ns && cached.bytes == entry.bytes {
-            cached.seq = state.bump();
-            return Ok(Arc::clone(&cached.reader));
+/// `entry`'s value in `cache` if its store is unchanged since it was
+/// cached; otherwise `make`'s, cached in its place, evicting the least
+/// recently used runs past `cap`. `make` runs under the cache lock and
+/// a failure caches nothing.
+fn cached<V: Clone, E>(
+    state: &State,
+    cache: &Cache<V>,
+    cap: usize,
+    entry: &CatalogEntry,
+    make: impl FnOnce() -> Result<V, E>,
+) -> Result<V, E> {
+    let mut map = lock(cache);
+    if let Some(c) = map.get_mut(&entry.id) {
+        if c.mtime_ns == entry.mtime_ns && c.bytes == entry.bytes {
+            c.seq = state.bump();
+            return Ok(c.value.clone());
         }
-        readers.remove(&entry.id);
+        map.remove(&entry.id);
     }
-    let path = state.root.join(&entry.path);
-    let reader = match StoreReader::recover(&path) {
-        Ok((reader, _recovery)) => Arc::new(reader),
-        Err(StoreError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
-            return Err(Response::error(
-                410,
-                &format!("store for run {:?} vanished from disk", entry.id),
-            ));
-        }
-        Err(e) => {
-            return Err(Response::error(
-                500,
-                &format!("cannot open store for run {:?}: {e}", entry.id),
-            ));
-        }
-    };
-    while readers.len() >= READER_CACHE {
-        let Some(oldest) = readers
+    let value = make()?;
+    while map.len() >= cap {
+        let Some(oldest) = map
             .iter()
             .min_by_key(|(_, c)| c.seq)
             .map(|(id, _)| id.clone())
         else {
             break;
         };
-        readers.remove(&oldest);
+        map.remove(&oldest);
     }
-    readers.insert(
+    map.insert(
         entry.id.clone(),
-        CachedReader {
+        Cached {
             mtime_ns: entry.mtime_ns,
             bytes: entry.bytes,
             seq: state.bump(),
-            reader: Arc::clone(&reader),
+            value: value.clone(),
         },
     );
-    Ok(reader)
+    Ok(value)
+}
+
+/// Shared read-only handle for `entry`'s store, cached per run id and
+/// invalidated on mtime/size change. A store deleted since the last
+/// scan answers `410 Gone` (the catalog entry outlives the file until
+/// the next rescan).
+fn reader_for(state: &State, entry: &CatalogEntry) -> Result<Arc<StoreReader>, Response> {
+    cached(
+        state,
+        &state.readers,
+        READER_CACHE,
+        entry,
+        || match StoreReader::recover(&state.root.join(&entry.path)) {
+            Ok((reader, _recovery)) => Ok(Arc::new(reader)),
+            Err(StoreError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Err(Response::error(
+                410,
+                &format!("store for run {:?} vanished from disk", entry.id),
+            )),
+            Err(e) => Err(Response::error(
+                500,
+                &format!("cannot open store for run {:?}: {e}", entry.id),
+            )),
+        },
+    )
 }
 
 /// Cached analysis products for `entry`, built on first use with the
@@ -520,7 +532,7 @@ fn products_for(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts>,
         let mut products = lock(&state.products);
         if products
             .get(&entry.id)
-            .is_some_and(|c| Arc::ptr_eq(&c.slot, &slot))
+            .is_some_and(|c| Arc::ptr_eq(&c.value, &slot))
         {
             products.remove(&entry.id);
         }
@@ -533,34 +545,9 @@ fn products_for(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts>,
 /// the least recently used runs past `cache_runs`). Holds the map lock
 /// only for this lookup, never across a build.
 fn products_slot(state: &State, entry: &CatalogEntry) -> ProductsSlot {
-    let mut products = lock(&state.products);
-    if let Some(cached) = products.get_mut(&entry.id) {
-        if cached.mtime_ns == entry.mtime_ns && cached.bytes == entry.bytes {
-            cached.seq = state.bump();
-            return Arc::clone(&cached.slot);
-        }
-        products.remove(&entry.id);
-    }
-    while products.len() >= state.cache_runs {
-        let Some(oldest) = products
-            .iter()
-            .min_by_key(|(_, c)| c.seq)
-            .map(|(id, _)| id.clone())
-        else {
-            break;
-        };
-        products.remove(&oldest);
-    }
-    let slot = ProductsSlot::default();
-    products.insert(
-        entry.id.clone(),
-        CachedProducts {
-            mtime_ns: entry.mtime_ns,
-            bytes: entry.bytes,
-            seq: state.bump(),
-            slot: Arc::clone(&slot),
-        },
-    );
+    let Ok(slot) = cached(state, &state.products, state.cache_runs, entry, || {
+        Ok::<_, std::convert::Infallible>(ProductsSlot::default())
+    });
     slot
 }
 

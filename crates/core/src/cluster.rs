@@ -1135,23 +1135,11 @@ pub fn run_cluster(config: &ClusterConfig) -> ClusterOutcome {
 /// [`run_cluster`] with runtime options.
 pub fn run_cluster_opts(config: &ClusterConfig, opts: RunOpts) -> ClusterOutcome {
     let plan = config.sample_plan();
-    let total = plan.mechanistic.len();
-    let stride = progress_stride(opts, total);
-    let done = AtomicUsize::new(0);
     // Each worker reduces its node's run to the rank series and drops
     // the trace there, so the sample's traces are never all resident.
-    let sample = parallel_map(total, worker_count(config), |k| {
-        let series = bare_series(&run_app(config.node_experiment(plan.mechanistic[k])));
-        if let Some(stride) = stride {
-            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if d.is_multiple_of(stride) || d == total {
-                eprintln!("cluster: {d}/{total} mechanistic node simulations done");
-            }
-        }
-        series
+    let Ok(report) = run_sample(config, &plan, opts, |i| {
+        Ok::<_, std::convert::Infallible>(bare_series(&run_app(config.node_experiment(i))))
     });
-    let (series, surrogate) = assemble_series(config, &plan, sample);
-    let report = build_report(config, &plan, &series, surrogate.as_ref());
     ClusterOutcome {
         config: config.clone(),
         plan,
@@ -1161,11 +1149,12 @@ pub fn run_cluster_opts(config: &ClusterConfig, opts: RunOpts) -> ClusterOutcome
 
 /// Run the cluster with every node *spilling* its trace to
 /// `dir/node-<i>.osn` while it runs (the [`record_app`] path: the
-/// traces are never memory-resident), then rebuild the rank series by
-/// streamed out-of-core analysis of each store file. The report is
-/// byte-identical to [`run_cluster`]'s on the same config. Only the
-/// plan's mechanistic nodes are recorded (synthetic ranks have no
-/// trace), so a tiered 100k-rank campaign spills a sample-sized store.
+/// traces are never memory-resident), then rebuild its rank series by
+/// streamed out-of-core analysis of that store on the same worker. The
+/// report is byte-identical to [`run_cluster`]'s on the same config.
+/// Only the plan's mechanistic nodes are recorded (synthetic ranks
+/// have no trace), so a tiered 100k-rank campaign spills a
+/// sample-sized store.
 pub fn run_cluster_stored(
     config: &ClusterConfig,
     dir: &Path,
@@ -1174,38 +1163,40 @@ pub fn run_cluster_stored(
 ) -> io::Result<(ClusterReport, Vec<PathBuf>)> {
     std::fs::create_dir_all(dir)?;
     let plan = config.sample_plan();
+    let path = |i: usize| dir.join(format!("node-{i}.osn"));
+    let report = run_sample(config, &plan, run_opts, |i| {
+        record_app(config.node_experiment(i), &path(i), opts)?;
+        stored_rank_series(&path(i))
+    })?;
+    Ok((report, plan.mechanistic.iter().map(|&i| path(i)).collect()))
+}
+
+/// The one node loop: map each of the plan's mechanistic node indices
+/// to its rank series on the worker pool (printing progress every
+/// stride), fill in the synthetic ranks and couple them into the
+/// report. The first node error, in node order, fails the campaign.
+fn run_sample<E: Send>(
+    config: &ClusterConfig,
+    plan: &SamplePlan,
+    opts: RunOpts,
+    node: impl Fn(usize) -> Result<RankSeries, E> + Sync,
+) -> Result<ClusterReport, E> {
     let total = plan.mechanistic.len();
-    let paths: Vec<PathBuf> = plan
-        .mechanistic
-        .iter()
-        .map(|i| dir.join(format!("node-{i}.osn")))
-        .collect();
-    let stride = progress_stride(run_opts, total);
+    let stride = progress_stride(opts, total);
     let done = AtomicUsize::new(0);
-    let recorded = parallel_map(total, worker_count(config), |k| {
-        let r = record_app(config.node_experiment(plan.mechanistic[k]), &paths[k], opts);
+    let sample = parallel_map(total, worker_count(config), |k| {
+        let series = node(plan.mechanistic[k]);
         if let Some(stride) = stride {
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
             if d.is_multiple_of(stride) || d == total {
-                eprintln!("cluster: {d}/{total} mechanistic node recordings done");
+                eprintln!("cluster: {d}/{total} mechanistic nodes done");
             }
         }
-        r
+        series
     });
-    for r in &recorded {
-        if let Err(e) = r {
-            return Err(io::Error::new(e.kind(), e.to_string()));
-        }
-    }
-    let sample = paths
-        .iter()
-        .map(|path| stored_rank_series(path))
-        .collect::<io::Result<Vec<_>>>()?;
-    let (series, surrogate) = assemble_series(config, &plan, sample);
-    Ok((
-        build_report(config, &plan, &series, surrogate.as_ref()),
-        paths,
-    ))
+    let sample = sample.into_iter().collect::<Result<Vec<_>, E>>()?;
+    let (series, surrogate) = assemble_series(config, plan, sample);
+    Ok(build_report(config, plan, &series, surrogate.as_ref()))
 }
 
 /// Rebuild one node's bare rank series from its store file,

@@ -76,7 +76,7 @@ impl AppRun {
     /// The wall basis for per-rank frequencies: the longest rank
     /// extent.
     pub fn wall(&self) -> Nanos {
-        wall_of(&self.analysis, &self.ranks)
+        osn_analysis::stats::wall_of(&self.analysis, &self.ranks)
     }
 
     /// The *observed process* for the paper's per-process tables: the
@@ -87,17 +87,6 @@ impl AppRun {
     pub fn observed_rank(&self) -> Tid {
         observed_rank_of(&self.analysis, &self.ranks, self.config.node.net_irq_cpu)
     }
-}
-
-/// [`AppRun::wall`] against an arbitrary analysis of the same run (the
-/// report's reference path recomputes the analysis independently).
-pub fn wall_of(analysis: &NoiseAnalysis, ranks: &[Tid]) -> Nanos {
-    ranks
-        .iter()
-        .filter_map(|t| analysis.tasks.get(t))
-        .map(|tn| tn.wall)
-        .max()
-        .unwrap_or(Nanos::ZERO)
 }
 
 /// [`AppRun::observed_rank`] against an arbitrary analysis.

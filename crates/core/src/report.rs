@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 
 use osn_analysis::breakdown::Breakdown;
 use osn_analysis::histogram::Histogram;
-use osn_analysis::stats::{class_samples, class_stats, job_stats, EventClass, EventStats};
+use osn_analysis::stats::{class_samples, class_stats, job_stats, wall_of, EventClass, EventStats};
 use osn_analysis::NoiseAnalysis;
 use osn_kernel::activity::NoiseCategory;
 use osn_kernel::time::Nanos;
@@ -14,7 +14,7 @@ use osn_workloads::App;
 
 use serde::Serialize;
 
-use crate::experiment::{observed_rank_of, wall_of, AppRun};
+use crate::experiment::{observed_rank_of, AppRun};
 
 /// Everything the paper reports about one application.
 #[derive(Clone, Debug, Serialize)]

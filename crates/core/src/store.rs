@@ -21,12 +21,11 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use osn_analysis::NoiseAnalysis;
 use osn_kernel::ids::Tid;
 use osn_kernel::node::RunResult;
-use osn_store::{SpillWriter, StoreError, StoreOptions, StoreReader, StoreSummary, StoreWriter};
+use osn_store::{StoreError, StoreOptions, StoreReader, StoreSummary, StoreWriter};
 use osn_trace::session::{EventMask, TraceSession};
 
 use serde::{Deserialize, Serialize};
@@ -36,11 +35,6 @@ use crate::report::AppReport;
 
 pub use osn_store as format;
 pub use osn_store::{RecoveryReport, StoreOptions as Options, StoreReader as Reader};
-
-/// How often the background spill thread sweeps the rings while the
-/// node runs. The simulation produces events far faster than wall
-/// time, so this is a ring-pressure knob, not a latency one.
-const SPILL_POLL: Duration = Duration::from_micros(100);
 
 /// Everything about a run except its events, stored as the footer's
 /// JSON metadata blob: enough to re-analyze the trace without re-running
@@ -91,10 +85,11 @@ pub fn persist_run(run: &AppRun, path: &Path, opts: StoreOptions) -> io::Result<
 }
 
 /// Run one application with the trace *spilling to disk as it runs*:
-/// a background thread drains the per-CPU rings into chunked store
-/// writes, so memory holds only ring + chunk buffers, never the trace.
-/// Returns the run metadata and the written-file summary; analyze the
-/// file with [`streamed_report`] or [`load_run`].
+/// a background thread owns the [`StoreWriter`] and drains the per-CPU
+/// rings into chunked store writes, so memory holds only ring + chunk
+/// buffers, never the trace. Returns the run metadata and the
+/// written-file summary; analyze the file with [`streamed_report`] or
+/// [`load_run`].
 pub fn record_app(
     config: ExperimentConfig,
     path: &Path,
@@ -102,13 +97,11 @@ pub fn record_app(
 ) -> io::Result<(StoredRunMeta, StoreSummary)> {
     let ncpus = config.node.cpus as usize;
     let writer = StoreWriter::create(path, ncpus.max(1), opts)?;
-    let spill = SpillWriter::new(writer);
-
     let (mut node, job) = config.spawn(config.node.clone());
     let (session, mut tracer) = TraceSession::new(ncpus, config.ring_capacity, EventMask::ALL);
-    let spilling = session.spill(Box::new(spill.clone()), SPILL_POLL);
+    let spilling = session.spill(writer);
     let result = node.run(&mut tracer);
-    let lost = spilling.stop()?;
+    let (mut writer, lost) = spilling.stop()?;
     let ranks = result.job_ranks(job);
     let meta = StoredRunMeta {
         config,
@@ -116,8 +109,9 @@ pub fn record_app(
         ranks,
         source: None,
     };
-    let summary = spill.finish(&lost, meta.to_bytes())?;
-    Ok((meta, summary))
+    writer.set_lost(&lost);
+    writer.set_metadata(meta.to_bytes());
+    Ok((meta, writer.finish()?))
 }
 
 /// Materialize a stored run: read the trace back (byte-identical to
@@ -277,6 +271,49 @@ mod tests {
         assert_eq!(loaded.trace.events(), reference.trace.events());
         assert_eq!(meta.ranks, reference.ranks);
         assert_eq!(meta.result.end_time, reference.result.end_time);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A 256-slot ring makes the spill thread drain across the wrap
+    /// point while the node produces. Whatever it drops is counted:
+    /// per CPU, the stored records plus the loss counter make up the
+    /// unpressured run's stream, and the stored records are an
+    /// in-order subsequence of it.
+    #[test]
+    fn record_app_under_ring_pressure_accounts_for_every_record() {
+        const RING: usize = 256;
+        let dir = tmpdir("pressure");
+        let path = dir.join("amg.osn");
+        let config = tiny_config(App::Amg);
+        let mut pressured = config.clone();
+        pressured.ring_capacity = RING;
+        record_app(pressured, &path, StoreOptions::default()).unwrap();
+        let reference = crate::experiment::run_app(config).trace;
+        assert_eq!(reference.total_lost(), 0);
+        let stored = StoreReader::open(&path).unwrap().read_trace().unwrap();
+        assert_eq!(stored.ncpus(), reference.ncpus());
+        let (stored_events, reference_events) = (stored.events(), reference.events());
+        for cpu in 0..reference.ncpus() {
+            let on_cpu = |events: &[osn_trace::Event]| -> Vec<osn_trace::Event> {
+                events
+                    .iter()
+                    .filter(|e| e.cpu.index() == cpu)
+                    .copied()
+                    .collect()
+            };
+            let (got, want) = (on_cpu(&stored_events), on_cpu(&reference_events));
+            assert!(want.len() > RING, "cpu {cpu} never wraps its ring");
+            assert_eq!(
+                got.len() as u64 + stored.lost[cpu],
+                want.len() as u64,
+                "cpu {cpu}"
+            );
+            let mut rest = want.iter();
+            assert!(
+                got.iter().all(|g| rest.any(|w| w == g)),
+                "cpu {cpu}: stored records are not an in-order subsequence"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

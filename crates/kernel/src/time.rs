@@ -39,11 +39,6 @@ impl Nanos {
     pub const SEC: Nanos = Nanos(1_000_000_000);
 
     #[inline]
-    pub const fn from_nanos(ns: u64) -> Self {
-        Nanos(ns)
-    }
-
-    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         Nanos(us * 1_000)
     }

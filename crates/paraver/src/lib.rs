@@ -11,6 +11,5 @@ pub mod row;
 pub mod states;
 
 pub use prv::{
-    parse_prv, validate_prv, write_activity_states, write_full_prv, write_prv, write_prv_window,
-    PrvRecord,
+    parse_prv, validate_prv, write_activity_states, write_full_prv, write_prv, PrvRecord,
 };

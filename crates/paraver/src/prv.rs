@@ -432,101 +432,3 @@ mod tests {
         ));
     }
 }
-
-/// Export only a time window of the trace (the paper's zoomed figures,
-/// e.g. Fig 2a's 75 ms window): events and activity states clipped to
-/// `[from, to)`, with the header end time set to `to`.
-pub fn write_prv_window(
-    trace: &Trace,
-    instances: &[osn_analysis::ActivityInstance],
-    tasks: &[TaskMeta],
-    from: Nanos,
-    to: Nanos,
-) -> String {
-    let windowed = Trace::new(
-        trace
-            .events()
-            .iter()
-            .filter(|e| e.t >= from && e.t < to)
-            .cloned()
-            .collect(),
-        trace.lost.clone(),
-    );
-    let clipped: Vec<osn_analysis::ActivityInstance> = instances
-        .iter()
-        .filter(|i| i.start < to && i.end > from)
-        .map(|i| osn_analysis::ActivityInstance {
-            start: i.start.max(from),
-            end: i.end.min(to),
-            ..*i
-        })
-        .collect();
-    let mut text = write_prv(&windowed, tasks, to);
-    text.push_str(&write_activity_states(&clipped, tasks));
-    text
-}
-
-#[cfg(test)]
-mod window_tests {
-    use super::*;
-    use osn_kernel::activity::Activity as A;
-    use osn_kernel::ids::CpuId;
-    use osn_trace::Event;
-
-    #[test]
-    fn window_clips_events_and_instances() {
-        let mk = |t: u64, kind: EventKind| Event {
-            t: Nanos(t),
-            cpu: CpuId(0),
-            tid: Tid(1),
-            kind,
-        };
-        let trace = Trace::new(
-            vec![
-                mk(10, EventKind::KernelEnter(A::TimerInterrupt)),
-                mk(20, EventKind::KernelExit(A::TimerInterrupt)),
-                mk(500, EventKind::KernelEnter(A::TimerInterrupt)),
-                mk(510, EventKind::KernelExit(A::TimerInterrupt)),
-            ],
-            vec![0],
-        );
-        let instances = vec![
-            osn_analysis::ActivityInstance {
-                activity: A::TimerInterrupt,
-                cpu: CpuId(0),
-                ctx: Tid(1),
-                start: Nanos(10),
-                end: Nanos(20),
-                self_time: Nanos(10),
-                depth: 0,
-            },
-            osn_analysis::ActivityInstance {
-                activity: A::TimerInterrupt,
-                cpu: CpuId(0),
-                ctx: Tid(1),
-                start: Nanos(500),
-                end: Nanos(510),
-                self_time: Nanos(10),
-                depth: 0,
-            },
-        ];
-        let tasks = vec![TaskMeta {
-            tid: Tid(1),
-            name: "t".into(),
-            kind: "app".into(),
-            job: None,
-            rank: 0,
-            user_time: Nanos::ZERO,
-            faults: 0,
-        }];
-        let text = write_prv_window(&trace, &instances, &tasks, Nanos(0), Nanos(100));
-        let records = parse_prv(&text).unwrap();
-        // Only the first pair's events and the first instance survive.
-        let events = records
-            .iter()
-            .filter(|r| matches!(r, PrvRecord::Event { .. }))
-            .count();
-        assert_eq!(events, 2);
-        assert!(!text.contains(":500:"));
-    }
-}

@@ -6,9 +6,9 @@
 //! decodable, behind a footer index that locates any chunk by CPU and
 //! time range without scanning the file. Traces no longer have to fit
 //! in RAM — a session can spill chunks while the run is producing
-//! ([`writer::SpillWriter`]), and analysis can stream chunks back one
-//! at a time ([`reader::ColumnChunks`]), bounded-memory, with results
-//! bit-identical to the in-memory path.
+//! (a [`writer::StoreWriter`] is the session's sink), and analysis can
+//! stream chunks back one at a time ([`reader::ColumnChunks`]),
+//! bounded-memory, with results bit-identical to the in-memory path.
 //!
 //! File layout (all integers little-endian):
 //!
@@ -41,7 +41,7 @@ pub mod writer;
 
 pub use chunk::{ChunkHeader, ChunkMeta, CHUNK_HEADER_BYTES};
 pub use reader::{ChunkStatsSnapshot, ColumnChunks, RecoveryReport, StoreReader};
-pub use writer::{write_store, SpillWriter, StoreOptions, StoreSummary, StoreWriter};
+pub use writer::{write_store, StoreOptions, StoreSummary, StoreWriter};
 
 /// File magic, first 8 bytes of every store.
 pub const FILE_MAGIC: &[u8; 8] = b"OSNSTORE";

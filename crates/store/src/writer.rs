@@ -1,12 +1,13 @@
-//! Appending side of the store: [`StoreWriter`] (buffer, chunk, index,
-//! footer) and [`SpillWriter`] (the [`osn_trace::EventSink`] adapter
-//! that lets a live [`osn_trace::TraceSession`] stream rings to disk).
+//! Appending side of the store: [`StoreWriter`] buffers each CPU's
+//! records, writes full chunks, and ends the file with the footer
+//! index. It is also the [`EventSink`] a spilling
+//! [`osn_trace::TraceSession`] owns while the run streams its rings to
+//! disk; the session's `stop` hands it back to be finished.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
 
 use osn_kernel::ids::CpuId;
 use osn_trace::wire::fnv1a64;
@@ -287,45 +288,8 @@ pub fn write_store(
     w.finish()
 }
 
-/// The [`EventSink`] adapter: clones share one [`StoreWriter`], so a
-/// spilling [`osn_trace::TraceSession`] can own one clone (boxed) while
-/// the recorder keeps another to [`SpillWriter::finish`] the file after
-/// the spill session's `stop` returns the loss counters.
-#[derive(Clone)]
-pub struct SpillWriter {
-    inner: Arc<Mutex<Option<StoreWriter>>>,
-}
-
-impl SpillWriter {
-    pub fn new(writer: StoreWriter) -> SpillWriter {
-        SpillWriter {
-            inner: Arc::new(Mutex::new(Some(writer))),
-        }
-    }
-
-    /// Finalize the underlying store: record the session's loss
-    /// counters and metadata, then write the footer. Panics if called
-    /// twice (the writer is consumed by the first call).
-    pub fn finish(self, lost: &[u64], meta: Vec<u8>) -> std::io::Result<StoreSummary> {
-        let mut writer = self
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("store already finished");
-        writer.set_lost(lost);
-        writer.set_metadata(meta);
-        writer.finish()
-    }
-}
-
-impl EventSink for SpillWriter {
+impl EventSink for StoreWriter {
     fn append(&mut self, cpu: CpuId, events: &[Event]) -> std::io::Result<()> {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_mut()
-            .expect("append after finish")
-            .append(cpu, events)
+        StoreWriter::append(self, cpu, events)
     }
 }

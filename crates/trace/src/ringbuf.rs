@@ -209,11 +209,6 @@ impl<T: Copy> Consumer<T> {
         }
         total
     }
-
-    /// Drain everything currently visible into `out`; returns the count.
-    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
-        self.drain(|records| out.extend_from_slice(records))
-    }
 }
 
 impl<T> Drop for Consumer<T> {
@@ -266,15 +261,15 @@ mod tests {
     }
 
     #[test]
-    fn drain_into_collects_all() {
+    fn drain_collects_all() {
         let (mut p, mut c) = ring::<u32>(16);
         for i in 0..10 {
             p.push(i);
         }
         let mut out = Vec::new();
-        assert_eq!(c.drain_into(&mut out), 10);
+        assert_eq!(c.drain(|r| out.extend_from_slice(r)), 10);
         assert_eq!(out, (0..10).collect::<Vec<_>>());
-        assert_eq!(c.drain_into(&mut out), 0);
+        assert_eq!(c.drain(|r| out.extend_from_slice(r)), 0);
     }
 
     #[test]

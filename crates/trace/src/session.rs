@@ -6,9 +6,10 @@
 //! [`Probe`] and appends fixed-size records with no locking. A session
 //! ends one of two ways: [`TraceSession::stop`] drains the rings once
 //! into an in-memory columnar [`Trace`], or [`TraceSession::spill`]
-//! hands them to a background thread that streams them to an
-//! [`EventSink`] while the run produces, mirroring LTTng's consumer
-//! daemon.
+//! hands them, with an [`EventSink`], to a background thread that
+//! streams them into the sink while the run produces, mirroring
+//! LTTng's consumer daemon, which drains the buffers and owns the
+//! trace files it writes. [`SpillSession::stop`] hands the sink back.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -208,12 +209,17 @@ impl Probe for Tracer {
 }
 
 /// Destination for drained records when a session *spills* to disk
-/// instead of accumulating in memory (LTTng's relayd role; the
-/// `osn-store` `SpillWriter` implements this). Batches for one CPU
+/// instead of accumulating in memory (LTTng's trace files; the
+/// `osn-store` `StoreWriter` implements this). Batches for one CPU
 /// arrive in ring order, which is that CPU's time order.
 pub trait EventSink: Send {
     fn append(&mut self, cpu: CpuId, events: &[Event]) -> std::io::Result<()>;
 }
+
+/// How often the spill thread sweeps the rings when its last sweep
+/// found them empty. The simulation produces events far faster than
+/// wall time, so this is a ring-pressure knob, not a latency one.
+const SPILL_POLL: Duration = Duration::from_micros(100);
 
 /// The consumer/owner side of a tracing setup: one ring consumer per
 /// CPU. End it with [`TraceSession::stop`] for an in-memory [`Trace`],
@@ -237,18 +243,18 @@ impl TraceSession {
     }
 
     /// Route drained records to `sink` instead of accumulating them in
-    /// memory: a background thread (LTTng's consumer daemon) drains
-    /// every ring each `poll` and appends to the sink while the run is
-    /// still producing — constant memory regardless of run length, and
-    /// small rings survive long runs. End the run with
-    /// [`SpillSession::stop`]; the sink's owner finalizes the sink
-    /// itself.
-    pub fn spill(self, mut sink: Box<dyn EventSink>, poll: Duration) -> SpillSession {
+    /// memory: a background thread (LTTng's consumer daemon) takes the
+    /// sink, drains every ring in bulk and appends each ring slice to
+    /// it while the run is still producing — constant memory regardless
+    /// of run length, and small rings survive long runs. When a sweep
+    /// finds the rings empty the thread sleeps `SPILL_POLL` (100 µs).
+    /// [`SpillSession::stop`] hands the sink back for its owner to
+    /// finish.
+    pub fn spill<S: EventSink + 'static>(self, mut sink: S) -> SpillSession<S> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let mut consumers = self.consumers;
         let handle = std::thread::spawn(move || {
-            let mut scratch: Vec<Event> = Vec::new();
             // First sink error is sticky: the rings keep draining (so
             // the producer never wedges against full rings) but nothing
             // more is written, and the error surfaces at stop.
@@ -260,20 +266,20 @@ impl TraceSession {
                 let stopping = stop2.load(Ordering::Acquire);
                 let mut drained = 0;
                 for (i, c) in consumers.iter_mut().enumerate() {
-                    scratch.clear();
-                    drained += c.drain_into(&mut scratch);
-                    if !scratch.is_empty() && status.is_ok() {
-                        status = sink.append(CpuId(i as u16), &scratch);
-                    }
+                    drained += c.drain(|records| {
+                        if status.is_ok() {
+                            status = sink.append(CpuId(i as u16), records);
+                        }
+                    });
                 }
                 if stopping {
                     break;
                 }
                 if drained == 0 {
-                    std::thread::sleep(poll);
+                    std::thread::sleep(SPILL_POLL);
                 }
             }
-            status.map(|()| consumers.iter().map(|c| c.lost()).collect())
+            status.map(|()| (sink, consumers.iter().map(|c| c.lost()).collect()))
         });
         SpillSession { stop, handle }
     }
@@ -297,19 +303,20 @@ impl TraceSession {
     }
 }
 
-/// A session spilling to an [`EventSink`] on its background thread.
-pub struct SpillSession {
+/// A session spilling to an [`EventSink`] on its background thread,
+/// which owns the sink until [`SpillSession::stop`].
+pub struct SpillSession<S> {
     stop: Arc<AtomicBool>,
-    handle: JoinHandle<std::io::Result<Vec<u64>>>,
+    handle: JoinHandle<std::io::Result<(S, Vec<u64>)>>,
 }
 
-impl SpillSession {
+impl<S> SpillSession<S> {
     /// Finish the run: signal the spill thread, let it sweep the rings
-    /// one final time into the sink, and return the per-CPU loss
-    /// counters (or the first sink error). The sink itself stays with
-    /// its owner — e.g. a store `SpillWriter` is finalized separately
-    /// with the counters returned here.
-    pub fn stop(self) -> std::io::Result<Vec<u64>> {
+    /// one final time into the sink, and return the sink with the
+    /// per-CPU loss counters (or the first sink error). Finishing the
+    /// sink — e.g. writing a store's footer with these counters — is
+    /// the caller's.
+    pub fn stop(self) -> std::io::Result<(S, Vec<u64>)> {
         self.stop.store(true, Ordering::Release);
         self.handle.join().expect("spill thread panicked")
     }
@@ -318,7 +325,6 @@ impl SpillSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn mask_operations() {
@@ -368,12 +374,26 @@ mod tests {
         assert_eq!(trace.len() as u64 + trace.total_lost(), 10);
     }
 
-    /// Test sink: accumulates per-CPU batches in memory.
-    struct VecSink(Arc<Mutex<Vec<Vec<Event>>>>);
+    /// Test sink: accumulates per-CPU records in memory, and counts
+    /// the batches it was handed.
+    struct VecSink {
+        streams: Vec<Vec<Event>>,
+        batches: usize,
+    }
+
+    impl VecSink {
+        fn new(ncpus: usize) -> VecSink {
+            VecSink {
+                streams: vec![vec![]; ncpus],
+                batches: 0,
+            }
+        }
+    }
 
     impl EventSink for VecSink {
         fn append(&mut self, cpu: CpuId, events: &[Event]) -> std::io::Result<()> {
-            self.0.lock().unwrap()[cpu.index()].extend_from_slice(events);
+            self.streams[cpu.index()].extend_from_slice(events);
+            self.batches += 1;
             Ok(())
         }
     }
@@ -381,18 +401,14 @@ mod tests {
     #[test]
     fn spill_routes_each_cpu_to_its_stream() {
         // Records published just before `stop` still reach the sink.
-        let streams: Arc<Mutex<Vec<Vec<Event>>>> = Arc::new(Mutex::new(vec![vec![], vec![]]));
         let (session, mut tracer) = TraceSession::new(2, 64, EventMask::ALL);
-        let spilling = session.spill(
-            Box::new(VecSink(Arc::clone(&streams))),
-            Duration::from_micros(50),
-        );
+        let spilling = session.spill(VecSink::new(2));
         tracer.app_mark(Nanos(1), CpuId(0), Tid(1), 0, 10);
         tracer.app_mark(Nanos(2), CpuId(1), Tid(2), 0, 20);
         tracer.app_mark(Nanos(3), CpuId(0), Tid(1), 0, 30);
-        let lost = spilling.stop().unwrap();
+        let (sink, lost) = spilling.stop().unwrap();
         assert_eq!(lost, vec![0, 0]);
-        let streams = streams.lock().unwrap();
+        let streams = &sink.streams;
         assert_eq!(streams[0].len(), 2);
         assert_eq!(streams[1].len(), 1);
         assert!(streams[0].iter().all(|e| e.cpu == CpuId(0)));
@@ -401,15 +417,49 @@ mod tests {
     }
 
     #[test]
+    fn stop_hands_back_the_sink_with_every_record_in_ring_order() {
+        // 3 CPUs, 16-slot rings, 1000 records each, pushed in bursts
+        // that fit a ring: the spill thread drains across the wrap
+        // point many times, and the sink it hands back holds each
+        // CPU's records exactly once, in push order.
+        const N: u64 = 1000;
+        let (session, mut tracer) = TraceSession::new(3, 16, EventMask::ALL);
+        let spilling = session.spill(VecSink::new(3));
+        for i in 0..N {
+            for cpu in 0..3u16 {
+                loop {
+                    let before = tracer.lost();
+                    tracer.app_mark(Nanos(i), CpuId(cpu), Tid(cpu as u32), 0, i);
+                    if tracer.lost() == before {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
+        }
+        let (sink, _lost) = spilling.stop().unwrap();
+        for (cpu, stream) in sink.streams.iter().enumerate() {
+            assert!(stream.iter().all(|e| e.cpu == CpuId(cpu as u16)));
+            let values: Vec<u64> = stream
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::AppMark { value, .. } => value,
+                    _ => unreachable!(),
+                })
+                .collect();
+            assert_eq!(values, (0..N).collect::<Vec<_>>(), "cpu {cpu}");
+        }
+        // A ring slice holds at most 16 records, so every CPU's 1000
+        // records took at least 63 appends.
+        assert!(sink.batches >= 3 * 63, "one append per ring slice");
+    }
+
+    #[test]
     fn background_spill_keeps_small_rings_alive() {
         // Ring of 64 slots, 10_000 events: without the spill thread
         // most would be lost; with it, all arrive.
-        let streams: Arc<Mutex<Vec<Vec<Event>>>> = Arc::new(Mutex::new(vec![vec![]]));
         let (session, mut tracer) = TraceSession::new(1, 64, EventMask::ALL);
-        let spilling = session.spill(
-            Box::new(VecSink(Arc::clone(&streams))),
-            Duration::from_micros(50),
-        );
+        let spilling = session.spill(VecSink::new(1));
         let producer = std::thread::spawn(move || {
             for i in 0..10_000u64 {
                 // Spin until accepted: the spill thread drains in
@@ -427,8 +477,8 @@ mod tests {
         producer.join().unwrap();
         // (The spin-retry producer bumps the loss counter on every
         // rejected push, so only delivery is asserted here.)
-        spilling.stop().unwrap();
-        let streams = streams.lock().unwrap();
+        let (sink, _lost) = spilling.stop().unwrap();
+        let streams = &sink.streams;
         assert_eq!(streams[0].len(), 10_000);
         assert!(streams[0].windows(2).all(|w| w[1].t.0 == w[0].t.0 + 1));
     }
@@ -442,7 +492,7 @@ mod tests {
             }
         }
         let (session, mut tracer) = TraceSession::new(1, 64, EventMask::ALL);
-        let spilling = session.spill(Box::new(FailSink), Duration::from_micros(50));
+        let spilling = session.spill(FailSink);
         tracer.app_mark(Nanos(1), CpuId(0), Tid(1), 0, 1);
         assert!(spilling.stop().is_err());
     }

@@ -49,7 +49,7 @@ proptest! {
                 }
                 Op::Drain => {
                     let mut out = Vec::new();
-                    consumer.drain_into(&mut out);
+                    consumer.drain(|r| out.extend_from_slice(r));
                     let expected: Vec<u32> = model.drain(..).collect();
                     prop_assert_eq!(out, expected);
                 }
@@ -59,7 +59,7 @@ proptest! {
         }
         // Drain the rest: order preserved.
         let mut rest = Vec::new();
-        consumer.drain_into(&mut rest);
+        consumer.drain(|r| rest.extend_from_slice(r));
         let expected: Vec<u32> = model.into_iter().collect();
         prop_assert_eq!(rest, expected);
     }
@@ -89,7 +89,7 @@ proptest! {
                 Some(v) => received.push(v),
                 None => {
                     if handle.is_finished() {
-                        consumer.drain_into(&mut received);
+                        consumer.drain(|r| received.extend_from_slice(r));
                         break;
                     }
                     std::thread::yield_now();

@@ -83,7 +83,9 @@ shellcheck_scripts() {
 # in --json, and print the tier section in the text report. It runs at
 # 1 and at 2 node workers (with the nested analysis pools on their
 # share of the thread budget), and the two --json reports must be
-# byte-identical.
+# byte-identical. The same campaign recorded through --store DIR (each
+# sampled node spilled to a .osn store and analyzed back from it) must
+# write the same --json bytes at both worker counts.
 tier_smoke() {
     cargo build -q --release --offline -p osn-cli
     local out
@@ -93,6 +95,9 @@ tier_smoke() {
         target/release/osnoise cluster umt --nodes 512 --secs 1 --cpus 2 --seed 7 \
             --tier sampled:0.125 --workers "$w" --json "$out/tier-$w.json" \
             > "$out/report-$w.txt"
+        target/release/osnoise cluster umt --nodes 512 --secs 1 --cpus 2 --seed 7 \
+            --tier sampled:0.125 --workers "$w" --store "$out/store-$w" \
+            --json "$out/stored-$w.json" > /dev/null
     done
     local ok=0
     grep -q '"sample_fraction"' "$out/tier-1.json" \
@@ -105,6 +110,12 @@ tier_smoke() {
         echo "ci: tiered smoke: report differs between 1 and 2 workers" >&2
         ok=1
     fi
+    for w in 1 2; do
+        if ! cmp "$out/tier-1.json" "$out/stored-$w.json"; then
+            echo "ci: tiered smoke: --store report at $w workers differs from in-memory" >&2
+            ok=1
+        fi
+    done
     rm -rf "$out"
     return $ok
 }
