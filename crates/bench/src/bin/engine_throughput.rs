@@ -8,10 +8,6 @@
 //! seed) — the binary asserts that, so a throughput run doubles as a
 //! cheap determinism check.
 //!
-//! A second section sweeps raw queue ops at 1e5–1e7 pending entries,
-//! where the O(log n) reference heap and the engine's O(1) timer wheel
-//! actually separate.
-//!
 //! Knobs: `OSN_SECS` — simulated seconds per app run (default 10;
 //! below ~5 the per-run times are too short to time reliably);
 //! `OSN_REPS` — timed repetitions per configuration, best time kept
@@ -21,7 +17,6 @@ use std::time::Instant;
 
 use osn_core::ExperimentConfig;
 use osn_kernel::hooks::NullProbe;
-use osn_kernel::rng::splitmix64;
 use osn_kernel::time::Nanos;
 use osn_workloads::App;
 
@@ -33,7 +28,8 @@ struct AppRow {
     sim_secs: u64,
     /// Events dispatched by the main loop (identical across reps).
     events: u64,
-    /// Of those, stale `Advance` pops — dead queue traffic.
+    /// Re-arms that replaced a still-pending advance point: the stale
+    /// events a queue holding every advance would have popped.
     stale_events: u64,
     /// Best-of-reps on-CPU seconds (see `timed`).
     cpu_s: f64,
@@ -41,27 +37,13 @@ struct AppRow {
 }
 
 #[derive(Serialize)]
-struct DepthRow {
-    /// Pending entries held in the queue during the hold phase.
-    depth: u64,
-    /// Million queue ops (push or pop) per on-CPU second.
-    heap_mops: f64,
-    wheel_mops: f64,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
 struct Report {
     seed: u64,
     reps: usize,
-    /// Whole-engine runs on the timer wheel.
+    /// Whole-engine runs, one per app.
     apps: Vec<AppRow>,
     /// Total events over total best-of-reps on-CPU time.
     aggregate_events_per_sec: f64,
-    /// Raw queue ops at depth — where the O(log n) vs O(1) asymptotics
-    /// actually separate. Fill to `depth`, then a steady-state
-    /// pop+push hold phase, timed together.
-    queue_depth: Vec<DepthRow>,
 }
 
 /// Nanoseconds this thread has been on-CPU, from
@@ -93,42 +75,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
 }
 
 /// One timed run: paper config for `app`, no tracer.
-/// Returns (on-CPU seconds, loop events, stale advance pops).
+/// Returns (on-CPU seconds, loop events, superseded advances).
 fn timed_run(app: App, sim: Nanos, seed: u64) -> (f64, u64, u64) {
     let config = ExperimentConfig::paper(app, sim).with_seed(seed);
     let (mut node, _) = config.spawn(config.node.clone());
     let (secs, result) = timed(|| node.run(&mut NullProbe));
     (secs, result.stats.loop_events, result.stats.stale_advances)
-}
-
-/// Queue ops/sec at a given pending depth: fill with `depth` entries
-/// (deltas spread over ~16 ms so every wheel level below overflow is
-/// exercised), then `hold_ops` steady-state pop+push pairs. Returns
-/// million ops per on-CPU second over both phases.
-fn depth_mops<Q: osn_kernel::wheel::EventQueue<u64>>(
-    queue: &mut Q,
-    depth: u64,
-    hold_ops: u64,
-) -> f64 {
-    const DELTA_MASK: u64 = (1 << 24) - 1;
-    let mut rng = 0xD1CEu64;
-    let mut seq = 0u64;
-    let (secs, clock) = timed(|| {
-        for _ in 0..depth {
-            seq += 1;
-            queue.push(Nanos(splitmix64(&mut rng) & DELTA_MASK), seq, seq);
-        }
-        let mut clock = 0u64;
-        for _ in 0..hold_ops {
-            let (t, _, _) = queue.pop().expect("queue drained during hold");
-            clock = t.0;
-            seq += 1;
-            queue.push(Nanos(clock + (splitmix64(&mut rng) & DELTA_MASK)), seq, seq);
-        }
-        clock
-    });
-    std::hint::black_box(clock);
-    (depth + 2 * hold_ops) as f64 / secs / 1e6
 }
 
 fn main() {
@@ -175,34 +127,11 @@ fn main() {
         apps.push(row);
     }
 
-    let mut queue_depth = Vec::new();
-    for depth in [100_000u64, 1_000_000, 10_000_000] {
-        let hold = 1_000_000u64.min(depth * 10);
-        let mut heap = osn_kernel::wheel::HeapQueue::new();
-        let heap_mops = depth_mops(&mut heap, depth, hold);
-        drop(heap);
-        let mut wheel = osn_kernel::wheel::TimerWheel::new();
-        let wheel_mops = depth_mops(&mut wheel, depth, hold);
-        drop(wheel);
-        let row = DepthRow {
-            depth,
-            heap_mops,
-            wheel_mops,
-            speedup: wheel_mops / heap_mops,
-        };
-        println!(
-            "depth {:>9}: heap {:>6.1} Mops/s  wheel {:>6.1} Mops/s  speedup {:.2}x",
-            row.depth, row.heap_mops, row.wheel_mops, row.speedup
-        );
-        queue_depth.push(row);
-    }
-
     let report = Report {
         seed,
         reps,
         apps,
         aggregate_events_per_sec: tot_events as f64 / tot_cpu,
-        queue_depth,
     };
     println!(
         "aggregate: {} events in {:.2}s -> {:.1} kev/s",

@@ -40,9 +40,17 @@ impl CostModel {
     /// Draw one duration, scaled by the dimensionless `factor`
     /// (cache-pressure scaling; 1.0 = calm caches). The floor is *not*
     /// scaled — the entry path is not cache sensitive — but the cap is
-    /// absolute.
+    /// absolute. A factor of exactly 1.0 skips the scaling, which is
+    /// then the identity: every capped draw is below 2^53 ns, so it
+    /// round-trips through `f64` unchanged.
+    #[inline]
     pub fn sample(&self, s: &mut Stream, factor: f64) -> Nanos {
-        let raw = self.dist.sample(s, Nanos::ZERO, self.cap).scale(factor);
+        let raw = self.dist.sample(s, Nanos::ZERO, self.cap);
+        let raw = if factor == 1.0 {
+            raw
+        } else {
+            raw.scale(factor)
+        };
         raw.max(self.floor).min(self.cap)
     }
 }

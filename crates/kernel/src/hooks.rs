@@ -75,17 +75,21 @@ impl SwitchState {
 pub trait Probe {
     /// A kernel activity begins on `cpu`, interrupting (or servicing)
     /// task `tid`.
+    #[inline]
     fn kernel_enter(&mut self, t: Nanos, cpu: CpuId, tid: Tid, activity: Activity) {}
 
     /// The matching end of [`Probe::kernel_enter`]. Nested activities
     /// produce properly nested enter/exit pairs.
+    #[inline]
     fn kernel_exit(&mut self, t: Nanos, cpu: CpuId, tid: Tid, activity: Activity) {}
 
     /// A softirq vector was raised on `cpu` (from interrupt context).
+    #[inline]
     fn softirq_raise(&mut self, t: Nanos, cpu: CpuId, vec: SoftirqVec) {}
 
     /// Context switch on `cpu` from `prev` (leaving in `prev_state`) to
     /// `next`.
+    #[inline]
     fn sched_switch(
         &mut self,
         t: Nanos,
@@ -97,16 +101,20 @@ pub trait Probe {
     }
 
     /// Task `tid` became runnable on `cpu`'s runqueue, woken by `waker`.
+    #[inline]
     fn wakeup(&mut self, t: Nanos, cpu: CpuId, tid: Tid, waker: Tid) {}
 
     /// Load balancing migrated `tid` from `from` to `to`.
+    #[inline]
     fn migrate(&mut self, t: Nanos, tid: Tid, from: CpuId, to: CpuId) {}
 
     /// Application-level marker (user-space tracepoint): FTQ emits one
     /// per quantum with the work counter as `value`.
+    #[inline]
     fn app_mark(&mut self, t: Nanos, cpu: CpuId, tid: Tid, mark: u32, value: u64) {}
 
     /// Task exited (emitted in addition to the final sched_switch).
+    #[inline]
     fn task_exit(&mut self, t: Nanos, cpu: CpuId, tid: Tid) {}
 }
 

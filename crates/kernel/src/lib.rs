@@ -43,7 +43,6 @@ pub mod sched;
 pub mod softirq;
 pub mod task;
 pub mod time;
-pub mod wheel;
 pub mod workload;
 
 /// Commonly used items, re-exported.

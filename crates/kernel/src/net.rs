@@ -16,7 +16,7 @@ use crate::rng::{Dist, Stream};
 use crate::time::Nanos;
 
 /// RPC handle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RpcId(pub u64);
 
 /// RPC direction.

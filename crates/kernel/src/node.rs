@@ -28,10 +28,12 @@ use crate::sched::CfsRq;
 use crate::softirq::SoftirqPending;
 use crate::task::{BlockReason, Body, Progress, Task, TaskMeta, TaskState};
 use crate::time::Nanos;
-use crate::wheel::TimerWheel;
 use crate::workload::{Action, Outcome, Workload, WorkloadCtx};
 
 use serde::{Deserialize, Serialize};
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// What to do when a kernel frame finishes.
 enum FrameExit {
@@ -117,8 +119,6 @@ struct Cpu {
     user_since: Option<Nanos>,
     /// Charge point for the current task's vruntime.
     charge_since: Nanos,
-    /// Generation tag invalidating stale CpuAdvance events.
-    advance_gen: u64,
     /// Local jiffies.
     ticks: u64,
     /// Network interrupts since the last TX-completion cleanup pass.
@@ -137,7 +137,6 @@ impl Cpu {
             last_sync: Nanos::ZERO,
             user_since: None,
             charge_since: Nanos::ZERO,
-            advance_gen: 0,
             ticks: 0,
             irqs_since_tx_clean: 0,
         }
@@ -156,7 +155,10 @@ struct Job {
     waiting: Vec<Tid>,
 }
 
-/// Queue event payloads.
+/// Queue event payloads. Per-CPU advance points are not queued: each
+/// CPU holds its own in [`Node::advance`]. (`Ord` only completes the
+/// queue's `(t, seq, ev)` key; `seq` is unique, so it never decides.)
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// Periodic tick on a CPU.
     Tick { cpu: CpuId },
@@ -164,8 +166,6 @@ enum Ev {
     NetArrive { rpc_id: crate::net::RpcId },
     /// High-resolution timer expiry for a sleeping task.
     HrTimer { cpu: CpuId, tid: Tid },
-    /// The CPU reaches its next self-scheduled advance point.
-    Advance { cpu: CpuId, gen: u64 },
     /// An injected hypervisor steal window begins on this CPU (only
     /// ever scheduled when steal perturbation is configured).
     Steal { cpu: CpuId },
@@ -185,13 +185,13 @@ pub struct NodeStats {
     pub net_irqs: u64,
     pub syscalls: u64,
     pub events_processed: u64,
-    /// Simulation events dispatched by the main loop (queue pops,
-    /// including stale ones) — the denominator for engine-throughput
-    /// measurements.
+    /// Simulation events dispatched by the main loop (queued events
+    /// and per-CPU advance points) — the denominator for
+    /// engine-throughput measurements.
     pub loop_events: u64,
-    /// Popped `Advance` events whose generation was already
-    /// invalidated — pure queue overhead, counted to size the cost of
-    /// the re-arm-on-every-event scheduling strategy.
+    /// Re-arms that replaced a CPU's still-pending advance point: the
+    /// events a queue holding every advance would have had to pop and
+    /// discard as stale.
     pub stale_advances: u64,
 }
 
@@ -220,9 +220,13 @@ impl RunResult {
 pub struct Node {
     cfg: NodeConfig,
     clock: Nanos,
-    /// Future-event set, popped in ascending `(time, seq)` order.
-    queue: TimerWheel<Ev>,
-    /// Monotonic push counter: the FIFO tie-break for same-time events.
+    /// Future events other than advance points (ticks, NFS arrivals,
+    /// hrtimers, steal windows), popped in ascending `(time, seq)`
+    /// order (`Reverse` turns the max-heap into a min-heap). It holds
+    /// a few entries per CPU.
+    queue: BinaryHeap<Reverse<(Nanos, u64, Ev)>>,
+    /// Monotonic counter shared by queued events and advance points:
+    /// the FIFO tie-break for same-time events.
     seq: u64,
     cpus: Vec<Cpu>,
     tasks: Vec<Task>,
@@ -250,7 +254,18 @@ pub struct Node {
     perturb: Option<crate::perturb::PerturbState>,
     stats: NodeStats,
     live_apps: usize,
+    /// Tasks not yet exited (daemons included): the rebalance scan
+    /// length.
+    live_tasks: u32,
+    /// Each CPU's one pending advance point, keyed `(time, seq)` like a
+    /// queued event, or [`NO_ADVANCE`]; a re-arm overwrites it. The
+    /// keys sit side by side so the loop finds the earliest in a few
+    /// compares.
+    advance: Vec<(Nanos, u64)>,
 }
+
+/// The key of a CPU with no pending advance: after every real key.
+const NO_ADVANCE: (Nanos, u64) = (Nanos(u64::MAX), u64::MAX);
 
 impl Node {
     /// Build a node with its kernel daemons (`rpciod`, `events`)
@@ -265,7 +280,7 @@ impl Node {
         let mut node = Node {
             cfg,
             clock: Nanos::ZERO,
-            queue: TimerWheel::new(),
+            queue: BinaryHeap::with_capacity(64),
             seq: 0,
             cpus,
             tasks: Vec::new(),
@@ -284,6 +299,8 @@ impl Node {
             perturb,
             stats: NodeStats::default(),
             live_apps: 0,
+            live_tasks: 0,
+            advance: vec![NO_ADVANCE; cfg_cpus as usize],
         };
         node.rpciod_tid = node.add_task(Task::new_daemon(
             Tid(0), // patched by add_task
@@ -315,6 +332,7 @@ impl Node {
         task.tid = tid;
         self.tasks.push(task);
         self.fault_counts.push(0);
+        self.live_tasks += 1;
         tid
     }
 
@@ -423,7 +441,7 @@ impl Node {
 
     fn push_ev(&mut self, t: Nanos, ev: Ev) {
         self.seq += 1;
-        self.queue.push(t, self.seq, ev);
+        self.queue.push(Reverse((t, self.seq, ev)));
     }
 
     // ----- core time-keeping -------------------------------------------------
@@ -530,10 +548,9 @@ impl Node {
         }
     }
 
-    /// Recompute and schedule the CPU's next advance point.
+    /// Recompute the CPU's next advance point, replacing any pending
+    /// one. A new point takes the next `seq`, as a queued event would.
     fn resched_advance(&mut self, ci: usize, t: Nanos) {
-        self.cpus[ci].advance_gen += 1;
-        let gen = self.cpus[ci].advance_gen;
         let when = if let Some(frame) = self.cpus[ci].frames.last() {
             Some(t + frame.remaining)
         } else if let Some(tid) = self.cpus[ci].current {
@@ -541,10 +558,16 @@ impl Node {
         } else {
             None
         };
-        if let Some(when) = when {
-            let cpu = self.cpus[ci].id;
-            self.push_ev(when, Ev::Advance { cpu, gen });
+        if self.advance[ci] != NO_ADVANCE {
+            self.stats.stale_advances += 1;
         }
+        self.advance[ci] = match when {
+            Some(when) => {
+                self.seq += 1;
+                (when, self.seq)
+            }
+            None => NO_ADVANCE,
+        };
     }
 
     /// Time until the running task's next intrinsic stop (fault, action
@@ -583,10 +606,10 @@ impl Node {
 
     // ----- probes + frames ---------------------------------------------------
 
-    fn push_frame(
+    fn push_frame<P: Probe + ?Sized>(
         &mut self,
         ci: usize,
-        probe: &mut dyn Probe,
+        probe: &mut P,
         t: Nanos,
         activity: Activity,
         cost: Nanos,
@@ -619,7 +642,7 @@ impl Node {
 
     /// Pop the completed top frame and apply its exit effect. Then
     /// decide what runs next on this CPU (softirqs, schedule, user).
-    fn pop_frame(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos) {
+    fn pop_frame<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos) {
         let frame = self.cpus[ci].frames.pop().expect("pop on empty stack");
         debug_assert!(frame.remaining.is_zero(), "popping unfinished frame");
         let ctx = self.cpus[ci].ctx_tid();
@@ -671,7 +694,7 @@ impl Node {
     /// After a frame pops (or when entering from an event), decide what
     /// the CPU does next: run a pending softirq, reschedule, or resume
     /// user code.
-    fn unwind(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos) {
+    fn unwind<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos) {
         if !self.cpus[ci].frames.is_empty() {
             return; // still nested; outer frame continues
         }
@@ -698,7 +721,13 @@ impl Node {
     }
 
     /// Start executing one softirq vector.
-    fn start_softirq(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos, vec: SoftirqVec) {
+    fn start_softirq<P: Probe + ?Sized>(
+        &mut self,
+        ci: usize,
+        probe: &mut P,
+        t: Nanos,
+        vec: SoftirqVec,
+    ) {
         let factor = self.current_cache_factor(ci);
         let costs = &self.cfg.costs;
         let (cost, work) = match vec {
@@ -796,10 +825,10 @@ impl Node {
     }
 
     /// Apply a softirq's completion effects.
-    fn softirq_exit(
+    fn softirq_exit<P: Probe + ?Sized>(
         &mut self,
         ci: usize,
-        probe: &mut dyn Probe,
+        probe: &mut P,
         t: Nanos,
         _vec: SoftirqVec,
         work: SoftirqExitWork,
@@ -838,7 +867,7 @@ impl Node {
     }
 
     /// Pull-migration toward this CPU if it is under-loaded.
-    fn rebalance(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos) {
+    fn rebalance<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos) {
         let nr = |cpu: &Cpu| cpu.rq.len() + cpu.current.is_some() as usize;
         let here_nr = nr(&self.cpus[ci]);
         // Find the busiest other CPU with at least one *queued* task.
@@ -898,7 +927,7 @@ impl Node {
 
     // ----- scheduling --------------------------------------------------------
 
-    fn start_schedule(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos) {
+    fn start_schedule<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos) {
         let cost = self.cfg.costs.sched_pre.sample(&mut self.s_cost, 1.0);
         self.push_frame(
             ci,
@@ -911,7 +940,7 @@ impl Node {
     }
 
     /// The context switch between the two `schedule()` halves.
-    fn context_switch(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos) {
+    fn context_switch<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos) {
         self.cpus[ci].need_resched = false;
         let prev = self.cpus[ci].current;
         let (prev_tid, prev_state) = match prev {
@@ -1006,7 +1035,14 @@ impl Node {
     }
 
     /// Wake a blocked task onto `target`'s runqueue.
-    fn wake_task(&mut self, probe: &mut dyn Probe, t: Nanos, tid: Tid, target: CpuId, waker: Tid) {
+    fn wake_task<P: Probe + ?Sized>(
+        &mut self,
+        probe: &mut P,
+        t: Nanos,
+        tid: Tid,
+        target: CpuId,
+        waker: Tid,
+    ) {
         let state = self.task(tid).state;
         if !matches!(state, TaskState::Blocked(_)) {
             return; // already runnable (e.g. daemon got more work mid-run)
@@ -1074,7 +1110,7 @@ impl Node {
 
     // ----- tick --------------------------------------------------------------
 
-    fn handle_tick(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos) {
+    fn handle_tick<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos) {
         self.stats.ticks += 1;
         self.cpus[ci].ticks += 1;
         let factor = self.current_cache_factor(ci);
@@ -1091,7 +1127,7 @@ impl Node {
 
     /// Effects of the timer interrupt, applied at handler exit: raise
     /// softirqs and run the scheduler tick.
-    fn tick_bottom(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos) {
+    fn tick_bottom<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos) {
         let cpu_id = self.cpus[ci].id;
         // Expired software timers (always raise TIMER, as Linux does —
         // the handler body is near-empty when no timers expired).
@@ -1120,12 +1156,7 @@ impl Node {
             // scan length follows the number of live tasks (this is
             // what widens UMT's Fig 6 distribution — its Python
             // helpers add scanned entities even while asleep).
-            let scan: u32 = self
-                .tasks
-                .iter()
-                .filter(|t| t.state != TaskState::Exited)
-                .count() as u32;
-            self.cpus[ci].pending.rebalance_scan = scan;
+            self.cpus[ci].pending.rebalance_scan = self.live_tasks;
             if self.cpus[ci].pending.raise(SoftirqVec::Rebalance) {
                 probe.softirq_raise(t, cpu_id, SoftirqVec::Rebalance);
             }
@@ -1144,7 +1175,13 @@ impl Node {
 
     // ----- syscalls & task stepping -------------------------------------------
 
-    fn syscall_exit(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos, effect: SyscallEffect) {
+    fn syscall_exit<P: Probe + ?Sized>(
+        &mut self,
+        ci: usize,
+        probe: &mut P,
+        t: Nanos,
+        effect: SyscallEffect,
+    ) {
         let Some(tid) = self.cpus[ci].current else {
             debug_assert!(false, "syscall without current task");
             return;
@@ -1204,7 +1241,7 @@ impl Node {
     /// The current task is in user mode at `t` with the frame stack
     /// empty: process immediate stops (faults, action boundaries) until
     /// it either has future work, enters the kernel, blocks or exits.
-    fn process_task(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos, tid: Tid) {
+    fn process_task<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos, tid: Tid) {
         loop {
             debug_assert_eq!(self.cpus[ci].current, Some(tid));
             if !self.cpus[ci].frames.is_empty() {
@@ -1288,7 +1325,13 @@ impl Node {
     /// Ask the task's body for its next action and begin it. Returns
     /// `true` if the processing loop should continue (instant actions),
     /// `false` if the task entered a frame, blocked, or exited.
-    fn next_action(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos, tid: Tid) -> bool {
+    fn next_action<P: Probe + ?Sized>(
+        &mut self,
+        ci: usize,
+        probe: &mut P,
+        t: Nanos,
+        tid: Tid,
+    ) -> bool {
         enum BodyAction {
             App(Action),
             DaemonTx(Rpc),
@@ -1336,7 +1379,13 @@ impl Node {
 
     /// Daemon behaviour step (rpciod / events): either start a work
     /// burst or park.
-    fn daemon_step(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos, tid: Tid) -> bool {
+    fn daemon_step<P: Probe + ?Sized>(
+        &mut self,
+        ci: usize,
+        probe: &mut P,
+        t: Nanos,
+        tid: Tid,
+    ) -> bool {
         let is_rpciod = matches!(self.task(tid).body, Body::Rpciod);
         if is_rpciod {
             if let Some(rpc) = self.rpc.pop_submit() {
@@ -1394,7 +1443,7 @@ impl Node {
     }
 
     /// rpciod finished the CPU part of an RPC: hand it to the NIC.
-    fn transmit_rpc(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos, rpc: Rpc) {
+    fn transmit_rpc<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos, rpc: Rpc) {
         let cpu_id = self.cpus[ci].id;
         self.cpus[ci].pending.tx_packets += 1;
         if self.cpus[ci].pending.raise(SoftirqVec::NetTx) {
@@ -1412,10 +1461,10 @@ impl Node {
 
     /// Begin an application action. See [`Node::next_action`] for the
     /// return convention.
-    fn begin_action(
+    fn begin_action<P: Probe + ?Sized>(
         &mut self,
         ci: usize,
-        probe: &mut dyn Probe,
+        probe: &mut P,
         t: Nanos,
         tid: Tid,
         action: Action,
@@ -1580,6 +1629,7 @@ impl Node {
                 }
                 probe.task_exit(t, self.cpus[ci].id, tid);
                 self.live_apps -= 1;
+                self.live_tasks -= 1;
                 self.start_schedule(ci, probe, t);
                 false
             }
@@ -1587,10 +1637,10 @@ impl Node {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn enter_syscall(
+    fn enter_syscall<P: Probe + ?Sized>(
         &mut self,
         ci: usize,
-        probe: &mut dyn Probe,
+        probe: &mut P,
         t: Nanos,
         tid: Tid,
         kind: SyscallKind,
@@ -1621,7 +1671,7 @@ impl Node {
 
     /// Run the simulation until all application tasks exit or the
     /// horizon is reached.
-    pub fn run(&mut self, probe: &mut dyn Probe) -> RunResult {
+    pub fn run<P: Probe + ?Sized>(&mut self, probe: &mut P) -> RunResult {
         // Per-CPU ticks are staggered across the period (as on real
         // SMP boots, where CPUs are brought online one at a time):
         // this also bounds how long a displaced task waits for an idle
@@ -1631,14 +1681,8 @@ impl Node {
             let skew = self.cfg.tick_period * i as u64 / self.cpus.len() as u64;
             self.push_ev(self.cfg.tick_period + skew, Ev::Tick { cpu });
             // Kick initial scheduling on CPUs with runnable tasks.
-            self.push_ev(
-                Nanos::ZERO,
-                Ev::Advance {
-                    cpu,
-                    gen: self.cpus[i].advance_gen + 1,
-                },
-            );
-            self.cpus[i].advance_gen += 1;
+            self.seq += 1;
+            self.advance[i] = (Nanos::ZERO, self.seq);
         }
         // Arm the steal schedules (only when configured: the disabled
         // path pushes nothing, keeping event seq numbers — and thus the
@@ -1653,81 +1697,42 @@ impl Node {
             }
         }
 
-        while let Some((t, _seq, ev)) = self.queue.pop() {
+        loop {
+            // Dispatch the earliest, by `(t, seq)`, of the CPUs' advance
+            // points and the queue head.
+            let (mut next, mut next_cpu) = (NO_ADVANCE, 0);
+            for (ci, &key) in self.advance.iter().enumerate() {
+                if key < next {
+                    (next, next_cpu) = (key, ci);
+                }
+            }
+            let head = self
+                .queue
+                .peek()
+                .map_or(NO_ADVANCE, |Reverse((t, seq, _))| (*t, *seq));
+            let (t, advance) = if next < head {
+                (next.0, Some(next_cpu))
+            } else if head != NO_ADVANCE {
+                (head.0, None)
+            } else {
+                break;
+            };
             if t > self.cfg.horizon {
                 self.clock = self.cfg.horizon;
                 break;
             }
             self.clock = t;
             self.stats.loop_events += 1;
-            match ev {
-                Ev::Tick { cpu } => {
-                    let ci = cpu.index();
-                    self.sync_cpu(ci, t);
-                    self.handle_tick(ci, probe, t);
-                    self.resched_advance(ci, t);
-                    let skewed = t + self.cfg.tick_period;
-                    self.push_ev(skewed, Ev::Tick { cpu });
-                }
-                Ev::NetArrive { rpc_id } => {
-                    let ci = self.cfg.net_irq_cpu.index();
-                    self.sync_cpu(ci, t);
-                    // Find the transmitted RPC.
-                    let Some(pos) = self.pending_responses.iter().position(|r| r.id == rpc_id)
-                    else {
-                        continue;
-                    };
-                    let rpc = self.pending_responses.swap_remove(pos);
-                    self.stats.net_irqs += 1;
-                    let factor = self.current_cache_factor(ci);
-                    let cost = self.cfg.costs.net_irq.sample(&mut self.s_cost, factor);
-                    self.push_frame(
-                        ci,
-                        probe,
-                        t,
-                        Activity::NetworkInterrupt,
-                        cost,
-                        FrameExit::NetIrq { rpc },
-                    );
-                    self.resched_advance(ci, t);
-                }
-                Ev::HrTimer { cpu, tid } => {
-                    let ci = cpu.index();
-                    self.sync_cpu(ci, t);
-                    self.stats.hrtimer_irqs += 1;
-                    let factor = self.current_cache_factor(ci);
-                    let cost = self.cfg.costs.hrtimer_irq.sample(&mut self.s_cost, factor);
-                    self.push_frame(
-                        ci,
-                        probe,
-                        t,
-                        Activity::HrTimerInterrupt,
-                        cost,
-                        FrameExit::HrTimerIrq { wake: tid },
-                    );
-                    self.resched_advance(ci, t);
-                }
-                Ev::Advance { cpu, gen } => {
-                    let ci = cpu.index();
-                    if gen != self.cpus[ci].advance_gen {
-                        self.stats.stale_advances += 1;
-                        continue; // stale
-                    }
+            match advance {
+                Some(ci) => {
+                    self.advance[ci] = NO_ADVANCE;
                     self.sync_cpu(ci, t);
                     self.step_cpu(ci, probe, t);
                     self.resched_advance(ci, t);
                 }
-                Ev::Steal { cpu } => {
-                    let ci = cpu.index();
-                    self.sync_cpu(ci, t);
-                    let p = self.perturb.as_mut().expect("steal event without state");
-                    let dur = p.steal_duration(ci);
-                    let gap = p.steal_gap(ci).expect("steal scheduled on this cpu");
-                    // The window preempts whatever is running (user or
-                    // kernel): steal nests like a hard IRQ.
-                    self.push_frame(ci, probe, t, Activity::Steal, dur, FrameExit::Steal);
-                    self.resched_advance(ci, t);
-                    self.push_ev(t + dur + gap, Ev::Steal { cpu });
+                None => {
+                    let Reverse((_, _, ev)) = self.queue.pop().expect("peeked head");
+                    self.dispatch(probe, t, ev);
                 }
             }
             if self.live_apps == 0 {
@@ -1767,14 +1772,77 @@ impl Node {
         }
     }
 
+    /// Handle one event popped from the queue at time `t`.
+    fn dispatch<P: Probe + ?Sized>(&mut self, probe: &mut P, t: Nanos, ev: Ev) {
+        match ev {
+            Ev::Tick { cpu } => {
+                let ci = cpu.index();
+                self.sync_cpu(ci, t);
+                self.handle_tick(ci, probe, t);
+                self.resched_advance(ci, t);
+                let skewed = t + self.cfg.tick_period;
+                self.push_ev(skewed, Ev::Tick { cpu });
+            }
+            Ev::NetArrive { rpc_id } => {
+                let ci = self.cfg.net_irq_cpu.index();
+                self.sync_cpu(ci, t);
+                // Find the transmitted RPC.
+                let Some(pos) = self.pending_responses.iter().position(|r| r.id == rpc_id) else {
+                    return;
+                };
+                let rpc = self.pending_responses.swap_remove(pos);
+                self.stats.net_irqs += 1;
+                let factor = self.current_cache_factor(ci);
+                let cost = self.cfg.costs.net_irq.sample(&mut self.s_cost, factor);
+                self.push_frame(
+                    ci,
+                    probe,
+                    t,
+                    Activity::NetworkInterrupt,
+                    cost,
+                    FrameExit::NetIrq { rpc },
+                );
+                self.resched_advance(ci, t);
+            }
+            Ev::HrTimer { cpu, tid } => {
+                let ci = cpu.index();
+                self.sync_cpu(ci, t);
+                self.stats.hrtimer_irqs += 1;
+                let factor = self.current_cache_factor(ci);
+                let cost = self.cfg.costs.hrtimer_irq.sample(&mut self.s_cost, factor);
+                self.push_frame(
+                    ci,
+                    probe,
+                    t,
+                    Activity::HrTimerInterrupt,
+                    cost,
+                    FrameExit::HrTimerIrq { wake: tid },
+                );
+                self.resched_advance(ci, t);
+            }
+            Ev::Steal { cpu } => {
+                let ci = cpu.index();
+                self.sync_cpu(ci, t);
+                let p = self.perturb.as_mut().expect("steal event without state");
+                let dur = p.steal_duration(ci);
+                let gap = p.steal_gap(ci).expect("steal scheduled on this cpu");
+                // The window preempts whatever is running (user or
+                // kernel): steal nests like a hard IRQ.
+                self.push_frame(ci, probe, t, Activity::Steal, dur, FrameExit::Steal);
+                self.resched_advance(ci, t);
+                self.push_ev(t + dur + gap, Ev::Steal { cpu });
+            }
+        }
+    }
+
     /// One advance step: pop a finished frame or process user stops.
-    fn step_cpu(&mut self, ci: usize, probe: &mut dyn Probe, t: Nanos) {
+    fn step_cpu<P: Probe + ?Sized>(&mut self, ci: usize, probe: &mut P, t: Nanos) {
         if let Some(top) = self.cpus[ci].frames.last() {
             if top.remaining.is_zero() {
                 self.pop_frame(ci, probe, t);
             }
-            // else: an earlier event interrupted; the advance event was
-            // stale and already filtered by generation. Nothing to do.
+            // else: an earlier event interrupted and re-armed the
+            // advance point past this frame's end. Nothing to do.
             return;
         }
         match self.cpus[ci].current {

@@ -304,3 +304,100 @@ fn forged_index_is_rejected_at_open() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// Forwards kernel entries and exits to a [`Tracer`], counting them
+/// per CPU, and panics at the entry after the first `left`, as a
+/// failing run would.
+struct PanicAfter<'a> {
+    tracer: osn_trace::Tracer,
+    left: u64,
+    forwarded: &'a [std::sync::atomic::AtomicU64],
+}
+
+impl osn_kernel::hooks::Probe for PanicAfter<'_> {
+    fn kernel_enter(&mut self, t: Nanos, cpu: CpuId, tid: Tid, activity: Activity) {
+        if self.left == 0 {
+            panic!("injected failure mid-run");
+        }
+        self.left -= 1;
+        self.tracer.kernel_enter(t, cpu, tid, activity);
+        self.forwarded[cpu.index()].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    fn kernel_exit(&mut self, t: Nanos, cpu: CpuId, tid: Tid, activity: Activity) {
+        self.tracer.kernel_exit(t, cpu, tid, activity);
+        self.forwarded[cpu.index()].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+/// A run that panics while its trace spills into a `StoreWriter`: the
+/// unwind drops the spill session, which joins the spill thread; the
+/// thread's last sweep hands the writer what the rings held and then
+/// drops it, so by the time the unwind is caught the file holds every
+/// full chunk, ends without a footer, and `recover` salvages them.
+#[test]
+fn unwinding_out_of_a_spilling_run_leaves_a_recoverable_store() {
+    use osn_kernel::prelude::*;
+    use osn_store::StoreWriter;
+    use osn_trace::{EventMask, TraceSession};
+
+    const ENTRIES: u64 = 2_000;
+    const CHUNK: u64 = 64;
+    let path = scratch("unwind");
+    let opts = StoreOptions::default().with_chunk_capacity(CHUNK as usize);
+    let forwarded = [
+        std::sync::atomic::AtomicU64::new(0),
+        std::sync::atomic::AtomicU64::new(0),
+    ];
+    let unwound = std::panic::catch_unwind(|| {
+        let writer = StoreWriter::create(&path, 2, opts).unwrap();
+        let (session, tracer) = TraceSession::new(2, 1 << 16, EventMask::ALL);
+        let _spilling = session.spill(writer);
+        let cfg = NodeConfig {
+            cpus: 2,
+            ..NodeConfig::default()
+        }
+        .with_horizon(Nanos::from_secs(10));
+        let mut node = Node::new(cfg);
+        node.spawn_job(
+            "busy",
+            (0..2)
+                .map(|_| Box::new(BusyLoop::new(Nanos::from_secs(5))) as Box<dyn Workload>)
+                .collect(),
+        );
+        let mut probe = PanicAfter {
+            tracer,
+            left: ENTRIES,
+            forwarded: &forwarded,
+        };
+        node.run(&mut probe);
+    });
+    assert!(unwound.is_err(), "the run must have panicked");
+
+    let (reader, report) = StoreReader::recover(&path).unwrap();
+    assert!(!report.footer_ok, "no footer was ever written");
+    let trace = reader.read_trace().unwrap();
+    let enters = trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::KernelEnter(_)))
+        .count() as u64;
+    assert!(enters > 0 && enters <= ENTRIES);
+    for cpu in 0..2u16 {
+        let ts: Vec<Nanos> = trace
+            .events()
+            .iter()
+            .filter(|e| e.cpu == CpuId(cpu))
+            .map(|e| e.t)
+            .collect();
+        assert!(
+            ts.windows(2).all(|w| w[0] <= w[1]),
+            "cpu {cpu} out of order"
+        );
+        // Every full chunk reached the file; only each CPU's unfilled
+        // last chunk died with the writer.
+        let sent = forwarded[cpu as usize].load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(ts.len() as u64, sent / CHUNK * CHUNK, "cpu {cpu}");
+    }
+    let _ = std::fs::remove_file(&path);
+}

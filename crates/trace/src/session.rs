@@ -84,6 +84,7 @@ impl Tracer {
 }
 
 impl Probe for Tracer {
+    #[inline]
     fn kernel_enter(&mut self, t: Nanos, cpu: CpuId, tid: Tid, activity: Activity) {
         if self.mask.contains(EventMask::KERNEL) {
             self.emit(
@@ -98,6 +99,7 @@ impl Probe for Tracer {
         }
     }
 
+    #[inline]
     fn kernel_exit(&mut self, t: Nanos, cpu: CpuId, tid: Tid, activity: Activity) {
         if self.mask.contains(EventMask::KERNEL) {
             self.emit(
@@ -112,6 +114,7 @@ impl Probe for Tracer {
         }
     }
 
+    #[inline]
     fn softirq_raise(&mut self, t: Nanos, cpu: CpuId, vec: SoftirqVec) {
         if self.mask.contains(EventMask::RAISE) {
             self.emit(
@@ -126,6 +129,7 @@ impl Probe for Tracer {
         }
     }
 
+    #[inline]
     fn sched_switch(
         &mut self,
         t: Nanos,
@@ -151,6 +155,7 @@ impl Probe for Tracer {
         }
     }
 
+    #[inline]
     fn wakeup(&mut self, t: Nanos, cpu: CpuId, tid: Tid, waker: Tid) {
         if self.mask.contains(EventMask::WAKEUP) {
             self.emit(
@@ -165,6 +170,7 @@ impl Probe for Tracer {
         }
     }
 
+    #[inline]
     fn migrate(&mut self, t: Nanos, tid: Tid, from: CpuId, to: CpuId) {
         if self.mask.contains(EventMask::MIGRATE) {
             self.emit(
@@ -179,6 +185,7 @@ impl Probe for Tracer {
         }
     }
 
+    #[inline]
     fn app_mark(&mut self, t: Nanos, cpu: CpuId, tid: Tid, mark: u32, value: u64) {
         if self.mask.contains(EventMask::MARK) {
             self.emit(
@@ -193,6 +200,7 @@ impl Probe for Tracer {
         }
     }
 
+    #[inline]
     fn task_exit(&mut self, t: Nanos, cpu: CpuId, tid: Tid) {
         if self.mask.contains(EventMask::TASK) {
             self.emit(
@@ -281,7 +289,10 @@ impl TraceSession {
             }
             status.map(|()| (sink, consumers.iter().map(|c| c.lost()).collect()))
         });
-        SpillSession { stop, handle }
+        SpillSession {
+            stop,
+            handle: Some(handle),
+        }
     }
 
     /// Finish the session: drain each ring in bulk straight into its
@@ -303,11 +314,18 @@ impl TraceSession {
     }
 }
 
+/// What the spill thread hands back: the sink and the per-CPU loss
+/// counters, or the first sink error.
+type SpillResult<S> = std::io::Result<(S, Vec<u64>)>;
+
 /// A session spilling to an [`EventSink`] on its background thread,
-/// which owns the sink until [`SpillSession::stop`].
+/// which owns the sink until [`SpillSession::stop`]. Dropping the
+/// session without `stop` (as unwinding out of a run does) still stops
+/// and joins the thread, which drops the sink after its last sweep.
 pub struct SpillSession<S> {
     stop: Arc<AtomicBool>,
-    handle: JoinHandle<std::io::Result<(S, Vec<u64>)>>,
+    /// Taken by `stop`; still present at drop only if `stop` never ran.
+    handle: Option<JoinHandle<SpillResult<S>>>,
 }
 
 impl<S> SpillSession<S> {
@@ -316,9 +334,21 @@ impl<S> SpillSession<S> {
     /// per-CPU loss counters (or the first sink error). Finishing the
     /// sink — e.g. writing a store's footer with these counters — is
     /// the caller's.
-    pub fn stop(self) -> std::io::Result<(S, Vec<u64>)> {
+    pub fn stop(mut self) -> SpillResult<S> {
         self.stop.store(true, Ordering::Release);
-        self.handle.join().expect("spill thread panicked")
+        let handle = self.handle.take().expect("stop runs once");
+        handle.join().expect("spill thread panicked")
+    }
+}
+
+impl<S> Drop for SpillSession<S> {
+    fn drop(&mut self) {
+        if let Some(handle) = self.handle.take() {
+            self.stop.store(true, Ordering::Release);
+            // A panicked spill thread is ignored here: this drop may be
+            // part of an unwind, and a second panic would abort.
+            let _ = handle.join();
+        }
     }
 }
 
@@ -481,6 +511,33 @@ mod tests {
         let streams = &sink.streams;
         assert_eq!(streams[0].len(), 10_000);
         assert!(streams[0].windows(2).all(|w| w[1].t.0 == w[0].t.0 + 1));
+    }
+
+    #[test]
+    fn dropping_a_spill_session_stops_its_thread() {
+        // The sink lives on the spill thread; it is dropped only when
+        // that thread ends. Dropping the session without `stop` must
+        // end it before the drop returns.
+        struct FlagSink(Arc<AtomicBool>);
+        impl EventSink for FlagSink {
+            fn append(&mut self, _cpu: CpuId, _events: &[Event]) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        impl Drop for FlagSink {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let dropped = Arc::new(AtomicBool::new(false));
+        let (session, mut tracer) = TraceSession::new(1, 64, EventMask::ALL);
+        let spilling = session.spill(FlagSink(Arc::clone(&dropped)));
+        tracer.app_mark(Nanos(1), CpuId(0), Tid(1), 0, 1);
+        drop(spilling);
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "spill thread still holds the sink"
+        );
     }
 
     #[test]

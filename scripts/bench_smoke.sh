@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Smoke check for the simulator's performance trajectory: build, run
 # the test suite, then short benchmark runs of every bench — the ones
-# behind BENCH_PR1.json (per-app engine events/sec, plus the heap-vs-wheel
-# queue-depth sweep), BENCH_PR3.json (sharded/fused analysis engine
-# vs the sequential reference, campaign + rank sweep — every timed rep
+# behind BENCH_PR1.json (per-app engine events/sec), BENCH_PR3.json
+# (sharded/fused analysis engine vs the sequential reference,
+# campaign + rank sweep — every timed rep
 # also differentially checks the reports are bit-identical),
 # BENCH_PR4.json (chunked on-disk store: write MB/s, codec ratio, and
 # out-of-core streamed analysis vs in-memory, differentially checked

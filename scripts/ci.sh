@@ -13,9 +13,10 @@
 #   lint   fmt, clippy, doc lint, shellcheck
 #   test   unit/integration tests, vendored serde/serde_json tests,
 #          doc tests
-#   smoke  release-profile end-to-end: tiered cluster, serve daemon,
-#          native capture, the benchmark package's own tests (plus the
-#          bench gate when OSN_BENCH_GATE=1)
+#   smoke  release-profile end-to-end: tiered cluster, engine
+#          determinism, serve daemon, native capture, the benchmark
+#          package's own tests (plus the bench gate when
+#          OSN_BENCH_GATE=1)
 #
 # Clippy and the doc lint run over the first-party crates and the
 # vendored stand-ins: vendor/ holds this repo's own offline
@@ -129,6 +130,14 @@ tier_smoke() {
 # classification-bearing capture can't be asserted meaningfully.
 # Intermediate files live under target/ci-artifacts/capture so a
 # failing CI job can upload them for the post-mortem.
+# One short engine_throughput pass (about a second): it asserts that
+# every timed rep of each app dispatches as many loop events as its
+# warm-up, so a clean exit is a determinism check on the event loop.
+engine_determinism() {
+    cargo build -q --release --offline -p osn-bench --bin engine_throughput
+    OSN_SECS=1 OSN_REPS=1 target/release/engine_throughput
+}
+
 capture_smoke() {
     if [[ ! -r /proc/schedstat ]]; then
         echo "== ci: capture-smoke SKIPPED — /proc/schedstat unavailable on this host;"
@@ -197,6 +206,7 @@ test_steps() {
 
 smoke_steps() {
     run_step tier-smoke tier_smoke
+    run_step engine-determinism engine_determinism
     # End-to-end daemon smoke, release profile: spawn `osnoise serve`
     # on an ephemeral port, drive every endpoint once from the Rust
     # catalog client, and assert the /runs/{id}/report bytes equal
