@@ -28,9 +28,7 @@ use osn_trace::{merge_streams, Event, EventColumns, Trace};
 use crate::nesting::{
     merge_shards, reconstruct_reference, ActivityInstance, ColumnPairing, NestingReport,
 };
-use crate::timeline::{
-    build_timelines_events, build_timelines_reference, Phase, TaskTimeline, Timelines, UNKNOWN_CPU,
-};
+use crate::timeline::{build_timelines_events, Phase, TaskTimeline, Timelines, UNKNOWN_CPU};
 
 /// One piece of an interruption.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -304,8 +302,9 @@ impl NoiseAnalysis {
     /// Analyze a trace. `end` should be the run's end time.
     ///
     /// This is the sharded engine: each CPU's stream is paired on its
-    /// own worker ([`NoiseAnalysis::from_cpu_blocks`]), timelines are
-    /// partitioned by task, the per-task obstruction gather goes
+    /// own worker ([`NoiseAnalysis::from_cpu_blocks`]), timelines come
+    /// from the one serial walk the reference engine also uses
+    /// ([`build_timelines_events`]), the per-task obstruction gather goes
     /// through a per-context position index instead of scanning every
     /// instance per rank, and application tasks are analyzed in
     /// parallel across host threads. Output is bit-identical to
@@ -344,8 +343,9 @@ impl NoiseAnalysis {
     /// `SWITCH`/`WAKEUP` records are collected for the timelines.
     /// The pairing shards then go through [`merge_shards`], the
     /// scheduler streams through [`merge_streams`] (filtering commutes
-    /// with the `(t, cpu)` merge), and the per-task back half runs on
-    /// the result.
+    /// with the `(t, cpu)` merge) into [`build_timelines_events`], the
+    /// timeline walk the reference engine shares, and the per-task back
+    /// half runs on the result.
     pub fn from_cpu_blocks<E, B>(
         ncpus: usize,
         tasks: &[TaskMeta],
@@ -406,8 +406,9 @@ impl NoiseAnalysis {
     }
 
     /// The retained sequential reference engine (the pre-sharding seed
-    /// path): global reconstruction, single-walk timelines, and the
-    /// O(ranks × instances) obstruction gather. Kept as the
+    /// path): global reconstruction, the engine's own timeline walk
+    /// ([`build_timelines_events`]), and the O(ranks × instances)
+    /// obstruction gather. Kept as the
     /// differential-test oracle and the benchmark baseline.
     pub fn analyze_reference(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> NoiseAnalysis {
         Self::analyze_reference_events(&trace.events(), tasks, end)
@@ -422,7 +423,7 @@ impl NoiseAnalysis {
         end: Nanos,
     ) -> NoiseAnalysis {
         let (instances, nesting_report) = reconstruct_reference(events);
-        let timelines = build_timelines_reference(events, tasks, end);
+        let timelines = build_timelines_events(events, tasks, end, 1);
 
         let per_cpu = per_cpu_positions(&instances);
         let running = running_segments(&timelines, per_cpu.len());

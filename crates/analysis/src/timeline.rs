@@ -176,100 +176,25 @@ impl Builder {
     }
 }
 
-/// Build per-task timelines from events in global `(t, cpu)` order.
+/// Build per-task timelines from events in global `(t, cpu)` order,
+/// in one walk that moves each task's builder in stream order.
 /// `tasks` supplies initial states (applications start Ready at t=0,
 /// daemons Blocked) and `end` caps the final open span (use the trace's
 /// last timestamp or the run's end time). Timelines depend only on
 /// scheduler events, so `events` may be a pre-filtered
 /// `SchedSwitch`/`Wakeup` slice — filtering commutes with the per-CPU
-/// merge, making the result bit-identical to a full-trace build.
+/// merge, making the result bit-identical to a full-trace build. On a
+/// self-switch (`prev == next`) the prev-role transition comes first.
 ///
-/// The walk is partitioned by task: one indexing pass collects each
-/// task's scheduler-event positions, then every task replays only its
-/// own events (in parallel across `workers` host threads). Output is
-/// bit-identical to [`build_timelines_reference`] because transitions
-/// for one task depend only on that task's events, and the prev-role
-/// transition still precedes the next-role transition on a self-switch.
+/// The last argument, a worker count, is unused: the walk is serial,
+/// because a replay partitioned by task timed slower than this walk on
+/// every paper application.
 pub fn build_timelines_events(
-    events: &[osn_trace::Event],
+    events: &[Event],
     tasks: &[TaskMeta],
     end: Nanos,
-    workers: usize,
+    _workers: usize,
 ) -> Timelines {
-    // One pass: the positions of each task's scheduler events. A
-    // self-switch (prev == next) is recorded once and replayed in both
-    // roles.
-    let mut positions: HashMap<Tid, Vec<u32>> = tasks.iter().map(|m| (m.tid, Vec::new())).collect();
-    for (pos, event) in events.iter().enumerate() {
-        match event.kind {
-            EventKind::SchedSwitch { prev, next, .. } => {
-                if !prev.is_idle() {
-                    if let Some(v) = positions.get_mut(&prev) {
-                        v.push(pos as u32);
-                    }
-                }
-                if next != prev && !next.is_idle() {
-                    if let Some(v) = positions.get_mut(&next) {
-                        v.push(pos as u32);
-                    }
-                }
-            }
-            EventKind::Wakeup { tid, .. } => {
-                if let Some(v) = positions.get_mut(&tid) {
-                    v.push(pos as u32);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    let lines = crate::par::parallel_map(tasks.len(), workers, |i| {
-        let meta = &tasks[i];
-        let tid = meta.tid;
-        let mut b = Builder::new(meta);
-        for &pos in &positions[&tid] {
-            let event = &events[pos as usize];
-            match event.kind {
-                EventKind::SchedSwitch {
-                    prev,
-                    prev_state,
-                    next,
-                } => {
-                    if prev == tid {
-                        let phase = match prev_state {
-                            SwitchState::Preempted => Phase::Ready(event.cpu),
-                            SwitchState::Exited => Phase::Gone,
-                            blocked => Phase::Blocked(blocked),
-                        };
-                        b.transition(event.t, phase);
-                    }
-                    if next == tid {
-                        b.transition(event.t, Phase::Running(event.cpu));
-                    }
-                }
-                EventKind::Wakeup { .. } => {
-                    // Woken: blocked → ready (ignore spurious wakeups of
-                    // already-runnable tasks).
-                    if matches!(b.phase, Phase::Blocked(_)) {
-                        b.transition(event.t, Phase::Ready(event.cpu));
-                    }
-                }
-                _ => unreachable!("only scheduler events are indexed"),
-            }
-        }
-        b.finish(end, tid)
-    });
-
-    let map = lines.into_iter().map(|tl| (tl.tid, tl)).collect();
-    Timelines { map }
-}
-
-/// The retained single-walk reference implementation (the
-/// pre-partitioning seed path): one pass over all events mutating every
-/// task's builder in stream order. Kept as the differential-test oracle
-/// and the benchmark baseline. `events` is the trace in `(t, cpu)`
-/// order ([`osn_trace::Trace::events`]).
-pub fn build_timelines_reference(events: &[Event], tasks: &[TaskMeta], end: Nanos) -> Timelines {
     let mut builders: HashMap<Tid, Builder> = tasks
         .iter()
         .map(|meta| (meta.tid, Builder::new(meta)))
@@ -454,6 +379,54 @@ mod tests {
         let tls = build_timelines_events(&trace.events(), &[meta(1, "app")], Nanos(20), 1);
         assert_eq!(tls.len(), 1);
         assert!(tls.get(Tid(9)).is_none());
+    }
+
+    #[test]
+    fn self_switch_applies_the_prev_role_first() {
+        // Task 1 switches to itself on CPU 0 (preempted) and task 2 on
+        // CPU 1 (exiting). Prev role first: each passes through its
+        // prev-role phase for zero time and ends Running; next role
+        // first would leave task 1 Ready and task 2 Gone.
+        let trace = Trace::new(
+            vec![
+                switch(10, 0, 0, SwitchState::Preempted, 1),
+                switch(10, 1, 0, SwitchState::Preempted, 2),
+                switch(30, 0, 1, SwitchState::Preempted, 1),
+                switch(40, 1, 2, SwitchState::Exited, 2),
+            ],
+            vec![],
+        );
+        let tls = build_timelines_events(
+            &trace.events(),
+            &[meta(1, "app"), meta(2, "app")],
+            Nanos(50),
+            1,
+        );
+        let span = |start, end, phase| PhaseSpan {
+            start: Nanos(start),
+            end: Nanos(end),
+            phase,
+        };
+        let ready = Phase::Ready(UNKNOWN_CPU);
+        assert_eq!(
+            tls.get(Tid(1)).unwrap().spans,
+            vec![
+                span(0, 10, ready),
+                span(10, 30, Phase::Running(CpuId(0))),
+                span(30, 50, Phase::Running(CpuId(0))),
+            ]
+        );
+        assert_eq!(
+            tls.get(Tid(2)).unwrap().spans,
+            vec![
+                span(0, 10, ready),
+                span(10, 40, Phase::Running(CpuId(1))),
+                span(40, 50, Phase::Running(CpuId(1))),
+            ]
+        );
+        for (_, tl) in tls.iter() {
+            assert!(tl.spans.iter().all(|s| s.start < s.end), "zero-length span");
+        }
     }
 
     #[test]

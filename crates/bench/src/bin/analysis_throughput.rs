@@ -22,9 +22,7 @@
 //! engine's headline throughput, shared with `store_throughput`'s
 //! streaming metrics in the same file.
 
-use std::time::Instant;
-
-use osn_bench::{duration, load_or_run, seed};
+use osn_bench::{best_of, duration, load_or_run, seed, timed};
 use osn_core::analysis::NoiseAnalysis;
 use osn_core::report::AppReport;
 use osn_core::trace::Event;
@@ -40,7 +38,7 @@ struct AppRow {
     sim_secs: u64,
     events: usize,
     instances: usize,
-    /// Best-of-reps seconds for analyze + report assembly.
+    /// Best-of-reps wall-clock seconds for analyze + report assembly.
     reference_s: f64,
     engine_s: f64,
     reference_events_per_sec: f64,
@@ -55,7 +53,7 @@ struct SweepRow {
     sim_secs: u64,
     events: usize,
     instances: usize,
-    /// Best-of-reps seconds for the analysis alone (no report).
+    /// Best-of-reps wall-clock seconds for the analysis alone (no report).
     reference_s: f64,
     engine_s: f64,
     speedup: f64,
@@ -71,48 +69,6 @@ struct Report {
     aggregate_speedup: f64,
     sweep: Vec<SweepRow>,
     largest_sweep_speedup: f64,
-}
-
-/// Nanoseconds this thread has been on-CPU, from
-/// `/proc/thread-self/schedstat`.
-fn on_cpu_ns() -> Option<u64> {
-    std::fs::read_to_string("/proc/thread-self/schedstat")
-        .ok()
-        .and_then(|s| s.split_whitespace().next()?.parse().ok())
-}
-
-/// Time a closure, preferring on-CPU seconds over wall seconds; below
-/// ~20 ms schedstat is quantization noise, so fall back to wall time.
-/// The parallel engine's worker threads don't bill to this thread's
-/// schedstat, so when it uses more than one worker we take wall time —
-/// on a multi-core host that is the honest "phase latency" comparison.
-fn timed<T>(multi_threaded: bool, f: impl FnOnce() -> T) -> (f64, T) {
-    let wall = Instant::now();
-    let cpu0 = on_cpu_ns();
-    let out = f();
-    let cpu = cpu0
-        .zip(on_cpu_ns())
-        .map(|(a, b)| b.saturating_sub(a) as f64 / 1e9);
-    let wall = wall.elapsed().as_secs_f64();
-    if multi_threaded {
-        return (wall, out);
-    }
-    match cpu {
-        Some(c) if c >= 0.02 => (c, out),
-        _ => (wall, out),
-    }
-}
-
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
-    let (mut best, mut out) = f();
-    for _ in 1..reps {
-        let (s, o) = f();
-        if s < best {
-            best = s;
-            out = o;
-        }
-    }
-    (best, out)
 }
 
 /// The reference engine over `events`, the run's trace already merged
@@ -144,7 +100,6 @@ fn main() {
     let host_workers = std::thread::available_parallelism()
         .map(|w| w.get())
         .unwrap_or(1);
-    let multi = host_workers > 1;
 
     // ---- Paper campaign: full analysis phase, report included. ----
     let mut apps = Vec::new();
@@ -164,11 +119,9 @@ fn main() {
         );
 
         let (reference_s, _) = best_of(reps, || {
-            timed(false, || {
-                AppReport::build_reference(&run, &analyze_reference(&run, &events))
-            })
+            timed(|| AppReport::build_reference(&run, &analyze_reference(&run, &events)))
         });
-        let (engine_s, _) = best_of(reps, || timed(multi, || engine_report(&run)));
+        let (engine_s, _) = best_of(reps, || timed(|| engine_report(&run)));
 
         let row = AppRow {
             app: app.name().to_string(),
@@ -226,8 +179,8 @@ fn main() {
             );
         }
 
-        let (reference_s, _) = best_of(reps, || timed(false, || analyze_reference(&run, &events)));
-        let (engine_s, _) = best_of(reps, || timed(multi, || analyze_engine(&run)));
+        let (reference_s, _) = best_of(reps, || timed(|| analyze_reference(&run, &events)));
+        let (engine_s, _) = best_of(reps, || timed(|| analyze_engine(&run)));
         let row = SweepRow {
             cpus,
             ranks,

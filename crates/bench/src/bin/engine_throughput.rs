@@ -3,18 +3,17 @@
 //! For every Sequoia app this runs the paper node configuration
 //! (untraced, `NullProbe` — pure engine speed, no tracer cost in the
 //! numerator) and writes `target/bench/BENCH_PR1.json` with per-app
-//! events/sec and on-CPU times. Every rep must dispatch the *same*
-//! number of events as the warm-up (the engine is deterministic per
-//! seed) — the binary asserts that, so a throughput run doubles as a
-//! cheap determinism check.
+//! events/sec and wall-clock times ([`osn_bench::timed`]). Every rep
+//! must dispatch the *same* number of events as the warm-up (the
+//! engine is deterministic per seed) — the binary asserts that, so a
+//! throughput run doubles as a cheap determinism check.
 //!
 //! Knobs: `OSN_SECS` — simulated seconds per app run (default 10;
 //! below ~5 the per-run times are too short to time reliably);
 //! `OSN_REPS` — timed repetitions per configuration, best time kept
 //! (default 3).
 
-use std::time::Instant;
-
+use osn_bench::{best_of, timed};
 use osn_core::ExperimentConfig;
 use osn_kernel::hooks::NullProbe;
 use osn_kernel::time::Nanos;
@@ -31,8 +30,8 @@ struct AppRow {
     /// Re-arms that replaced a still-pending advance point: the stale
     /// events a queue holding every advance would have popped.
     stale_events: u64,
-    /// Best-of-reps on-CPU seconds (see `timed`).
-    cpu_s: f64,
+    /// Best-of-reps wall-clock seconds.
+    wall_s: f64,
     events_per_sec: f64,
 }
 
@@ -42,40 +41,12 @@ struct Report {
     reps: usize,
     /// Whole-engine runs, one per app.
     apps: Vec<AppRow>,
-    /// Total events over total best-of-reps on-CPU time.
+    /// Total events over total best-of-reps wall-clock time.
     aggregate_events_per_sec: f64,
 }
 
-/// Nanoseconds this thread has been on-CPU, from
-/// `/proc/thread-self/schedstat`. Unlike wall time this is unaffected
-/// by preemption, so the numbers stay meaningful on a loaded or
-/// oversubscribed host.
-fn on_cpu_ns() -> Option<u64> {
-    std::fs::read_to_string("/proc/thread-self/schedstat")
-        .ok()
-        .and_then(|s| s.split_whitespace().next()?.parse().ok())
-}
-
-/// Time a closure, preferring on-CPU seconds over wall seconds. The
-/// scheduler only folds runtime into schedstat at ticks and context
-/// switches, so below ~20 ms the on-CPU figure is quantization noise —
-/// fall back to wall time there (and wherever schedstat is missing).
-fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let wall = Instant::now();
-    let cpu0 = on_cpu_ns();
-    let out = f();
-    let cpu = cpu0
-        .zip(on_cpu_ns())
-        .map(|(a, b)| b.saturating_sub(a) as f64 / 1e9);
-    let wall = wall.elapsed().as_secs_f64();
-    match cpu {
-        Some(c) if c >= 0.02 => (c, out),
-        _ => (wall, out),
-    }
-}
-
 /// One timed run: paper config for `app`, no tracer.
-/// Returns (on-CPU seconds, loop events, superseded advances).
+/// Returns (wall seconds, loop events, superseded advances).
 fn timed_run(app: App, sim: Nanos, seed: u64) -> (f64, u64, u64) {
     let config = ExperimentConfig::paper(app, sim).with_seed(seed);
     let (mut node, _) = config.spawn(config.node.clone());
@@ -98,23 +69,22 @@ fn main() {
     let sim = Nanos::from_secs(sim_secs);
 
     let mut apps = Vec::new();
-    let (mut tot_cpu, mut tot_events) = (0.0f64, 0u64);
+    let (mut tot_wall, mut tot_events) = (0.0f64, 0u64);
     for &app in App::ALL.iter() {
         // Warm-up (page in code + allocator), then timed reps.
         let (_, events, stale) = timed_run(app, sim, seed);
-        let mut cpu_s = f64::INFINITY;
-        for _ in 0..reps {
-            let (w, ev, _) = timed_run(app, sim, seed);
+        let (wall_s, ()) = best_of(reps, || {
+            let (secs, ev, _) = timed_run(app, sim, seed);
             assert_eq!(ev, events, "{}: loop_events differ across reps", app.name());
-            cpu_s = cpu_s.min(w);
-        }
+            (secs, ())
+        });
         let row = AppRow {
             app: app.name().to_string(),
             sim_secs,
             events,
             stale_events: stale,
-            cpu_s,
-            events_per_sec: events as f64 / cpu_s,
+            wall_s,
+            events_per_sec: events as f64 / wall_s,
         };
         println!(
             "{:>10}: {:>9} events  {:>8.1} kev/s",
@@ -122,7 +92,7 @@ fn main() {
             row.events,
             row.events_per_sec / 1e3
         );
-        tot_cpu += cpu_s;
+        tot_wall += wall_s;
         tot_events += events;
         apps.push(row);
     }
@@ -131,12 +101,12 @@ fn main() {
         seed,
         reps,
         apps,
-        aggregate_events_per_sec: tot_events as f64 / tot_cpu,
+        aggregate_events_per_sec: tot_events as f64 / tot_wall,
     };
     println!(
         "aggregate: {} events in {:.2}s -> {:.1} kev/s",
         tot_events,
-        tot_cpu,
+        tot_wall,
         report.aggregate_events_per_sec / 1e3
     );
 

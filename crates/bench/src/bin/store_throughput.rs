@@ -25,9 +25,8 @@
 //! Knobs: `OSN_SECS` (default 10), `OSN_REPS` (default 3), `OSN_SEED`.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
-use osn_bench::{duration, load_or_run, seed};
+use osn_bench::{best_of, duration, load_or_run, seed, timed};
 use osn_core::report::AppReport;
 use osn_core::store::{self, Options};
 use osn_workloads::App;
@@ -45,7 +44,7 @@ struct AppRow {
     memory_bytes: u64,
     compression_ratio: f64,
     chunks: usize,
-    /// Best-of-reps write and analyze timings.
+    /// Best-of-reps wall-clock write and analyze timings.
     write_s: f64,
     write_mb_per_sec: f64,
     write_events_per_sec: f64,
@@ -57,8 +56,6 @@ struct AppRow {
     /// Best-of-reps ns per record to checksum and decode every chunk
     /// of the compressed store through the column cursors.
     chunk_fetch_ns_per_record: f64,
-    /// Chunk reads served from the memory map (false = pread fallback).
-    mapped: bool,
     /// Reader residency proxy: peak chunks × capacity × record bytes.
     peak_resident_chunks: usize,
     streamed_peak_bytes: u64,
@@ -88,10 +85,6 @@ struct Report {
     aggregate_raw_file_over_file: f64,
     compression_ratio_definition: String,
     streamed_over_in_memory_definition: String,
-}
-
-fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps.max(1)).map(|_| f()).fold(f64::INFINITY, f64::min)
 }
 
 fn scratch(app: App, tag: &str) -> PathBuf {
@@ -131,11 +124,9 @@ fn main() {
         let raw_path = scratch(app, "raw");
 
         // ---- Write throughput, both codecs. ----
-        let mut summary = store::persist_run(&run, &path, opts).expect("persist");
-        let write_s = best_of(reps, || {
-            let t = Instant::now();
-            summary = store::persist_run(&run, &path, opts).expect("persist");
-            t.elapsed().as_secs_f64()
+        store::persist_run(&run, &path, opts).expect("persist");
+        let (write_s, summary) = best_of(reps, || {
+            timed(|| store::persist_run(&run, &path, opts).expect("persist"))
         });
         let raw_summary =
             store::persist_run(&run, &raw_path, opts.with_compress(false)).expect("persist raw");
@@ -144,88 +135,90 @@ fn main() {
         // ---- Streamed vs in-memory analysis, differentially checked. ----
         let in_memory_report = AppReport::build(&run);
         let in_memory_json = serde_json::to_vec(&in_memory_report).expect("serializable");
-        let mut peak_resident = 0usize;
-        let mut mapped = false;
-        let streamed_analyze_s = best_of(reps, || {
-            let t = Instant::now();
-            let reader = store::Reader::open(&path).expect("open");
-            let (meta, analysis) = store::analyze_store(&reader).expect("analyze");
-            let report = AppReport::from_analysis(
-                meta.config.app,
-                &meta.ranks,
-                meta.config.node.net_irq_cpu,
-                &analysis,
-            );
-            let s = t.elapsed().as_secs_f64();
-            peak_resident = reader.stats().peak_resident;
-            mapped = reader.is_mapped();
+        // Each timed closure returns what it allocated, so that it is
+        // freed outside the timed region.
+        let (streamed_analyze_s, peak_resident) = best_of(reps, || {
+            let (s, (reader, report, _analysis)) = timed(|| {
+                let reader = store::Reader::open(&path).expect("open");
+                let (meta, analysis) = store::analyze_store(&reader).expect("analyze");
+                let report = AppReport::from_analysis(
+                    meta.config.app,
+                    &meta.ranks,
+                    meta.config.node.net_irq_cpu,
+                    &analysis,
+                );
+                (reader, report, analysis)
+            });
             assert_eq!(
                 serde_json::to_vec(&report).expect("serializable"),
                 in_memory_json,
                 "{}: streamed report differs from in-memory",
                 app.name()
             );
-            s
+            (s, reader.stats().peak_resident)
         });
         // From-file in-memory baseline: materialize the trace from the
         // same store, then run the resident engine — the `load_run`
         // path, paying the same open/decode/checksum the streamed side
         // pays.
-        let in_memory_from_file_s = best_of(reps, || {
-            let t = Instant::now();
-            let reader = store::Reader::open(&path).expect("open");
-            let meta = osn_core::StoredRunMeta::from_bytes(reader.metadata()).expect("meta");
-            let trace = reader.read_trace().expect("read");
-            let analysis = osn_core::analysis::NoiseAnalysis::analyze(
-                &trace,
-                &meta.result.tasks,
-                meta.result.end_time,
-            );
-            let report = AppReport::from_analysis(
-                meta.config.app,
-                &meta.ranks,
-                meta.config.node.net_irq_cpu,
-                &analysis,
-            );
-            let s = t.elapsed().as_secs_f64();
+        let (in_memory_from_file_s, ()) = best_of(reps, || {
+            let (s, (report, _trace, _analysis)) = timed(|| {
+                let reader = store::Reader::open(&path).expect("open");
+                let meta = osn_core::StoredRunMeta::from_bytes(reader.metadata()).expect("meta");
+                let trace = reader.read_trace().expect("read");
+                let analysis = osn_core::analysis::NoiseAnalysis::analyze(
+                    &trace,
+                    &meta.result.tasks,
+                    meta.result.end_time,
+                );
+                let report = AppReport::from_analysis(
+                    meta.config.app,
+                    &meta.ranks,
+                    meta.config.node.net_irq_cpu,
+                    &analysis,
+                );
+                (report, trace, analysis)
+            });
             assert_eq!(
                 serde_json::to_vec(&report).expect("serializable"),
                 in_memory_json,
                 "{}: from-file report differs from in-memory",
                 app.name()
             );
-            s
+            (s, ())
         });
         // The chunk kernel alone: every chunk of every CPU, fetched
         // and decoded into columns, nothing downstream.
         let reader = store::Reader::open(&path).expect("open");
-        let chunk_fetch_s = best_of(reps, || {
-            let t = Instant::now();
-            let mut records = 0usize;
-            for cpu in 0..reader.ncpus() as u16 {
-                let mut cursor = reader.column_chunks(osn_kernel::ids::CpuId(cpu));
-                while let Some(cols) = cursor.next_chunk() {
-                    records += std::hint::black_box(cols.expect("intact store")).len();
+        let (chunk_fetch_s, ()) = best_of(reps, || {
+            let (s, records) = timed(|| {
+                let mut records = 0usize;
+                for cpu in 0..reader.ncpus() as u16 {
+                    let mut cursor = reader.column_chunks(osn_kernel::ids::CpuId(cpu));
+                    while let Some(cols) = cursor.next_chunk() {
+                        records += std::hint::black_box(cols.expect("intact store")).len();
+                    }
                 }
-            }
-            let s = t.elapsed().as_secs_f64();
+                records
+            });
             assert_eq!(records as u64, reader.events(), "every record decoded");
-            s
+            (s, ())
         });
-        let in_memory_analyze_s = best_of(reps, || {
-            let t = Instant::now();
-            let analysis = osn_core::analysis::NoiseAnalysis::analyze(
-                &run.trace,
-                &run.result.tasks,
-                run.result.end_time,
-            );
-            let _ = AppReport::from_analysis(
-                run.app,
-                &run.ranks,
-                run.config.node.net_irq_cpu,
-                &analysis,
-            );
-            t.elapsed().as_secs_f64()
+        let (in_memory_analyze_s, _) = best_of(reps, || {
+            timed(|| {
+                let analysis = osn_core::analysis::NoiseAnalysis::analyze(
+                    &run.trace,
+                    &run.result.tasks,
+                    run.result.end_time,
+                );
+                let _ = AppReport::from_analysis(
+                    run.app,
+                    &run.ranks,
+                    run.config.node.net_irq_cpu,
+                    &analysis,
+                );
+                analysis
+            })
         });
 
         let row = AppRow {
@@ -246,7 +239,6 @@ fn main() {
             streamed_over_in_memory: streamed_analyze_s / in_memory_from_file_s,
             streamed_over_resident: streamed_analyze_s / in_memory_analyze_s,
             chunk_fetch_ns_per_record: chunk_fetch_s * 1e9 / summary.events as f64,
-            mapped,
             peak_resident_chunks: peak_resident,
             streamed_peak_bytes: (peak_resident
                 * opts.chunk_capacity

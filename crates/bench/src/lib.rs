@@ -17,6 +17,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use osn_core::kernel::time::Nanos;
 use osn_core::workloads::App;
@@ -59,6 +60,31 @@ pub fn merge_bench_json(
     }
     let doc = serde::Value::Map(entries);
     write_bench_json(name, serde_json::to_vec_pretty(&doc).expect("serializable"))
+}
+
+/// Wall-clock seconds one call of `f` took, with its result. Every
+/// throughput bin times with this one clock: a thread's on-CPU time in
+/// `/proc/thread-self/schedstat` moves in scheduler-tick steps (4 ms on
+/// a 250 Hz kernel), too coarse for runs of tens of milliseconds.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let out = f();
+    (start.elapsed().as_secs_f64(), out)
+}
+
+/// The fastest of `reps` (at least one) calls of `f`, each returning
+/// its own seconds (usually from [`timed`]) and a result, with that
+/// call's result.
+pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
+    let (mut best, mut out) = f();
+    for _ in 1..reps {
+        let (secs, o) = f();
+        if secs < best {
+            best = secs;
+            out = o;
+        }
+    }
+    (best, out)
 }
 
 /// Simulated duration per app run, from `OSN_SECS`.

@@ -585,6 +585,33 @@ fn scan_does_not_follow_directory_link_loops() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `*.osn` link to a directory cannot be read as a store (the reader
+/// maps every file it opens, and a directory does not map): the scan
+/// lists it under `skipped` with a reason and still indexes the real
+/// store beside it.
+#[test]
+fn osn_link_to_a_directory_is_skipped_with_a_reason() {
+    let dir = tmpdir("link-to-dir");
+    record_app(tiny_config(App::Sphot, 5), &dir.join("a.osn"), store_opts()).unwrap();
+    std::fs::create_dir(dir.join("sub")).unwrap();
+    std::fs::write(dir.join("sub").join("notes.txt"), b"not a store").unwrap();
+    std::os::unix::fs::symlink("sub", dir.join("b.osn")).unwrap();
+
+    let (catalog, outcome) = osn_catalog::scan(&dir, &osn_catalog::Catalog::default()).unwrap();
+    assert_eq!(outcome.indexed, 1);
+    assert_eq!(outcome.skipped, 1);
+    assert_eq!(catalog.entries.len(), 1);
+    assert_eq!(catalog.entries[0].path, "a.osn");
+    assert_eq!(catalog.skipped.len(), 1);
+    assert_eq!(catalog.skipped[0].path, "b.osn");
+    assert!(
+        catalog.skipped[0].reason.starts_with("cannot open: "),
+        "reason: {}",
+        catalog.skipped[0].reason
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The pretty JSON every data endpoint serves, pinned by FNV-1a-64 for
 /// one recorded 1-simulated-second store: a change to how JSON is
 /// written must keep these bytes.

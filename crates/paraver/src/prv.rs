@@ -83,8 +83,7 @@ pub fn write_prv(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> String {
     };
 
     // State records from the reconstructed task timelines.
-    let workers = osn_analysis::default_workers(tasks.len());
-    let timelines = build_timelines_events(&events, tasks, end, workers);
+    let timelines = build_timelines_events(&events, tasks, end, 1);
     for meta in tasks {
         let Some(tl) = timelines.get(meta.tid) else {
             continue;

@@ -25,7 +25,7 @@
 //! ```
 //!
 //! The trailer is fixed-size and at the very end, so a reader finds
-//! the footer in two reads ([`reader::StoreReader::open`]). When the
+//! the footer without a scan ([`reader::StoreReader::open`]). When the
 //! footer is missing or torn (crashed recorder), the chunks themselves
 //! are self-describing: [`reader::StoreReader::recover`] rebuilds the
 //! index by scanning forward and drops a torn final chunk, charging

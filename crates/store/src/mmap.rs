@@ -9,11 +9,14 @@
 //! Safety argument (see DESIGN.md for the long form): every access to
 //! the map goes through `as_slice()` byte slices and
 //! `u64::from_le_bytes`-style copies — no typed pointer casts — so
-//! alignment of the mapped records is irrelevant. Store files are
-//! written append-only and finished before they are opened for
-//! analysis; a file truncated *while mapped* would fault on touch,
-//! which is the same contract `memmap2` documents, and the reader only
-//! maps files it has already stat-ed and footer-validated.
+//! alignment of the mapped records is irrelevant. The reader maps a
+//! store before it reads a byte of it and then reads only through the
+//! map: every access is a bounds-checked slice of the length fixed
+//! here at open, so a damaged file yields a typed error, never an
+//! out-of-bounds read. Store files are written append-only and
+//! finished before they are opened for analysis; a file truncated
+//! *while mapped* would fault on touch, which is the same contract
+//! `memmap2` documents.
 
 use std::fs::File;
 use std::os::unix::io::AsRawFd;

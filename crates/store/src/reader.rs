@@ -6,9 +6,14 @@
 //! analysis path and the catalog's slice path. Every payload is
 //! checksummed and decoded in one pass by the one column decoder,
 //! [`crate::chunk::decode_chunk_columns`].
+//!
+//! Both openers map the file first and read nothing any other way:
+//! the header, trailer, footer, recovery scan and every chunk image
+//! are bounds-checked slices of that one read-only [`Mmap`], whose
+//! length is fixed at open. A file that cannot be mapped fails to open
+//! with [`StoreError::Io`].
 
 use std::fs::File;
-use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -102,49 +107,6 @@ struct FileHeader {
     chunk_capacity: usize,
 }
 
-/// The opened file plus its (optional) read-only memory map, shared by
-/// the reader and every cursor it hands out.
-///
-/// When the map is present, chunk images are borrowed straight out of
-/// the mapped file — the header parse and the one pass that checksums
-/// and decodes the payload run over the mapped bytes with no
-/// intermediate copy. When mapping
-/// fails (exotic filesystems, resource limits) every access falls back
-/// to bounded `pread`s into a scratch buffer, preserving the
-/// bounded-memory contract rather than slurping the file into RAM.
-#[derive(Debug)]
-struct StoreData {
-    file: File,
-    map: Option<Mmap>,
-}
-
-impl StoreData {
-    /// The raw bytes of one chunk (header + payload): a zero-copy
-    /// slice of the memory map when available, otherwise a `pread`
-    /// into `scratch`.
-    fn chunk_bytes<'a>(
-        &'a self,
-        meta: &ChunkMeta,
-        scratch: &'a mut Vec<u8>,
-    ) -> Result<&'a [u8], StoreError> {
-        let len = CHUNK_HEADER_BYTES + meta.payload_len as usize;
-        let start = meta.offset as usize;
-        if let Some(map) = &self.map {
-            if let Some(bytes) = map.as_slice().get(start..start + len) {
-                return Ok(bytes);
-            }
-            return Err(StoreError::CorruptChunk {
-                offset: meta.offset,
-                reason: "chunk beyond mapped file",
-            });
-        }
-        scratch.clear();
-        scratch.resize(len, 0);
-        self.file.read_exact_at(scratch, meta.offset)?;
-        Ok(scratch)
-    }
-}
-
 struct Footer {
     /// File offset the footer block begins at (validated against the
     /// trailer's length field and checksum).
@@ -156,7 +118,8 @@ struct Footer {
 
 /// Random-access view of a store file.
 pub struct StoreReader {
-    data: Arc<StoreData>,
+    /// The whole file, mapped at open and shared with every cursor.
+    map: Arc<Mmap>,
     ncpus: usize,
     chunk_capacity: usize,
     lost: Vec<u64>,
@@ -173,18 +136,10 @@ impl StoreReader {
     /// with a typed error on any damage; use [`StoreReader::recover`]
     /// to salvage a torn file.
     pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let header = read_file_header(&file)?;
-        let footer = parse_footer(&file, file_len, header.ncpus)?;
-        Self::assemble(file, header, footer.lost, footer.meta, footer.chunks)
-    }
-
-    /// Whether chunk reads are served from a memory map (false only
-    /// when `mmap` failed at open and the reader fell back to `pread`).
-    #[inline]
-    pub fn is_mapped(&self) -> bool {
-        self.data.map.is_some()
+        let map = Mmap::map(&File::open(path)?)?;
+        let header = read_file_header(map.as_slice())?;
+        let footer = parse_footer(map.as_slice(), header.ncpus)?;
+        Self::assemble(map, header, footer.lost, footer.meta, footer.chunks)
     }
 
     /// Open a possibly torn store by scanning chunks forward from the
@@ -195,9 +150,9 @@ impl StoreReader {
     /// channel as ring-buffer drops. The footer, when intact, still
     /// supplies loss counters and metadata.
     pub fn recover(path: &Path) -> Result<(StoreReader, RecoveryReport), StoreError> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let header = read_file_header(&file)?;
+        let map = Mmap::map(&File::open(path)?)?;
+        let bytes = map.as_slice();
+        let header = read_file_header(bytes)?;
         let mut report = RecoveryReport::default();
         let mut chunks: Vec<ChunkMeta> = Vec::new();
         let mut torn_lost = vec![0u64; header.ncpus];
@@ -208,55 +163,45 @@ impl StoreReader {
         // equal `FOOTER_MAGIC` (a torn footer, or payload debris after
         // the last valid chunk) must instead be accounted as a dropped
         // tail, not silently accepted as the end of the file.
-        let footer = parse_footer(&file, file_len, header.ncpus).ok();
+        let footer = parse_footer(bytes, header.ncpus).ok();
 
-        let mut pos = FILE_HEADER_BYTES as u64;
-        loop {
-            if pos + 4 > file_len {
-                report.dropped_bytes = file_len - pos;
-                break;
-            }
-            let mut magic = [0u8; 4];
-            file.read_exact_at(&mut magic, pos)?;
-            if u32::from_le_bytes(magic) == FOOTER_MAGIC
-                && footer.as_ref().is_some_and(|f| f.start == pos)
-            {
-                break; // a validated footer starts here: clean end of the chunk region
-            }
-            if pos + CHUNK_HEADER_BYTES as u64 > file_len {
-                report.dropped_bytes = file_len - pos;
-                break;
-            }
-            let mut raw = [0u8; CHUNK_HEADER_BYTES];
-            file.read_exact_at(&mut raw, pos)?;
-            let Ok(h) = ChunkHeader::parse(&raw) else {
-                // Not a chunk header: garbage tail of unknown extent.
-                report.dropped_bytes = file_len - pos;
-                break;
+        // The scan ends where a validated footer starts, or at the
+        // first bytes that are not an intact chunk: those and all that
+        // follow are dropped.
+        let mut pos = FILE_HEADER_BYTES;
+        report.dropped_bytes = loop {
+            let rest = &bytes[pos..];
+            let dropped = rest.len() as u64;
+            let Some(magic) = rest.first_chunk::<4>() else {
+                break dropped;
             };
-            let torn = |report: &mut RecoveryReport, torn_lost: &mut Vec<u64>| {
+            if u32::from_le_bytes(*magic) == FOOTER_MAGIC
+                && footer.as_ref().is_some_and(|f| f.start == pos as u64)
+            {
+                break 0; // a validated footer starts here: clean end of the chunk region
+            }
+            let Some(raw) = rest.first_chunk::<CHUNK_HEADER_BYTES>() else {
+                break dropped;
+            };
+            let Ok(h) = ChunkHeader::parse(raw) else {
+                break dropped; // not a chunk header: garbage tail of unknown extent
+            };
+            let len = CHUNK_HEADER_BYTES + h.payload_len as usize;
+            let intact = (h.cpu as usize) < header.ncpus
+                && rest
+                    .get(CHUNK_HEADER_BYTES..len)
+                    .is_some_and(|payload| fnv1a64(payload) == h.checksum);
+            if !intact {
                 report.torn_chunks += 1;
                 report.torn_events += h.count as u64;
-                if (h.cpu as usize) < torn_lost.len() {
-                    torn_lost[h.cpu as usize] += h.count as u64;
+                if let Some(slot) = torn_lost.get_mut(h.cpu as usize) {
+                    *slot += h.count as u64;
                 }
-                report.dropped_bytes = file_len - pos;
-            };
-            if h.cpu as usize >= header.ncpus
-                || pos + (CHUNK_HEADER_BYTES + h.payload_len as usize) as u64 > file_len
-            {
-                torn(&mut report, &mut torn_lost);
-                break;
+                break dropped;
             }
-            let mut payload = vec![0u8; h.payload_len as usize];
-            file.read_exact_at(&mut payload, pos + CHUNK_HEADER_BYTES as u64)?;
-            if fnv1a64(&payload) != h.checksum {
-                torn(&mut report, &mut torn_lost);
-                break;
-            }
-            chunks.push(ChunkMeta::from_header(pos, &h));
-            pos += (CHUNK_HEADER_BYTES + h.payload_len as usize) as u64;
-        }
+            chunks.push(ChunkMeta::from_header(pos as u64, &h));
+            pos += len;
+        };
 
         // The footer may still be intact (e.g. mid-file bit rot rather
         // than truncation); salvage loss counters and metadata if so.
@@ -270,12 +215,12 @@ impl StoreReader {
         for (slot, torn) in lost.iter_mut().zip(&torn_lost) {
             *slot += torn;
         }
-        let reader = Self::assemble(file, header, lost, meta, chunks)?;
+        let reader = Self::assemble(map, header, lost, meta, chunks)?;
         Ok((reader, report))
     }
 
     fn assemble(
-        file: File,
+        map: Mmap,
         header: FileHeader,
         lost: Vec<u64>,
         meta: Vec<u8>,
@@ -310,12 +255,8 @@ impl StoreReader {
             }
             per_cpu[c].push(i as u32);
         }
-        // Map the file for zero-copy chunk access; fall back to pread
-        // silently if the platform refuses (the map is an optimization,
-        // not a correctness requirement).
-        let map = Mmap::map(&file).ok();
         Ok(StoreReader {
-            data: Arc::new(StoreData { file, map }),
+            map: Arc::new(map),
             ncpus: header.ncpus,
             chunk_capacity: header.chunk_capacity,
             lost,
@@ -401,8 +342,8 @@ impl StoreReader {
 
     /// A bounded-memory columnar cursor over one CPU's chunks: each
     /// call to [`ColumnChunks::next_chunk`] checksums and decodes the
-    /// next chunk in one pass — straight out of the memory map when
-    /// available — into a reused [`EventColumns`] block, and lends the
+    /// next chunk in one pass straight out of the memory map into a
+    /// reused [`EventColumns`] block, and lends the
     /// block only after its checksum matched. No `Event` structs are
     /// materialized, and one block's worth of columns is the only
     /// resident decoded state (tracked by the reader's [`ChunkStats`]).
@@ -423,11 +364,10 @@ impl StoreReader {
 
     fn cursor(&self, cpu: CpuId, range: Option<(Nanos, Nanos)>) -> ColumnChunks {
         ColumnChunks {
-            data: Arc::clone(&self.data),
+            map: Arc::clone(&self.map),
             metas: self.chunks_for(cpu, range).copied().collect(),
             next: 0,
             cols: EventColumns::new(cpu),
-            scratch: Vec::new(),
             resident: false,
             poisoned: false,
             stats: Arc::clone(&self.stats),
@@ -441,7 +381,6 @@ impl StoreReader {
     pub fn read_trace(&self) -> Result<Trace, StoreError> {
         let mut columns = Vec::with_capacity(self.ncpus);
         let mut cols = EventColumns::default();
-        let mut scratch = Vec::new();
         for c in 0..self.ncpus {
             let positions = &self.per_cpu[c];
             let total: usize = positions
@@ -450,7 +389,7 @@ impl StoreReader {
                 .sum();
             let mut block = EventColumns::with_capacity(CpuId(c as u16), total);
             for meta in positions.iter().map(|&i| &self.chunks[i as usize]) {
-                fetch_chunk(&self.data, meta, &mut cols, &mut scratch)?;
+                fetch_chunk(&self.map, meta, &mut cols)?;
                 self.stats.decoded.fetch_add(1, Ordering::AcqRel);
                 block.extend_from(&cols, 0..cols.len());
             }
@@ -463,11 +402,10 @@ impl StoreReader {
 /// A bounded-memory columnar cursor over one CPU's chunks. See
 /// [`StoreReader::column_chunks`].
 pub struct ColumnChunks {
-    data: Arc<StoreData>,
+    map: Arc<Mmap>,
     metas: Vec<ChunkMeta>,
     next: usize,
     cols: EventColumns,
-    scratch: Vec<u8>,
     resident: bool,
     poisoned: bool,
     stats: Arc<ChunkStats>,
@@ -489,7 +427,7 @@ impl ColumnChunks {
         }
         let meta = self.metas[self.next];
         self.next += 1;
-        match fetch_chunk(&self.data, &meta, &mut self.cols, &mut self.scratch) {
+        match fetch_chunk(&self.map, &meta, &mut self.cols) {
             Ok(()) => {
                 self.stats.decoded.fetch_add(1, Ordering::AcqRel);
                 self.stats.acquire();
@@ -531,29 +469,26 @@ fn verify_chunk<'a>(raw: &'a [u8], meta: &ChunkMeta) -> Result<(&'a [u8], u64), 
     Ok((&raw[CHUNK_HEADER_BYTES..], header.checksum))
 }
 
-/// Read, verify, and decode one chunk from the file (or map) into
-/// `cols` in one pass over the payload; `scratch` backs the read when
-/// the file is not mapped.
-fn fetch_chunk(
-    data: &StoreData,
-    meta: &ChunkMeta,
-    cols: &mut EventColumns,
-    scratch: &mut Vec<u8>,
-) -> Result<(), StoreError> {
-    let raw = data.chunk_bytes(meta, scratch)?;
+/// Verify and decode one chunk image, a slice of the map, into `cols`
+/// in one pass over the payload.
+fn fetch_chunk(map: &Mmap, meta: &ChunkMeta, cols: &mut EventColumns) -> Result<(), StoreError> {
+    let start = meta.offset as usize;
+    let raw = map
+        .as_slice()
+        .get(start..start + CHUNK_HEADER_BYTES + meta.payload_len as usize)
+        .ok_or(StoreError::CorruptChunk {
+            offset: meta.offset,
+            reason: "chunk beyond mapped file",
+        })?;
     let (payload, checksum) = verify_chunk(raw, meta)?;
     decode_chunk_columns(meta, checksum, payload, cols)
 }
 
-fn read_file_header(file: &File) -> Result<FileHeader, StoreError> {
-    let mut raw = [0u8; FILE_HEADER_BYTES];
-    file.read_exact_at(&mut raw, 0).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::BadMagic // shorter than any store file
-        } else {
-            StoreError::Io(e)
-        }
-    })?;
+fn read_file_header(bytes: &[u8]) -> Result<FileHeader, StoreError> {
+    // Shorter than any store file: not a store at all.
+    let raw = bytes
+        .first_chunk::<FILE_HEADER_BYTES>()
+        .ok_or(StoreError::BadMagic)?;
     if &raw[..8] != FILE_MAGIC {
         return Err(StoreError::BadMagic);
     }
@@ -576,13 +511,13 @@ fn read_file_header(file: &File) -> Result<FileHeader, StoreError> {
     })
 }
 
-fn parse_footer(file: &File, file_len: u64, ncpus: usize) -> Result<Footer, StoreError> {
+fn parse_footer(bytes: &[u8], ncpus: usize) -> Result<Footer, StoreError> {
     let corrupt = StoreError::CorruptFooter;
+    let file_len = bytes.len() as u64;
     if file_len < (FILE_HEADER_BYTES + TRAILER_BYTES) as u64 {
         return Err(corrupt("file too short for a trailer"));
     }
-    let mut trailer = [0u8; TRAILER_BYTES];
-    file.read_exact_at(&mut trailer, file_len - TRAILER_BYTES as u64)?;
+    let trailer = &bytes[bytes.len() - TRAILER_BYTES..];
     if &trailer[16..24] != END_MAGIC {
         return Err(corrupt("missing end magic"));
     }
@@ -593,9 +528,8 @@ fn parse_footer(file: &File, file_len: u64, ncpus: usize) -> Result<Footer, Stor
         return Err(corrupt("footer length out of range"));
     }
     let footer_start = file_len - TRAILER_BYTES as u64 - footer_len;
-    let mut raw = vec![0u8; footer_len as usize];
-    file.read_exact_at(&mut raw, footer_start)?;
-    if fnv1a64(&raw) != crc {
+    let raw = &bytes[footer_start as usize..bytes.len() - TRAILER_BYTES];
+    if fnv1a64(raw) != crc {
         return Err(corrupt("footer checksum mismatch"));
     }
 
@@ -613,34 +547,34 @@ fn parse_footer(file: &File, file_len: u64, ncpus: usize) -> Result<Footer, Stor
     let u64_field =
         |raw: &[u8], r: std::ops::Range<usize>| u64::from_le_bytes(raw[r].try_into().unwrap());
 
-    if u32_field(&raw, take(&mut pos, 4)?) != FOOTER_MAGIC {
+    if u32_field(raw, take(&mut pos, 4)?) != FOOTER_MAGIC {
         return Err(corrupt("bad footer magic"));
     }
-    if u32_field(&raw, take(&mut pos, 4)?) != STORE_VERSION {
+    if u32_field(raw, take(&mut pos, 4)?) != STORE_VERSION {
         return Err(corrupt("footer version mismatch"));
     }
-    if u32_field(&raw, take(&mut pos, 4)?) as usize != ncpus {
+    if u32_field(raw, take(&mut pos, 4)?) as usize != ncpus {
         return Err(corrupt("footer cpu count disagrees with header"));
     }
     let mut lost = Vec::with_capacity(ncpus);
     for _ in 0..ncpus {
-        lost.push(u64_field(&raw, take(&mut pos, 8)?));
+        lost.push(u64_field(raw, take(&mut pos, 8)?));
     }
-    let meta_len = u32_field(&raw, take(&mut pos, 4)?) as usize;
+    let meta_len = u32_field(raw, take(&mut pos, 4)?) as usize;
     let meta = raw[take(&mut pos, meta_len)?].to_vec();
-    let nchunks = u32_field(&raw, take(&mut pos, 4)?) as usize;
+    let nchunks = u32_field(raw, take(&mut pos, 4)?) as usize;
     if raw.len() - pos != nchunks * INDEX_ENTRY_BYTES {
         return Err(corrupt("index size disagrees with chunk count"));
     }
     let mut chunks = Vec::with_capacity(nchunks);
     for _ in 0..nchunks {
-        let offset = u64_field(&raw, take(&mut pos, 8)?);
+        let offset = u64_field(raw, take(&mut pos, 8)?);
         let cpu = u16::from_le_bytes(raw[take(&mut pos, 2)?].try_into().unwrap());
         let flags = u16::from_le_bytes(raw[take(&mut pos, 2)?].try_into().unwrap());
-        let count = u32_field(&raw, take(&mut pos, 4)?);
-        let payload_len = u32_field(&raw, take(&mut pos, 4)?);
-        let t_first = Nanos(u64_field(&raw, take(&mut pos, 8)?));
-        let t_last = Nanos(u64_field(&raw, take(&mut pos, 8)?));
+        let count = u32_field(raw, take(&mut pos, 4)?);
+        let payload_len = u32_field(raw, take(&mut pos, 4)?);
+        let t_first = Nanos(u64_field(raw, take(&mut pos, 8)?));
+        let t_last = Nanos(u64_field(raw, take(&mut pos, 8)?));
         let end = offset
             .checked_add((CHUNK_HEADER_BYTES + payload_len as usize) as u64)
             .ok_or(corrupt("chunk offset overflow"))?;

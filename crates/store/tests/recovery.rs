@@ -32,6 +32,20 @@ fn synthetic_trace(n: u64) -> Trace {
     Trace::new(events, vec![3])
 }
 
+/// The map is the reader's only way into a file, so a path that does
+/// not map is a typed I/O error from both openers. A directory (with
+/// an entry, so that its size is not zero) is one: `mmap` of it fails
+/// with ENODEV.
+#[test]
+fn unmappable_file_is_an_io_error() {
+    let dir = scratch("unmappable-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("entry"), b"x").unwrap();
+    assert!(matches!(StoreReader::open(&dir), Err(StoreError::Io(_))));
+    assert!(matches!(StoreReader::recover(&dir), Err(StoreError::Io(_))));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn clean_file_recovers_clean() {
     let path = scratch("clean");
