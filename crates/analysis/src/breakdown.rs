@@ -1,6 +1,11 @@
 //! OS-noise breakdown by category (the paper's Fig 3): for each
 //! application, the share of total noise attributable to *periodic*,
 //! *page fault*, *scheduling*, *preemption*, and *I/O* activity.
+//!
+//! Production code reads the breakdown off the task set's
+//! [`ClassColumns`](crate::stats::ClassColumns), whose one walk also
+//! fills the per-class columns; [`Breakdown::compute`] is the
+//! per-task-map reference it is tested against.
 
 use osn_kernel::activity::NoiseCategory;
 use osn_kernel::ids::Tid;
@@ -19,7 +24,10 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
-    /// Compute over a set of tasks (the ranks of one job).
+    /// Compute over a set of tasks (the ranks of one job) from each
+    /// task's [`TaskNoise::by_category`](crate::noise::TaskNoise::by_category)
+    /// map: the reference for
+    /// [`ClassColumns::breakdown`](crate::stats::ClassColumns::breakdown).
     pub fn compute(analysis: &NoiseAnalysis, tids: &[Tid]) -> Breakdown {
         let mut totals: Vec<(NoiseCategory, Nanos)> = NoiseCategory::NOISE
             .iter()

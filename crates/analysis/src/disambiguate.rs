@@ -12,7 +12,6 @@
 //!   finds interruptions whose decomposition spans multiple noise
 //!   categories or event classes.
 
-use osn_kernel::activity::Activity;
 use osn_kernel::time::Nanos;
 
 use crate::noise::{Component, Interruption};
@@ -21,10 +20,19 @@ use crate::stats::EventClass;
 /// The dominant event class of an interruption (by self time), if any
 /// kernel component exists.
 pub fn dominant_class(i: &Interruption) -> Option<EventClass> {
+    class_sums(i)
+        .into_iter()
+        .max_by_key(|(_, d)| *d)
+        .map(|(c, _)| c)
+}
+
+/// Self time per event class within one interruption, classes in
+/// first-seen order.
+fn class_sums(i: &Interruption) -> Vec<(EventClass, Nanos)> {
     let mut sums: Vec<(EventClass, Nanos)> = Vec::new();
     for (c, d) in &i.components {
         if let Component::Activity(a) = c {
-            if let Some(class) = classify(*a) {
+            if let Some(class) = EventClass::of(*a) {
                 match sums.iter_mut().find(|(k, _)| *k == class) {
                     Some(slot) => slot.1 += *d,
                     None => sums.push((class, *d)),
@@ -32,11 +40,7 @@ pub fn dominant_class(i: &Interruption) -> Option<EventClass> {
             }
         }
     }
-    sums.into_iter().max_by_key(|(_, d)| *d).map(|(c, _)| c)
-}
-
-fn classify(a: Activity) -> Option<EventClass> {
-    EventClass::ALL.iter().copied().find(|c| c.matches(a))
+    sums
 }
 
 /// A §V-A pair: two interruptions whose totals differ by at most
@@ -113,17 +117,7 @@ pub fn composite_interruptions(
 ) -> Vec<Composite> {
     let mut out = Vec::new();
     for i in interruptions {
-        let mut classes: Vec<(EventClass, Nanos)> = Vec::new();
-        for (c, d) in &i.components {
-            if let Component::Activity(a) = c {
-                if let Some(class) = classify(*a) {
-                    match classes.iter_mut().find(|(k, _)| *k == class) {
-                        Some(slot) => slot.1 += *d,
-                        None => classes.push((class, *d)),
-                    }
-                }
-            }
-        }
+        let mut classes = class_sums(i);
         if classes.len() >= min_classes {
             classes.sort_by_key(|(_, d)| std::cmp::Reverse(*d));
             out.push(Composite {
@@ -139,7 +133,7 @@ pub fn composite_interruptions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osn_kernel::activity::{FaultKind, SoftirqVec};
+    use osn_kernel::activity::{Activity, FaultKind, SoftirqVec};
     use osn_kernel::ids::Tid;
 
     fn interruption(start: u64, comps: Vec<(Component, u64)>) -> Interruption {

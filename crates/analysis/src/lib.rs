@@ -46,7 +46,7 @@ pub use noise::{Component, Interruption, NoiseAnalysis, TaskNoise};
 pub use par::{default_workers, parallel_map};
 pub use signature::{comparison_table, Drift, NoiseSignature, SignatureEntry};
 pub use stats::{
-    all_class_stats, class_histogram, class_samples, class_samples_timed, class_stats, job_stats,
-    ClassColumns, EventClass, EventStats, JobStats,
+    class_histogram, class_samples, class_samples_timed, class_stats, ClassColumns, EventClass,
+    EventStats,
 };
 pub use timeline::{Phase, PhaseSpan, TaskTimeline, Timelines};

@@ -81,13 +81,7 @@ impl Interruption {
 
     /// Noise by category.
     pub fn by_category(&self) -> HashMap<NoiseCategory, Nanos> {
-        let mut map = HashMap::new();
-        for (c, d) in &self.components {
-            if let Some(cat) = c.category() {
-                *map.entry(cat).or_insert(Nanos::ZERO) += *d;
-            }
-        }
-        map
+        category_totals(&self.components)
     }
 
     /// Does any component match this activity?
@@ -96,6 +90,20 @@ impl Interruption {
             .iter()
             .any(|(c, _)| matches!(c, Component::Activity(a) if *a == activity))
     }
+}
+
+/// Each noise category's summed duration over `components`; a category
+/// is present once any component has it, even at zero duration.
+fn category_totals<'a>(
+    components: impl IntoIterator<Item = &'a (Component, Nanos)>,
+) -> HashMap<NoiseCategory, Nanos> {
+    let mut map = HashMap::new();
+    for (c, d) in components {
+        if let Some(cat) = c.category() {
+            *map.entry(cat).or_insert(Nanos::ZERO) += *d;
+        }
+    }
+    map
 }
 
 /// All noise experienced by one task.
@@ -117,15 +125,9 @@ impl TaskNoise {
         self.interruptions.iter().map(|i| i.noise()).sum()
     }
 
-    /// Noise by category.
+    /// Noise by category, added into one map across all interruptions.
     pub fn by_category(&self) -> HashMap<NoiseCategory, Nanos> {
-        let mut map = HashMap::new();
-        for i in &self.interruptions {
-            for (cat, d) in i.by_category() {
-                *map.entry(cat).or_insert(Nanos::ZERO) += d;
-            }
-        }
-        map
+        category_totals(self.interruptions.iter().flat_map(|i| &i.components))
     }
 
     /// All `(start, self_time)` samples of a specific activity (for
@@ -344,8 +346,9 @@ impl NoiseAnalysis {
     /// The pairing shards then go through [`merge_shards`], the
     /// scheduler streams through [`merge_streams`] (filtering commutes
     /// with the `(t, cpu)` merge) into [`build_timelines_events`], the
-    /// timeline walk the reference engine shares, and the per-task back
-    /// half runs on the result.
+    /// timeline walk the reference engine shares, and
+    /// [`NoiseAnalysis::from_parts`] runs the per-task back half on the
+    /// result.
     pub fn from_cpu_blocks<E, B>(
         ncpus: usize,
         tasks: &[TaskMeta],
@@ -379,7 +382,7 @@ impl NoiseAnalysis {
         }
         let (instances, nesting_report) = merge_shards(shards);
         let timelines = build_timelines_events(&merge_streams(streams), tasks, end, workers);
-        Ok(assemble(
+        Ok(Self::from_parts(
             instances,
             nesting_report,
             timelines,
@@ -389,8 +392,10 @@ impl NoiseAnalysis {
         ))
     }
 
-    /// Assemble an analysis from already-reconstructed parts.
-    /// `instances` must be in the reference global order
+    /// Assemble an analysis from already-reconstructed parts — the back
+    /// half of the sharded engine: index the instances per context,
+    /// analyze every application task in parallel, and bundle the
+    /// results. `instances` must be in the reference global order
     /// (`(start, cpu, Reverse(end))`, as [`merge_shards`] leaves them)
     /// and `timelines` built over the same events; given that, the
     /// result is bit-identical to [`NoiseAnalysis::analyze`].
@@ -402,7 +407,39 @@ impl NoiseAnalysis {
         end: Nanos,
         workers: usize,
     ) -> NoiseAnalysis {
-        assemble(instances, nesting_report, timelines, tasks, end, workers)
+        let apps: Vec<Tid> = tasks
+            .iter()
+            .filter(|m| m.kind == "app")
+            .map(|m| m.tid)
+            .collect();
+        let index = InstanceIndex::build(&instances, &apps);
+        let running = running_segments(&timelines, index.ncpus());
+
+        let targets: Vec<Tid> = apps
+            .into_iter()
+            .filter(|t| timelines.get(*t).is_some())
+            .collect();
+        let noises = crate::par::parallel_map(targets.len(), workers, |i| {
+            let tid = targets[i];
+            let tl = timelines.get(tid).expect("filtered above");
+            analyze_task(
+                tid,
+                tl,
+                &instances,
+                index.ctx_positions(tid),
+                &index.per_cpu_async,
+                &running,
+            )
+        });
+        let result: HashMap<Tid, TaskNoise> = targets.into_iter().zip(noises).collect();
+
+        NoiseAnalysis {
+            instances,
+            nesting_report,
+            timelines,
+            tasks: result,
+            end,
+        }
     }
 
     /// The retained sequential reference engine (the pre-sharding seed
@@ -472,52 +509,6 @@ impl NoiseAnalysis {
         // unique per interruption, so the order is deterministic.
         out.sort_unstable_by_key(|i| (i.start, i.end, i.task.0));
         out
-    }
-}
-
-/// Back half of the sharded engine: index the reconstructed
-/// instances, analyze every application task in parallel, and bundle
-/// the results.
-fn assemble(
-    instances: Vec<ActivityInstance>,
-    nesting_report: NestingReport,
-    timelines: Timelines,
-    tasks: &[TaskMeta],
-    end: Nanos,
-    workers: usize,
-) -> NoiseAnalysis {
-    let apps: Vec<Tid> = tasks
-        .iter()
-        .filter(|m| m.kind == "app")
-        .map(|m| m.tid)
-        .collect();
-    let index = InstanceIndex::build(&instances, &apps);
-    let running = running_segments(&timelines, index.ncpus());
-
-    let targets: Vec<Tid> = apps
-        .into_iter()
-        .filter(|t| timelines.get(*t).is_some())
-        .collect();
-    let noises = crate::par::parallel_map(targets.len(), workers, |i| {
-        let tid = targets[i];
-        let tl = timelines.get(tid).expect("filtered above");
-        analyze_task(
-            tid,
-            tl,
-            &instances,
-            index.ctx_positions(tid),
-            &index.per_cpu_async,
-            &running,
-        )
-    });
-    let result: HashMap<Tid, TaskNoise> = targets.into_iter().zip(noises).collect();
-
-    NoiseAnalysis {
-        instances,
-        nesting_report,
-        timelines,
-        tasks: result,
-        end,
     }
 }
 

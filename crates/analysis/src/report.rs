@@ -3,13 +3,11 @@
 
 use std::fmt::Write as _;
 
-use osn_kernel::activity::NoiseCategory;
 use osn_kernel::task::TaskMeta;
-use osn_kernel::time::Nanos;
 
 use crate::chart::NoiseChart;
 use crate::noise::NoiseAnalysis;
-use crate::stats::all_class_stats;
+use crate::stats::ClassColumns;
 
 /// Render a full report for one task.
 pub fn task_report(analysis: &NoiseAnalysis, meta: &TaskMeta) -> String {
@@ -22,35 +20,34 @@ pub fn task_report(analysis: &NoiseAnalysis, meta: &TaskMeta) -> String {
         );
         return out;
     };
+    let columns = ClassColumns::build(analysis, &[meta.tid]);
+    let breakdown = columns.breakdown();
+    let noise = breakdown.total_noise.as_nanos().max(1) as f64;
     let _ = writeln!(
         out,
         "{} ({}): {} interruptions, {} total noise over {} runnable ({:.4}%)",
         meta.name,
         meta.tid,
         tn.interruptions.len(),
-        tn.total_noise(),
-        tn.runnable_time,
-        100.0 * tn.total_noise().as_nanos() as f64 / tn.runnable_time.as_nanos().max(1) as f64,
+        breakdown.total_noise,
+        breakdown.runnable_time,
+        100.0 * breakdown.total_noise.as_nanos() as f64
+            / breakdown.runnable_time.as_nanos().max(1) as f64,
     );
 
     let _ = writeln!(out, "  by category:");
-    let cats = tn.by_category();
-    for cat in NoiseCategory::NOISE {
-        let d = cats.get(&cat).copied().unwrap_or(Nanos::ZERO);
-        if d.is_zero() {
-            continue;
-        }
+    for (cat, d) in breakdown.totals.iter().filter(|(_, d)| !d.is_zero()) {
         let _ = writeln!(
             out,
             "    {:<12} {:>12}  ({:>5.1}%)",
             cat.name(),
             d.to_string(),
-            100.0 * d.as_nanos() as f64 / tn.total_noise().as_nanos().max(1) as f64
+            100.0 * d.as_nanos() as f64 / noise
         );
     }
 
     let _ = writeln!(out, "  by event class (freq over own wall time):");
-    for (class, s) in all_class_stats(analysis, &[meta.tid]) {
+    for (class, s) in columns.all_stats() {
         if s.count == 0 {
             continue;
         }
@@ -81,6 +78,7 @@ mod tests {
     use osn_kernel::activity::Activity;
     use osn_kernel::hooks::SwitchState;
     use osn_kernel::ids::{CpuId, Tid};
+    use osn_kernel::time::Nanos;
     use osn_trace::{Event, EventKind, Trace};
 
     fn fixture() -> (NoiseAnalysis, Vec<TaskMeta>) {
@@ -136,6 +134,26 @@ mod tests {
         assert!(text.contains("timer_interrupt"));
         assert!(text.contains("largest interruptions"));
         assert!(text.contains("2.178us"), "{text}");
+    }
+
+    /// The whole text, worked by hand: one 2178-ns timer interrupt in a
+    /// task runnable (and running) for the whole second, so the noise is
+    /// 2178 / 1e9 = 0.0002 % of runnable time, all of it periodic, and
+    /// the class fires once per second of the task's 1-s wall.
+    #[test]
+    fn task_report_pins_every_line() {
+        let (analysis, tasks) = fixture();
+        let expected = "\
+app.0 (tid1): 1 interruptions, 2.178us total noise over 1.000s runnable (0.0002%)
+  by category:
+    periodic          2.178us  (100.0%)
+  by event class (freq over own wall time):
+    timer_interrupt                 1/s avg    2.178us max      2.178us
+  largest interruptions:
+    t=100ns noise=2.178us :
+      Activity(TimerInterrupt) = 2.178us
+";
+        assert_eq!(task_report(&analysis, &tasks[0]), expected);
     }
 
     #[test]

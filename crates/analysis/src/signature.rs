@@ -18,7 +18,7 @@ use osn_kernel::time::Nanos;
 use serde::Serialize;
 
 use crate::noise::NoiseAnalysis;
-use crate::stats::{all_class_stats, EventClass, EventStats};
+use crate::stats::{ClassColumns, EventClass, EventStats};
 
 /// One class's entry in a signature.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize)]
@@ -38,14 +38,15 @@ pub struct NoiseSignature {
 }
 
 impl NoiseSignature {
-    /// Build from an analysis over the given tasks: one pass over their
-    /// interruption components ([`all_class_stats`]).
+    /// Build from an analysis over the given tasks: the rows of their
+    /// [`ClassColumns`] (one pass over their interruption components).
     pub fn build(analysis: &NoiseAnalysis, tids: &[Tid]) -> NoiseSignature {
-        NoiseSignature::from_stats(all_class_stats(analysis, tids))
+        NoiseSignature::from_stats(ClassColumns::build(analysis, tids).all_stats())
     }
 
-    /// Build from per-class statistics rows, e.g. [`all_class_stats`]
-    /// or [`ClassColumns::all_stats`](crate::stats::ClassColumns::all_stats).
+    /// Build from per-class statistics rows, e.g.
+    /// [`ClassColumns::all_stats`] or one [`class_stats`](crate::stats::class_stats)
+    /// row per class.
     pub fn from_stats(stats: Vec<(EventClass, EventStats)>) -> NoiseSignature {
         let total: Nanos = stats.iter().map(|(_, s)| s.total).sum();
         let entries = stats

@@ -1,5 +1,12 @@
 //! Per-event quantitative statistics: the frequency and duration
 //! analysis of the paper's Tables I–VI.
+//!
+//! [`ClassColumns`] is the one production reduction of a task set: a
+//! single walk over its interruption components yields the table rows,
+//! the Fig 3 breakdown and the Figs 4/6/8 histograms. The per-class
+//! gathers ([`class_samples`], [`class_stats`], [`class_histogram`])
+//! and [`Breakdown::compute`] are the offline references it is tested
+//! against.
 
 use osn_kernel::activity::{Activity, NoiseCategory, SoftirqVec};
 use osn_kernel::ids::Tid;
@@ -128,9 +135,12 @@ impl EventStats {
         if durations.is_empty() {
             return EventStats::empty();
         }
-        let count = durations.len() as u64;
         let (total, min, max) = moments(durations);
-        let avg = Nanos(total.as_nanos() / count);
+        EventStats::from_moments(durations.len() as u64, total, min, max, wall)
+    }
+
+    /// The row's arithmetic from the moments of a non-empty sample set.
+    fn from_moments(count: u64, total: Nanos, min: Nanos, max: Nanos, wall: Nanos) -> Self {
         let freq_per_sec = if wall.is_zero() {
             0.0
         } else {
@@ -139,7 +149,7 @@ impl EventStats {
         EventStats {
             count,
             freq_per_sec,
-            avg,
+            avg: Nanos(total.as_nanos() / count),
             max,
             min,
             total,
@@ -201,32 +211,6 @@ pub fn class_stats(analysis: &NoiseAnalysis, tids: &[Tid], class: EventClass) ->
     EventStats::from_samples(&samples, wall_of(analysis, tids))
 }
 
-/// Every class's [`class_stats`] row, in [`EventClass::ALL`] order,
-/// from one pass over the tasks' interruption components instead of
-/// one pass per class. Bit-identical to the per-class calls: every
-/// `ClassAccum` moment is order-independent.
-pub fn all_class_stats(analysis: &NoiseAnalysis, tids: &[Tid]) -> Vec<(EventClass, EventStats)> {
-    use crate::noise::Component;
-
-    let mut accs = [ClassAccum::EMPTY; EventClass::ALL.len()];
-    for tn in tids.iter().filter_map(|t| analysis.tasks.get(t)) {
-        for i in &tn.interruptions {
-            for (c, d) in &i.components {
-                if let Component::Activity(a) = c {
-                    if let Some(class) = EventClass::of(*a) {
-                        accs[class as usize].push(*d);
-                    }
-                }
-            }
-        }
-    }
-    let wall = wall_of(analysis, tids);
-    EventClass::ALL
-        .iter()
-        .map(|c| (*c, accs[*c as usize].finish(wall)))
-        .collect()
-}
-
 /// The wall basis of a job's statistics: the longest extent among its
 /// tasks (the application's runtime).
 pub fn wall_of(analysis: &NoiseAnalysis, tids: &[Tid]) -> Nanos {
@@ -255,29 +239,45 @@ pub fn class_histogram(
     (stats, histogram)
 }
 
-/// Every class's duration samples over one task set, each column in
-/// ascending order, with its sum and the set's wall basis. Built in one
-/// pass over the tasks' interruption components (8 bytes per classified
-/// component), it answers [`class_stats`] and [`class_histogram`] for
-/// any class, bin count and cut with no further pass, sort or sample
-/// copy — what a long-lived query service keeps per run.
+/// The one production reduction of a task set: every class's duration
+/// samples, each column in ascending order, with its sum, the Fig 3
+/// category totals, the runnable time and the set's wall basis. Built
+/// in one pass over the tasks' interruption components (8 bytes per
+/// classified component), it answers [`class_stats`],
+/// [`class_histogram`] and [`Breakdown::compute`] for any class, bin
+/// count and cut with no further pass, sort or sample copy — the paper
+/// report's rows and histograms, the catalog index and products, the
+/// signature and the task report all read it.
 pub struct ClassColumns {
     sorted: [Vec<Nanos>; EventClass::ALL.len()],
     totals: [Nanos; EventClass::ALL.len()],
+    /// Noise per category, indexed by `NoiseCategory as usize`
+    /// ([`NoiseCategory::NOISE`] is in declaration order).
+    categories: [Nanos; NoiseCategory::NOISE.len()],
+    runnable_time: Nanos,
     wall: Nanos,
 }
 
 impl ClassColumns {
     /// Gather and sort the columns of `tids` (visited in order, like
-    /// [`class_samples`]).
+    /// [`class_samples`]; a repeated tid counts again, as it does there
+    /// and in [`Breakdown::compute`]).
     pub fn build(analysis: &NoiseAnalysis, tids: &[Tid]) -> ClassColumns {
         use crate::noise::Component;
 
         let mut sorted: [Vec<Nanos>; EventClass::ALL.len()] = Default::default();
         let mut totals = [Nanos::ZERO; EventClass::ALL.len()];
+        let mut categories = [Nanos::ZERO; NoiseCategory::NOISE.len()];
+        let mut runnable_time = Nanos::ZERO;
+        let mut wall = Nanos::ZERO;
         for tn in tids.iter().filter_map(|t| analysis.tasks.get(t)) {
+            runnable_time += tn.runnable_time;
+            wall = wall.max(tn.wall);
             for i in &tn.interruptions {
                 for (c, d) in &i.components {
+                    if let Some(cat) = c.category() {
+                        categories[cat as usize] += *d;
+                    }
                     if let Component::Activity(a) = c {
                         if let Some(class) = EventClass::of(*a) {
                             sorted[class as usize].push(*d);
@@ -294,28 +294,35 @@ impl ClassColumns {
         ClassColumns {
             sorted,
             totals,
-            wall: wall_of(analysis, tids),
+            categories,
+            runnable_time,
+            wall,
         }
+    }
+
+    /// The wall basis: the longest extent among the tasks ([`wall_of`]).
+    pub fn wall(&self) -> Nanos {
+        self.wall
     }
 
     /// [`class_stats`] of `class`: count, extremes and sum read off the
     /// sorted column, then the same arithmetic.
     pub fn stats(&self, class: EventClass) -> EventStats {
         let column = &self.sorted[class as usize];
-        let acc = match (column.first(), column.last()) {
-            (Some(&min), Some(&max)) => ClassAccum {
-                count: column.len() as u64,
-                total: self.totals[class as usize],
+        match (column.first(), column.last()) {
+            (Some(&min), Some(&max)) => EventStats::from_moments(
+                column.len() as u64,
+                self.totals[class as usize],
                 min,
                 max,
-            },
-            _ => ClassAccum::EMPTY,
-        };
-        acc.finish(self.wall)
+                self.wall,
+            ),
+            _ => EventStats::empty(),
+        }
     }
 
     /// Every class's [`ClassColumns::stats`], in [`EventClass::ALL`]
-    /// order: equal to [`all_class_stats`].
+    /// order.
     pub fn all_stats(&self) -> Vec<(EventClass, EventStats)> {
         EventClass::ALL
             .iter()
@@ -328,151 +335,18 @@ impl ClassColumns {
     pub fn histogram(&self, class: EventClass, bins: usize, pct: f64) -> Histogram {
         Histogram::from_sorted(&self.sorted[class as usize], bins, pct)
     }
-}
 
-/// Streaming equivalent of [`EventStats::from_samples`]: count, total,
-/// min and max are order-independent and avg/freq derive from them, so
-/// accumulating per component is bit-identical to collecting the sample
-/// vector first.
-#[derive(Clone, Copy)]
-struct ClassAccum {
-    count: u64,
-    total: Nanos,
-    min: Nanos,
-    max: Nanos,
-}
-
-impl ClassAccum {
-    const EMPTY: ClassAccum = ClassAccum {
-        count: 0,
-        total: Nanos::ZERO,
-        min: Nanos(u64::MAX),
-        max: Nanos::ZERO,
-    };
-
-    #[inline]
-    fn push(&mut self, d: Nanos) {
-        self.count += 1;
-        self.total += d;
-        self.min = self.min.min(d);
-        self.max = self.max.max(d);
-    }
-
-    fn finish(self, wall: Nanos) -> EventStats {
-        if self.count == 0 {
-            return EventStats::empty();
+    /// The Fig 3 breakdown of the task set: equal to
+    /// [`Breakdown::compute`].
+    pub fn breakdown(&self) -> Breakdown {
+        Breakdown {
+            totals: NoiseCategory::NOISE
+                .iter()
+                .map(|c| (*c, self.categories[*c as usize]))
+                .collect(),
+            total_noise: self.categories.iter().copied().sum(),
+            runnable_time: self.runnable_time,
         }
-        let avg = Nanos(self.total.as_nanos() / self.count);
-        let freq_per_sec = if wall.is_zero() {
-            0.0
-        } else {
-            self.count as f64 / wall.as_secs_f64()
-        };
-        EventStats {
-            count: self.count,
-            freq_per_sec,
-            avg,
-            max: self.max,
-            min: self.min,
-            total: self.total,
-        }
-    }
-}
-
-/// Everything the paper report derives from one job's interruption
-/// records, computed in a single fused pass.
-pub struct JobStats {
-    /// Fig 3 noise breakdown over all ranks.
-    pub breakdown: Breakdown,
-    /// Tables I–VI rows for the observed tasks, in [`EventClass::ALL`]
-    /// order.
-    pub classes: Vec<(EventClass, EventStats)>,
-    /// Duration samples over all ranks for the three histogram classes
-    /// (Figs 4, 6, 8).
-    pub fault_samples: Vec<Nanos>,
-    pub rebalance_samples: Vec<Nanos>,
-    pub timer_softirq_samples: Vec<Nanos>,
-}
-
-/// One fused pass over the job's interruption components, replacing the
-/// `Breakdown::compute` + 10 × [`class_stats`] + 3 × [`class_samples`]
-/// passes the report assembly used to make. `ranks` drives the
-/// breakdown and histograms; `observed` (normally one rank) drives the
-/// per-class statistics. Bit-identical to the separate passes: every
-/// accumulator is order-independent, and the histogram sample vectors
-/// are filled in the same rank-major component order.
-pub fn job_stats(analysis: &NoiseAnalysis, ranks: &[Tid], observed: &[Tid]) -> JobStats {
-    use crate::noise::Component;
-
-    let mut accs = [ClassAccum::EMPTY; EventClass::ALL.len()];
-    let mut totals: Vec<(NoiseCategory, Nanos)> = NoiseCategory::NOISE
-        .iter()
-        .map(|c| (*c, Nanos::ZERO))
-        .collect();
-    let mut runnable_time = Nanos::ZERO;
-    let mut fault_samples = Vec::new();
-    let mut rebalance_samples = Vec::new();
-    let mut timer_softirq_samples = Vec::new();
-
-    let mut scan = |tid: &Tid, in_ranks: bool, in_observed: bool| {
-        let Some(tn) = analysis.tasks.get(tid) else {
-            return;
-        };
-        if in_ranks {
-            runnable_time += tn.runnable_time;
-        }
-        for i in &tn.interruptions {
-            for (c, d) in &i.components {
-                if in_ranks {
-                    if let Some(cat) = c.category() {
-                        if let Some(slot) = totals.iter_mut().find(|(tc, _)| *tc == cat) {
-                            slot.1 += *d;
-                        }
-                    }
-                }
-                if let Component::Activity(a) = c {
-                    if let Some(class) = EventClass::of(*a) {
-                        if in_observed {
-                            accs[class as usize].push(*d);
-                        }
-                        if in_ranks {
-                            match class {
-                                EventClass::PageFault => fault_samples.push(*d),
-                                EventClass::RebalanceDomains => rebalance_samples.push(*d),
-                                EventClass::RunTimerSoftirq => timer_softirq_samples.push(*d),
-                                _ => {}
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    for tid in ranks {
-        scan(tid, true, observed.contains(tid));
-    }
-    for tid in observed.iter().filter(|t| !ranks.contains(t)) {
-        scan(tid, false, true);
-    }
-
-    let wall = wall_of(analysis, observed);
-    let classes = EventClass::ALL
-        .iter()
-        .map(|c| (*c, accs[*c as usize].finish(wall)))
-        .collect();
-    let total_noise = totals.iter().map(|(_, d)| *d).sum();
-
-    JobStats {
-        breakdown: Breakdown {
-            totals,
-            total_noise,
-            runnable_time,
-        },
-        classes,
-        fault_samples,
-        rebalance_samples,
-        timer_softirq_samples,
     }
 }
 
@@ -509,6 +383,13 @@ mod tests {
             let by_of = EventClass::of(a);
             let by_match = EventClass::ALL.iter().copied().find(|c| c.matches(a));
             assert_eq!(by_of, by_match, "class mismatch for {a}");
+        }
+    }
+
+    #[test]
+    fn noise_categories_index_their_own_slot() {
+        for (i, cat) in NoiseCategory::NOISE.iter().enumerate() {
+            assert_eq!(*cat as usize, i, "{cat:?}");
         }
     }
 

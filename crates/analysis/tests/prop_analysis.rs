@@ -4,13 +4,12 @@
 
 use proptest::prelude::*;
 
+use osn_analysis::breakdown::Breakdown;
 use osn_analysis::histogram::{percentile, Histogram};
 use osn_analysis::nesting::{reconstruct_reference, ActivityInstance, NestingReport};
 use osn_analysis::noise::NoiseAnalysis;
 use osn_analysis::signature::NoiseSignature;
-use osn_analysis::stats::{
-    all_class_stats, class_histogram, class_stats, ClassColumns, EventClass, EventStats,
-};
+use osn_analysis::stats::{class_histogram, class_stats, ClassColumns, EventClass, EventStats};
 use osn_analysis::timeline::build_timelines_events;
 use osn_kernel::activity::Activity;
 use osn_kernel::hooks::SwitchState;
@@ -444,9 +443,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The sorted class columns answer every class's statistics and
-    /// histogram exactly as the per-class oracles do, for any task list
-    /// (missing and repeated tids included), and the signature read off
-    /// them equals `NoiseSignature::build`.
+    /// histogram exactly as the per-class oracles do, and their
+    /// breakdown equals `Breakdown::compute`, for any task list
+    /// (missing and repeated tids included); the signature read off
+    /// them equals the one built from the per-class rows.
     #[test]
     fn class_columns_match_class_oracles(
         events in noisy_trace(),
@@ -459,16 +459,18 @@ proptest! {
         let analysis = NoiseAnalysis::analyze(&trace, &three_tasks(), end);
         let tids: Vec<Tid> = tids.into_iter().map(Tid).collect();
         let columns = ClassColumns::build(&analysis, &tids);
+        let mut per_class = Vec::new();
         for class in EventClass::ALL {
             let (stats, histogram) = class_histogram(&analysis, &tids, class, bins, pct);
             prop_assert_eq!(stats, class_stats(&analysis, &tids, class));
             prop_assert_eq!(columns.stats(class), stats, "{:?}", class);
             prop_assert_eq!(columns.histogram(class, bins, pct), histogram, "{:?}", class);
+            per_class.push((class, stats));
         }
-        prop_assert_eq!(columns.all_stats(), all_class_stats(&analysis, &tids));
+        prop_assert_eq!(columns.breakdown(), Breakdown::compute(&analysis, &tids));
         prop_assert_eq!(
             NoiseSignature::from_stats(columns.all_stats()),
-            NoiseSignature::build(&analysis, &tids)
+            NoiseSignature::from_stats(per_class)
         );
     }
 }

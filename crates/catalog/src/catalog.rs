@@ -16,7 +16,7 @@ use std::io;
 use std::path::Path;
 use std::time::UNIX_EPOCH;
 
-use osn_analysis::stats::job_stats;
+use osn_analysis::ClassColumns;
 use osn_core::analyze_store;
 use osn_store::StoreReader;
 use osn_trace::wire::fnv1a64;
@@ -200,10 +200,9 @@ pub fn store_id(rel: &str) -> String {
 fn index_store(path: &Path, rel: &str, mtime_ns: u64, bytes: u64) -> Result<CatalogEntry, String> {
     let (reader, recovery) = StoreReader::recover(path).map_err(|e| format!("cannot open: {e}"))?;
     let (meta, analysis) = analyze_store(&reader).map_err(|e| format!("analysis failed: {e}"))?;
-    let stats = job_stats(&analysis, &meta.ranks, &meta.ranks);
-    let classes = stats
-        .classes
-        .iter()
+    let classes = ClassColumns::build(&analysis, &meta.ranks)
+        .all_stats()
+        .into_iter()
         .filter(|(_, s)| s.count > 0)
         .map(|(class, s)| ClassSummary {
             class: class.name().to_string(),

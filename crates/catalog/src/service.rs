@@ -11,8 +11,10 @@
 //! * `/runs/{id}/slice` events ≡ a filtered [`StoreReader::column_chunks`]
 //!   walk ([`slice_events`] is the shared implementation);
 //! * `/runs/{id}/histogram` ≡ [`osn_analysis::class_histogram`],
-//!   binned from the run's cached [`ClassColumns`] (each class's
-//!   durations, sorted once when the products are built);
+//!   binned from the run's cached [`ClassColumns`]: one walk over the
+//!   ranks when the products are built, which also feeds the report
+//!   through [`AppReport::from_columns`] and sorts each class's
+//!   durations once;
 //! * `/compare` ≡ [`NoiseSignature`] distance/drift of the two runs'
 //!   signatures, read off the same columns when the products are
 //!   built;
@@ -44,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use osn_analysis::{ClassColumns, Drift, EventClass, EventStats, Histogram, NoiseSignature};
-use osn_core::report::PaperReport;
+use osn_core::report::{AppReport, PaperReport};
 use osn_core::{analyze_store, StoredRunMeta};
 use osn_kernel::activity::Activity;
 use osn_kernel::ids::CpuId;
@@ -555,16 +557,17 @@ fn build_products(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts
     let reader = reader_for(state, entry)?;
     let (meta, analysis) = analyze_store(&reader)
         .map_err(|e| Response::error(500, &format!("analysis failed for {:?}: {e}", entry.id)))?;
-    let report = osn_core::report::AppReport::from_analysis(
+    let columns = ClassColumns::build(&analysis, &meta.ranks);
+    let report = AppReport::from_columns(
         meta.config.app,
         &meta.ranks,
         meta.config.node.net_irq_cpu,
         &analysis,
+        &columns,
     );
     let paper = PaperReport { apps: vec![report] };
     let report_json = serde_json::to_vec_pretty(&paper)
         .map_err(|e| Response::error(500, &format!("serialization failed: {e}")))?;
-    let columns = ClassColumns::build(&analysis, &meta.ranks);
     let signature = NoiseSignature::from_stats(columns.all_stats());
     Ok(Arc::new(RunProducts {
         meta,

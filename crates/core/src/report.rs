@@ -6,9 +6,12 @@ use std::fmt::Write as _;
 
 use osn_analysis::breakdown::Breakdown;
 use osn_analysis::histogram::Histogram;
-use osn_analysis::stats::{class_samples, class_stats, job_stats, wall_of, EventClass, EventStats};
+use osn_analysis::stats::{
+    class_samples, class_stats, wall_of, ClassColumns, EventClass, EventStats,
+};
 use osn_analysis::NoiseAnalysis;
 use osn_kernel::activity::NoiseCategory;
+use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 use osn_workloads::App;
 
@@ -48,10 +51,7 @@ const HIST_PCT: f64 = 99.0;
 
 impl AppReport {
     /// Assemble the report from the run's (sharded-engine) analysis
-    /// via the fused single statistics pass — one walk over the
-    /// interruption components instead of the breakdown + ten
-    /// class-stats + three histogram-sample passes of
-    /// [`AppReport::build_reference`].
+    /// through [`AppReport::from_analysis`].
     pub fn build(run: &AppRun) -> AppReport {
         Self::from_analysis(
             run.app,
@@ -61,32 +61,45 @@ impl AppReport {
         )
     }
 
-    /// The fused assembly from bare parts — no [`AppRun`] (and hence no
+    /// The assembly from bare parts — no [`AppRun`] (and hence no
     /// materialized trace) needed. This is the out-of-core entry point:
-    /// `osn-store` streaming analysis reports through here.
+    /// `osn-store` streaming analysis reports through here. One
+    /// [`ClassColumns`] walk over the ranks replaces the breakdown +
+    /// three histogram-sample passes of [`AppReport::build_reference`].
     pub fn from_analysis(
         app: App,
-        ranks: &[osn_kernel::ids::Tid],
-        net_irq_cpu: osn_kernel::ids::CpuId,
+        ranks: &[Tid],
+        net_irq_cpu: CpuId,
         analysis: &NoiseAnalysis,
     ) -> AppReport {
-        let nranks = ranks.len().max(1);
+        let columns = ClassColumns::build(analysis, ranks);
+        Self::from_columns(app, ranks, net_irq_cpu, analysis, &columns)
+    }
+
+    /// [`AppReport::from_analysis`] over the ranks' columns
+    /// (`ClassColumns::build(analysis, ranks)`), for a caller that keeps
+    /// them: they give the breakdown, wall and histograms, and the
+    /// observed rank's own columns give the Tables I–VI rows.
+    pub fn from_columns(
+        app: App,
+        ranks: &[Tid],
+        net_irq_cpu: CpuId,
+        analysis: &NoiseAnalysis,
+        columns: &ClassColumns,
+    ) -> AppReport {
         let observed = [observed_rank_of(analysis, ranks, net_irq_cpu)];
-        let js = job_stats(analysis, ranks, &observed);
+        let breakdown = columns.breakdown();
+        let hist = |class: EventClass, bins: usize| columns.histogram(class, bins, HIST_PCT);
         AppReport {
             app,
-            nranks,
-            wall: wall_of(analysis, ranks),
-            breakdown: js.breakdown.fractions(),
-            noise_ratio: js.breakdown.noise_ratio(),
-            classes: js.classes,
-            fault_hist: Histogram::build(&js.fault_samples, FAULT_BINS, HIST_PCT),
-            rebalance_hist: Histogram::build(&js.rebalance_samples, REBALANCE_BINS, HIST_PCT),
-            timer_softirq_hist: Histogram::build(
-                &js.timer_softirq_samples,
-                TIMER_SOFTIRQ_BINS,
-                HIST_PCT,
-            ),
+            nranks: ranks.len().max(1),
+            wall: columns.wall(),
+            breakdown: breakdown.fractions(),
+            noise_ratio: breakdown.noise_ratio(),
+            classes: ClassColumns::build(analysis, &observed).all_stats(),
+            fault_hist: hist(EventClass::PageFault, FAULT_BINS),
+            rebalance_hist: hist(EventClass::RebalanceDomains, REBALANCE_BINS),
+            timer_softirq_hist: hist(EventClass::RunTimerSoftirq, TIMER_SOFTIRQ_BINS),
         }
     }
 

@@ -5,7 +5,7 @@
 //! multi-pass statistics), and the one-pass noise signature must equal
 //! the per-class statistics it replaced.
 
-use osn_analysis::{all_class_stats, class_stats, EventClass, NoiseAnalysis, NoiseSignature};
+use osn_analysis::{class_stats, ClassColumns, EventClass, NoiseAnalysis, NoiseSignature};
 use osn_core::campaign::{run_campaign, CampaignConfig};
 use osn_core::report::PaperReport;
 use osn_kernel::time::Nanos;
@@ -100,7 +100,7 @@ fn one_pass_signature_matches_per_class_reference() {
             .map(|c| (*c, class_stats(&run.analysis, &run.ranks, *c)))
             .collect();
         assert_eq!(
-            all_class_stats(&run.analysis, &run.ranks),
+            ClassColumns::build(&run.analysis, &run.ranks).all_stats(),
             per_class,
             "{name}"
         );
@@ -109,7 +109,11 @@ fn one_pass_signature_matches_per_class_reference() {
                 .iter()
                 .map(|c| (*c, class_stats(&run.analysis, &[*tid], *c)))
                 .collect();
-            assert_eq!(all_class_stats(&run.analysis, &[*tid]), one, "{name} {tid}");
+            assert_eq!(
+                ClassColumns::build(&run.analysis, &[*tid]).all_stats(),
+                one,
+                "{name} {tid}"
+            );
         }
 
         let total: Nanos = per_class.iter().map(|(_, s)| s.total).sum();

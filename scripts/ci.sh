@@ -121,6 +121,14 @@ tier_smoke() {
     return $ok
 }
 
+# One short engine_throughput pass (about a second): it asserts that
+# every timed rep of each app dispatches as many loop events as its
+# warm-up, so a clean exit is a determinism check on the event loop.
+engine_determinism() {
+    cargo build -q --release --offline -p osn-bench --bin engine_throughput
+    OSN_SECS=1 OSN_REPS=1 target/release/engine_throughput
+}
+
 # Native-capture smoke, release profile: `osnoise capture` on THIS
 # runner must produce a .osn that analyze/info/serve consume
 # unchanged, with byte-consistent reports across consumers
@@ -130,14 +138,6 @@ tier_smoke() {
 # classification-bearing capture can't be asserted meaningfully.
 # Intermediate files live under target/ci-artifacts/capture so a
 # failing CI job can upload them for the post-mortem.
-# One short engine_throughput pass (about a second): it asserts that
-# every timed rep of each app dispatches as many loop events as its
-# warm-up, so a clean exit is a determinism check on the event loop.
-engine_determinism() {
-    cargo build -q --release --offline -p osn-bench --bin engine_throughput
-    OSN_SECS=1 OSN_REPS=1 target/release/engine_throughput
-}
-
 capture_smoke() {
     if [[ ! -r /proc/schedstat ]]; then
         echo "== ci: capture-smoke SKIPPED — /proc/schedstat unavailable on this host;"
