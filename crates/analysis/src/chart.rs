@@ -12,7 +12,7 @@
 use osn_kernel::ids::Tid;
 use osn_kernel::time::Nanos;
 
-use crate::noise::{Component, Interruption, NoiseAnalysis};
+use crate::noise::{Component, Interruption, NoiseAnalysis, TaskNoise};
 
 /// One chart point: an interruption with its decomposition.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,7 +40,7 @@ impl NoiseChart {
         let points = analysis
             .tasks
             .get(&task)
-            .map(|tn| tn.interruptions.iter().map(point_of).collect())
+            .map(|tn| tn.interruptions.iter().map(|i| point_of(tn, i)).collect())
             .unwrap_or_default();
         NoiseChart { task, points }
     }
@@ -91,12 +91,13 @@ impl NoiseChart {
     }
 }
 
-fn point_of(i: &Interruption) -> ChartPoint {
-    let mut components = i.components.clone();
+fn point_of(tn: &TaskNoise, i: &Interruption) -> ChartPoint {
+    let decomposition = tn.components(i);
+    let mut components = decomposition.to_vec();
     components.sort_by_key(|(_, d)| std::cmp::Reverse(*d));
     ChartPoint {
         t: i.start,
-        noise: i.noise(),
+        noise: decomposition.noise(),
         duration: i.duration(),
         components,
     }

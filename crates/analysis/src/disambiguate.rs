@@ -14,13 +14,13 @@
 
 use osn_kernel::time::Nanos;
 
-use crate::noise::{Component, Interruption};
+use crate::noise::{Component, Components, Interruption};
 use crate::stats::EventClass;
 
 /// The dominant event class of an interruption (by self time), if any
 /// kernel component exists.
-pub fn dominant_class(i: &Interruption) -> Option<EventClass> {
-    class_sums(i)
+pub fn dominant_class(components: Components<'_>) -> Option<EventClass> {
+    class_sums(components)
         .into_iter()
         .max_by_key(|(_, d)| *d)
         .map(|(c, _)| c)
@@ -28,9 +28,9 @@ pub fn dominant_class(i: &Interruption) -> Option<EventClass> {
 
 /// Self time per event class within one interruption, classes in
 /// first-seen order.
-fn class_sums(i: &Interruption) -> Vec<(EventClass, Nanos)> {
+fn class_sums(components: Components<'_>) -> Vec<(EventClass, Nanos)> {
     let mut sums: Vec<(EventClass, Nanos)> = Vec::new();
-    for (c, d) in &i.components {
+    for (c, d) in components {
         if let Component::Activity(a) = c {
             if let Some(class) = EventClass::of(*a) {
                 match sums.iter_mut().find(|(k, _)| *k == class) {
@@ -58,42 +58,44 @@ pub struct ConfusablePair {
 /// Find pairs of interruptions with near-identical durations but
 /// different dominant event classes. `tolerance` is the maximum
 /// absolute difference. Returns at most `limit` pairs (closest first).
+/// Each interruption comes with its components
+/// ([`crate::NoiseAnalysis::components`]).
 pub fn confusable_pairs(
-    interruptions: &[&Interruption],
+    interruptions: &[(&Interruption, Components<'_>)],
     tolerance: Nanos,
     limit: usize,
 ) -> Vec<ConfusablePair> {
     // Sort by noise; scan a sliding window of near-equal durations.
-    let mut by_noise: Vec<(&Interruption, EventClass)> = interruptions
+    let mut by_noise: Vec<(Nanos, Nanos, EventClass)> = interruptions
         .iter()
-        .filter_map(|i| dominant_class(i).map(|c| (*i, c)))
+        .filter_map(|(i, c)| dominant_class(*c).map(|class| (c.noise(), i.start, class)))
         .collect();
-    by_noise.sort_by_key(|(i, _)| i.noise());
+    by_noise.sort_by_key(|(noise, _, _)| *noise);
     let mut pairs = Vec::new();
     for w in 0..by_noise.len() {
         for v in (w + 1)..by_noise.len() {
-            let (a, ca) = by_noise[w];
-            let (b, cb) = by_noise[v];
-            let diff = b.noise() - a.noise();
+            let a = by_noise[w];
+            let b = by_noise[v];
+            let diff = b.0 - a.0;
             if diff > tolerance {
                 break;
             }
-            if ca != cb {
-                pairs.push((diff, a, ca, b, cb));
+            if a.2 != b.2 {
+                pairs.push((diff, a, b));
             }
         }
     }
-    pairs.sort_by_key(|(diff, a, _, _, _)| (*diff, a.start));
+    pairs.sort_by_key(|(diff, a, _)| (*diff, a.1));
     pairs
         .into_iter()
         .take(limit)
-        .map(|(_, a, ca, b, cb)| ConfusablePair {
-            a_start: a.start,
-            a_noise: a.noise(),
-            a_class: ca,
-            b_start: b.start,
-            b_noise: b.noise(),
-            b_class: cb,
+        .map(|(_, a, b)| ConfusablePair {
+            a_start: a.1,
+            a_noise: a.0,
+            a_class: a.2,
+            b_start: b.1,
+            b_noise: b.0,
+            b_class: b.2,
         })
         .collect()
 }
@@ -110,19 +112,20 @@ pub struct Composite {
 }
 
 /// Find interruptions whose kernel components span at least
-/// `min_classes` distinct event classes.
+/// `min_classes` distinct event classes. Each interruption comes with
+/// its components ([`crate::NoiseAnalysis::components`]).
 pub fn composite_interruptions(
-    interruptions: &[&Interruption],
+    interruptions: &[(&Interruption, Components<'_>)],
     min_classes: usize,
 ) -> Vec<Composite> {
     let mut out = Vec::new();
-    for i in interruptions {
-        let mut classes = class_sums(i);
+    for (i, components) in interruptions {
+        let mut classes = class_sums(*components);
         if classes.len() >= min_classes {
             classes.sort_by_key(|(_, d)| std::cmp::Reverse(*d));
             out.push(Composite {
                 start: i.start,
-                noise: i.noise(),
+                noise: components.noise(),
                 classes,
             });
         }
@@ -136,14 +139,24 @@ mod tests {
     use osn_kernel::activity::{Activity, FaultKind, SoftirqVec};
     use osn_kernel::ids::Tid;
 
-    fn interruption(start: u64, comps: Vec<(Component, u64)>) -> Interruption {
+    /// An interruption at `start` and its component list.
+    fn interruption(
+        start: u64,
+        comps: Vec<(Component, u64)>,
+    ) -> (Interruption, Vec<(Component, Nanos)>) {
         let total: u64 = comps.iter().map(|(_, d)| d).sum();
-        Interruption {
+        let i = Interruption {
             task: Tid(1),
             start: Nanos(start),
             end: Nanos(start + total),
-            components: comps.into_iter().map(|(c, d)| (c, Nanos(d))).collect(),
-        }
+            first: 0,
+            len: comps.len() as u32,
+        };
+        (i, comps.into_iter().map(|(c, d)| (c, Nanos(d))).collect())
+    }
+
+    fn entry(i: &(Interruption, Vec<(Component, Nanos)>)) -> (&Interruption, Components<'_>) {
+        (&i.0, Components(&i.1))
     }
 
     const FAULT: Component = Component::Activity(Activity::PageFault(FaultKind::AnonZero));
@@ -156,7 +169,7 @@ mod tests {
     fn fig10_pair_found() {
         let a = interruption(1_000, vec![(FAULT, 2913)]);
         let b = interruption(9_000, vec![(TIMER, 2648), (TSOFT, 254)]);
-        let list = [&a, &b];
+        let list = [entry(&a), entry(&b)];
         let pairs = confusable_pairs(&list, Nanos(50), 10);
         assert_eq!(pairs.len(), 1);
         let p = &pairs[0];
@@ -174,7 +187,7 @@ mod tests {
     fn same_cause_pairs_excluded() {
         let a = interruption(0, vec![(TIMER, 1000)]);
         let b = interruption(100, vec![(TIMER, 1005)]);
-        let list = [&a, &b];
+        let list = [entry(&a), entry(&b)];
         assert!(confusable_pairs(&list, Nanos(50), 10).is_empty());
     }
 
@@ -182,7 +195,7 @@ mod tests {
     fn tolerance_respected() {
         let a = interruption(0, vec![(FAULT, 1000)]);
         let b = interruption(100, vec![(TIMER, 2000)]);
-        let list = [&a, &b];
+        let list = [entry(&a), entry(&b)];
         assert!(confusable_pairs(&list, Nanos(50), 10).is_empty());
         assert_eq!(confusable_pairs(&list, Nanos(1001), 10).len(), 1);
     }
@@ -193,7 +206,7 @@ mod tests {
     fn composite_detection() {
         let merged = interruption(5_000, vec![(FAULT, 2500), (TIMER, 2100), (TSOFT, 1800)]);
         let plain = interruption(15_000, vec![(TIMER, 2100)]);
-        let list = [&merged, &plain];
+        let list = [entry(&merged), entry(&plain)];
         let composites = composite_interruptions(&list, 2);
         assert_eq!(composites.len(), 1);
         let c = &composites[0];
@@ -226,14 +239,14 @@ mod tests {
         );
         // Current implementation keeps the running max by accumulated
         // time: schedule accumulates 600 > 400.
-        assert_eq!(dominant_class(&i), Some(EventClass::Schedule));
+        assert_eq!(dominant_class(entry(&i).1), Some(EventClass::Schedule));
     }
 
     #[test]
     fn preemption_only_interruption_has_no_class() {
         let i = interruption(0, vec![(Component::Preemption { by: Tid(2) }, 5000)]);
-        assert_eq!(dominant_class(&i), None);
-        let list = [&i];
+        assert_eq!(dominant_class(entry(&i).1), None);
+        let list = [entry(&i)];
         assert!(composite_interruptions(&list, 1).is_empty());
     }
 }

@@ -42,7 +42,7 @@ pub use collective::{
 };
 pub use histogram::Histogram;
 pub use nesting::{ActivityInstance, ColumnPairing, NestingReport};
-pub use noise::{Component, Interruption, NoiseAnalysis, TaskNoise};
+pub use noise::{Component, Components, Interruption, NoiseAnalysis, TaskNoise};
 pub use par::{default_workers, parallel_map};
 pub use signature::{comparison_table, Drift, NoiseSignature, SignatureEntry};
 pub use stats::{

@@ -55,6 +55,13 @@ pub struct NestingReport {
 }
 
 impl NestingReport {
+    /// Add `other`'s counts into this report.
+    pub fn add(&mut self, other: &NestingReport) {
+        self.orphan_exits += other.orphan_exits;
+        self.unclosed_enters += other.unclosed_enters;
+        self.mismatched_exits += other.mismatched_exits;
+    }
+
     pub fn is_clean(&self) -> bool {
         self.orphan_exits == 0 && self.unclosed_enters == 0 && self.mismatched_exits == 0
     }
@@ -122,6 +129,22 @@ pub struct ColumnPairing {
 impl ColumnPairing {
     pub fn new() -> ColumnPairing {
         ColumnPairing::default()
+    }
+
+    /// A pairing that emits into `out` and records close order in
+    /// `close_seq`, both cleared first: the engine hands each CPU the
+    /// buffers of its previous analysis.
+    pub(crate) fn with_buffers(
+        mut out: Vec<ActivityInstance>,
+        mut close_seq: Vec<u32>,
+    ) -> ColumnPairing {
+        out.clear();
+        close_seq.clear();
+        ColumnPairing {
+            out,
+            close_seq,
+            ..ColumnPairing::default()
+        }
     }
 
     /// Instances closed so far (monotone; cheap progress probe).
@@ -216,7 +239,15 @@ impl ColumnPairing {
     /// Account unclosed frames, compact dropped placeholders, restore
     /// the reference order within equal-`start` runs, and return the
     /// shard.
-    pub fn finish(mut self) -> (Vec<ActivityInstance>, NestingReport) {
+    pub fn finish(self) -> (Vec<ActivityInstance>, NestingReport) {
+        self.finish_with_scratch().0
+    }
+
+    /// [`ColumnPairing::finish`], also handing back the close-sequence
+    /// buffer for reuse.
+    pub(crate) fn finish_with_scratch(
+        mut self,
+    ) -> ((Vec<ActivityInstance>, NestingReport), Vec<u32>) {
         self.report.unclosed_enters += self.stack.len() as u64;
         self.dropped += self.stack.len();
         if self.dropped > 0 {
@@ -234,7 +265,7 @@ impl ColumnPairing {
             self.close_seq.truncate(w);
         }
         fix_equal_start_runs(&mut self.out, &self.close_seq);
-        (self.out, self.report)
+        ((self.out, self.report), self.close_seq)
     }
 }
 
@@ -272,21 +303,29 @@ pub fn merge_shards(
 ) -> (Vec<ActivityInstance>, NestingReport) {
     let mut report = NestingReport::default();
     for (_, r) in &shards {
-        report.orphan_exits += r.orphan_exits;
-        report.unclosed_enters += r.unclosed_enters;
-        report.mismatched_exits += r.mismatched_exits;
+        report.add(r);
     }
-    let lens: Vec<usize> = shards.iter().map(|(v, _)| v.len()).collect();
-    let mut out = Vec::with_capacity(lens.iter().sum());
+    let slices: Vec<&[ActivityInstance]> = shards.iter().map(|(v, _)| v.as_slice()).collect();
+    let mut out = Vec::new();
+    merge_into(&slices, &mut out);
+    (out, report)
+}
+
+/// The instance merge of [`merge_shards`], into `out` (cleared first).
+pub(crate) fn merge_into(shards: &[&[ActivityInstance]], out: &mut Vec<ActivityInstance>) {
+    let lens: Vec<usize> = shards.iter().map(|v| v.len()).collect();
+    out.clear();
+    out.reserve_exact(lens.iter().sum());
     merge_by_key(
         &lens,
+        // `(start, cpu)` packed into one integer, which the merge's scan
+        // compares without a branch.
         |i, j| {
-            let inst = &shards[i].0[j];
-            (inst.start, inst.cpu.0)
+            let inst = &shards[i][j];
+            (inst.start.as_nanos() as u128) << 16 | inst.cpu.0 as u128
         },
-        |i, j| out.push(shards[i].0[j]),
+        |i, j| out.push(shards[i][j]),
     );
-    (out, report)
 }
 
 /// The retained sequential reference path (the pre-sharding

@@ -8,6 +8,8 @@
 //! and [`Breakdown::compute`] are the offline references it is tested
 //! against.
 
+use std::sync::{Mutex, OnceLock, PoisonError};
+
 use osn_kernel::activity::{Activity, NoiseCategory, SoftirqVec};
 use osn_kernel::ids::Tid;
 use osn_kernel::time::Nanos;
@@ -240,17 +242,22 @@ pub fn class_histogram(
 }
 
 /// The one production reduction of a task set: every class's duration
-/// samples, each column in ascending order, with its sum, the Fig 3
-/// category totals, the runnable time and the set's wall basis. Built
-/// in one pass over the tasks' interruption components (8 bytes per
+/// samples with their count, sum and extremes, the Fig 3 category
+/// totals, the runnable time and the set's wall basis. Built in one
+/// pass over the tasks' interruption components (8 bytes per
 /// classified component), it answers [`class_stats`],
 /// [`class_histogram`] and [`Breakdown::compute`] for any class, bin
-/// count and cut with no further pass, sort or sample copy — the paper
+/// count and cut with no further pass or sample copy — the paper
 /// report's rows and histograms, the catalog index and products, the
 /// signature and the task report all read it.
+///
+/// Table rows need no order, so the walk sorts nothing. A column is
+/// sorted the first time [`ClassColumns::histogram`] bins it, once, in
+/// place, and the sorted column is kept for every later histogram of
+/// that class (the catalog's cached products answer `/histogram` from
+/// it). Callers that never bin never sort.
 pub struct ClassColumns {
-    sorted: [Vec<Nanos>; EventClass::ALL.len()],
-    totals: [Nanos; EventClass::ALL.len()],
+    columns: [ClassColumn; EventClass::ALL.len()],
     /// Noise per category, indexed by `NoiseCategory as usize`
     /// ([`NoiseCategory::NOISE`] is in declaration order).
     categories: [Nanos; NoiseCategory::NOISE.len()],
@@ -258,15 +265,55 @@ pub struct ClassColumns {
     wall: Nanos,
 }
 
+/// One class's durations, in gather order until the first histogram
+/// takes them out and sorts them.
+#[derive(Default)]
+struct ClassColumn {
+    count: u64,
+    total: Nanos,
+    min: Nanos,
+    max: Nanos,
+    gathered: Mutex<Vec<Nanos>>,
+    sorted: OnceLock<Vec<Nanos>>,
+}
+
+impl ClassColumn {
+    #[inline]
+    fn push(&mut self, d: Nanos) {
+        if self.count == 0 {
+            (self.min, self.max) = (d, d);
+        } else {
+            self.min = self.min.min(d);
+            self.max = self.max.max(d);
+        }
+        self.count += 1;
+        self.total += d;
+        self.gathered
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(d);
+    }
+
+    /// The column in ascending order, sorted on the first call.
+    fn sorted(&self) -> &[Nanos] {
+        self.sorted.get_or_init(|| {
+            let mut gathered = self.gathered.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut column = std::mem::take(&mut *gathered);
+            column.sort_unstable();
+            column.shrink_to_fit();
+            column
+        })
+    }
+}
+
 impl ClassColumns {
-    /// Gather and sort the columns of `tids` (visited in order, like
+    /// Gather the columns of `tids` (visited in order, like
     /// [`class_samples`]; a repeated tid counts again, as it does there
     /// and in [`Breakdown::compute`]).
     pub fn build(analysis: &NoiseAnalysis, tids: &[Tid]) -> ClassColumns {
         use crate::noise::Component;
 
-        let mut sorted: [Vec<Nanos>; EventClass::ALL.len()] = Default::default();
-        let mut totals = [Nanos::ZERO; EventClass::ALL.len()];
+        let mut columns: [ClassColumn; EventClass::ALL.len()] = Default::default();
         let mut categories = [Nanos::ZERO; NoiseCategory::NOISE.len()];
         let mut runnable_time = Nanos::ZERO;
         let mut wall = Nanos::ZERO;
@@ -274,26 +321,20 @@ impl ClassColumns {
             runnable_time += tn.runnable_time;
             wall = wall.max(tn.wall);
             for i in &tn.interruptions {
-                for (c, d) in &i.components {
+                for (c, d) in tn.components(i) {
                     if let Some(cat) = c.category() {
                         categories[cat as usize] += *d;
                     }
                     if let Component::Activity(a) = c {
                         if let Some(class) = EventClass::of(*a) {
-                            sorted[class as usize].push(*d);
-                            totals[class as usize] += *d;
+                            columns[class as usize].push(*d);
                         }
                     }
                 }
             }
         }
-        for column in &mut sorted {
-            column.sort_unstable();
-            column.shrink_to_fit();
-        }
         ClassColumns {
-            sorted,
-            totals,
+            columns,
             categories,
             runnable_time,
             wall,
@@ -305,20 +346,20 @@ impl ClassColumns {
         self.wall
     }
 
-    /// [`class_stats`] of `class`: count, extremes and sum read off the
-    /// sorted column, then the same arithmetic.
+    /// [`class_stats`] of `class`: count, sum and extremes kept by the
+    /// walk, then the same arithmetic.
     pub fn stats(&self, class: EventClass) -> EventStats {
-        let column = &self.sorted[class as usize];
-        match (column.first(), column.last()) {
-            (Some(&min), Some(&max)) => EventStats::from_moments(
-                column.len() as u64,
-                self.totals[class as usize],
-                min,
-                max,
-                self.wall,
-            ),
-            _ => EventStats::empty(),
+        let column = &self.columns[class as usize];
+        if column.count == 0 {
+            return EventStats::empty();
         }
+        EventStats::from_moments(
+            column.count,
+            column.total,
+            column.min,
+            column.max,
+            self.wall,
+        )
     }
 
     /// Every class's [`ClassColumns::stats`], in [`EventClass::ALL`]
@@ -330,10 +371,11 @@ impl ClassColumns {
             .collect()
     }
 
-    /// The histogram half of [`class_histogram`], binned straight from
-    /// the sorted column.
+    /// The histogram half of [`class_histogram`], binned from the
+    /// class's sorted column (sorted here on the class's first
+    /// histogram).
     pub fn histogram(&self, class: EventClass, bins: usize, pct: f64) -> Histogram {
-        Histogram::from_sorted(&self.sorted[class as usize], bins, pct)
+        Histogram::from_sorted(self.columns[class as usize].sorted(), bins, pct)
     }
 
     /// The Fig 3 breakdown of the task set: equal to

@@ -12,15 +12,16 @@ fn main() {
 
     match fig2_interruption(&exp) {
         Some(i) => {
+            let components = exp.analysis.components(i);
             println!("== Fig 2b: one interruption, decomposed ==");
             println!(
                 "interval [{}, {}] total {} (noise {})",
                 i.start,
                 i.end,
                 i.duration(),
-                i.noise()
+                components.noise()
             );
-            for (c, d) in &i.components {
+            for (c, d) in components {
                 println!("  {c:?} = {d}");
             }
         }

@@ -12,7 +12,7 @@ fn main() {
     for tid in &run.ranks {
         if let Some(tn) = run.analysis.tasks.get(tid) {
             for i in &tn.interruptions {
-                for (c, d) in &i.components {
+                for (c, d) in tn.components(i) {
                     if matches!(c, Component::Preemption { .. }) {
                         preemptions.push((i.start, *d));
                     }

@@ -21,6 +21,10 @@
 //! * **Memory** — the reader's chunk-residency proxy (peak resident
 //!   chunks × chunk capacity × record size) against the materialized
 //!   trace footprint.
+//! * **Faults** — `streamed_minor_faults`, the process's minor page
+//!   faults during the fastest streamed rep (field 10 of
+//!   `/proc/self/stat`, read just outside the timed region); the field
+//!   is left out where that file cannot be read.
 //!
 //! Knobs: `OSN_SECS` (default 10), `OSN_REPS` (default 3), `OSN_SEED`.
 
@@ -66,7 +70,9 @@ struct Report {
     seed: u64,
     reps: usize,
     chunk_capacity: usize,
-    apps: Vec<AppRow>,
+    /// Each [`AppRow`], plus `streamed_minor_faults` after
+    /// `streamed_analyze_s` where it could be read.
+    apps: Vec<serde::Value>,
     aggregate_write_mb_per_sec: f64,
     /// Sum of streamed times over sum of *from-file* in-memory times
     /// (both sides pay open + decode + checksum; streamed does
@@ -93,6 +99,39 @@ fn scratch(app: App, tag: &str) -> PathBuf {
         app.name(),
         std::process::id()
     ))
+}
+
+/// The process's minor page faults so far: field 10 of
+/// `/proc/self/stat`, counted from after the last `)` because the
+/// command name may hold spaces. `None` where the file cannot be read
+/// or parsed.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let fields = &stat[stat.rfind(')')? + 1..];
+    // The text after the command name starts at field 3.
+    fields.split_whitespace().nth(10 - 3)?.parse().ok()
+}
+
+/// `row` as JSON with `faults` placed after `streamed_analyze_s`, or
+/// without that field when the count is unknown.
+fn row_value(row: &AppRow, faults: Option<u64>) -> serde::Value {
+    let serde::Value::Map(mut fields) = serde::Serialize::to_value(row) else {
+        panic!("a row serializes to a map");
+    };
+    if let Some(faults) = faults {
+        let at = fields
+            .iter()
+            .position(|(k, _)| k == "streamed_analyze_s")
+            .map_or(fields.len(), |i| i + 1);
+        fields.insert(
+            at,
+            (
+                "streamed_minor_faults".to_string(),
+                serde::Value::U64(faults),
+            ),
+        );
+    }
+    serde::Value::Map(fields)
 }
 
 fn main() {
@@ -137,7 +176,8 @@ fn main() {
         let in_memory_json = serde_json::to_vec(&in_memory_report).expect("serializable");
         // Each timed closure returns what it allocated, so that it is
         // freed outside the timed region.
-        let (streamed_analyze_s, peak_resident) = best_of(reps, || {
+        let (streamed_analyze_s, (peak_resident, streamed_minor_faults)) = best_of(reps, || {
+            let before = minor_faults();
             let (s, (reader, report, _analysis)) = timed(|| {
                 let reader = store::Reader::open(&path).expect("open");
                 let (meta, analysis) = store::analyze_store(&reader).expect("analyze");
@@ -149,13 +189,14 @@ fn main() {
                 );
                 (reader, report, analysis)
             });
+            let faults = before.zip(minor_faults()).map(|(a, b)| b.saturating_sub(a));
             assert_eq!(
                 serde_json::to_vec(&report).expect("serializable"),
                 in_memory_json,
                 "{}: streamed report differs from in-memory",
                 app.name()
             );
-            (s, reader.stats().peak_resident)
+            (s, (reader.stats().peak_resident, faults))
         });
         // From-file in-memory baseline: materialize the trace from the
         // same store, then run the resident engine — the `load_run`
@@ -264,7 +305,7 @@ fn main() {
         tot_stream += streamed_analyze_s;
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&raw_path);
-        apps.push(row);
+        apps.push(row_value(&row, streamed_minor_faults));
     }
 
     let compression_def = "memory_bytes / file_bytes (in-memory event footprint over \

@@ -323,7 +323,7 @@ fn cmd_ftq(args: &Args) -> Result<(), Error> {
     );
     if let Some(i) = fig2_interruption(&exp) {
         println!("\nlargest composite interruption (Fig 2b):");
-        for (c, d) in &i.components {
+        for (c, d) in exp.analysis.components(i) {
             println!("  {c:?} = {d}");
         }
     }

@@ -6,7 +6,7 @@ use osn_analysis::chart::NoiseChart;
 use osn_analysis::disambiguate::{
     composite_interruptions, confusable_pairs, Composite, ConfusablePair,
 };
-use osn_analysis::noise::{Interruption, NoiseAnalysis};
+use osn_analysis::noise::{Components, Interruption, NoiseAnalysis};
 use osn_ftq::series::{FtqComparison, FtqSeries};
 use osn_ftq::sim::{series_from_trace, FtqParams, FtqWorkload};
 use osn_kernel::config::NodeConfig;
@@ -77,20 +77,22 @@ pub fn fig1_config(samples: u32) -> (FtqParams, NodeConfig) {
 pub fn fig2_interruption(exp: &FtqExperiment) -> Option<&Interruption> {
     use osn_analysis::noise::Component;
     use osn_kernel::activity::Activity;
-    let interruptions = &exp.analysis.tasks.get(&exp.ftq_tid)?.interruptions;
+    let tn = exp.analysis.tasks.get(&exp.ftq_tid)?;
+    let interruptions = &tn.interruptions;
     let preempted = interruptions
         .iter()
         .filter(|i| {
-            i.contains_activity(Activity::TimerInterrupt)
-                && i.components
+            let components = tn.components(i);
+            components.contains_activity(Activity::TimerInterrupt)
+                && components
                     .iter()
                     .any(|(c, _)| matches!(c, Component::Preemption { .. }))
         })
-        .max_by_key(|i| i.components.len());
+        .max_by_key(|i| tn.components(i).len());
     preempted.or_else(|| {
         interruptions
             .iter()
-            .filter(|i| i.components.len() >= 3)
+            .filter(|i| tn.components(i).len() >= 3)
             .max_by_key(|i| i.duration())
     })
 }
@@ -98,7 +100,7 @@ pub fn fig2_interruption(exp: &FtqExperiment) -> Option<&Interruption> {
 /// §V-B / Fig 9: quanta whose single FTQ spike hides multiple distinct
 /// event classes *within one interruption*.
 pub fn fig9_composites(exp: &FtqExperiment) -> Vec<Composite> {
-    let interruptions = exp.analysis.interruptions_of(&[exp.ftq_tid]);
+    let interruptions = with_components(&exp.analysis, &[exp.ftq_tid]);
     composite_interruptions(&interruptions, 2)
 }
 
@@ -125,8 +127,9 @@ pub fn fig9_quantum_composites(
             if idx >= nq {
                 continue;
             }
-            if let Some(class) = dominant_class(i) {
-                per_quantum[idx].push((class, i.noise()));
+            let components = tn.components(i);
+            if let Some(class) = dominant_class(components) {
+                per_quantum[idx].push((class, components.noise()));
             }
         }
     }
@@ -137,10 +140,23 @@ pub fn fig9_quantum_composites(
         .collect()
 }
 
+/// The interruptions of `tids` in time order
+/// ([`NoiseAnalysis::interruptions_of`]), each with its components.
+fn with_components<'a>(
+    analysis: &'a NoiseAnalysis,
+    tids: &[Tid],
+) -> Vec<(&'a Interruption, Components<'a>)> {
+    analysis
+        .interruptions_of(tids)
+        .into_iter()
+        .map(|i| (i, analysis.components(i)))
+        .collect()
+}
+
 /// §V-A / Fig 10: near-identical interruptions with different causes
 /// in an application run.
 pub fn fig10_pairs(run: &AppRun, tolerance: Nanos, limit: usize) -> Vec<ConfusablePair> {
-    let interruptions = run.analysis.interruptions_of(&run.ranks);
+    let interruptions = with_components(&run.analysis, &run.ranks);
     confusable_pairs(&interruptions, tolerance, limit)
 }
 

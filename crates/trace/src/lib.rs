@@ -36,5 +36,5 @@ pub mod wire;
 
 pub use columns::EventColumns;
 pub use event::{Event, EventKind, Trace};
-pub use merge::{merge_by_key, merge_streams};
+pub use merge::{merge_by_key, merge_streams, merge_streams_into};
 pub use session::{EventMask, EventSink, SpillSession, TraceSession, Tracer};

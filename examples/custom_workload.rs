@@ -69,7 +69,11 @@ fn main() {
     let analysis = NoiseAnalysis::analyze(&trace, &result.tasks, result.end_time);
 
     let tn = &analysis.tasks[&tid];
-    let durations: Vec<Nanos> = tn.interruptions.iter().map(|i| i.noise()).collect();
+    let durations: Vec<Nanos> = tn
+        .interruptions
+        .iter()
+        .map(|i| tn.components(i).noise())
+        .collect();
     println!(
         "kv_server: {} interruptions, {} total noise",
         durations.len(),

@@ -13,9 +13,9 @@
 #   lint   fmt, clippy, doc lint, shellcheck
 #   test   unit/integration tests, vendored serde/serde_json tests,
 #          doc tests
-#   smoke  release-profile end-to-end: tiered cluster, engine
-#          determinism, serve daemon, native capture, the benchmark
-#          package's own tests (plus the bench gate when
+#   smoke  release-profile end-to-end: tiered cluster, engine and
+#          analysis determinism, serve daemon, native capture, the
+#          benchmark package's own tests (plus the bench gate when
 #          OSN_BENCH_GATE=1)
 #
 # Clippy and the doc lint run over the first-party crates and the
@@ -129,6 +129,19 @@ engine_determinism() {
     OSN_SECS=1 OSN_REPS=1 target/release/engine_throughput
 }
 
+# The release-profile analysis oracles (a few seconds):
+# analysis_throughput asserts on every rep that the engine's report
+# bytes equal the reference engine's, and store_throughput, with
+# 256-record chunks so that pairing resumes across many chunk
+# boundaries, that the streamed report equals the in-memory one. Both
+# write their numbers under target/bench/ only, so the committed
+# BENCH_PR*.json files stay as they are.
+analysis_determinism() {
+    cargo build -q --release --offline -p osn-bench --bin analysis_throughput --bin store_throughput
+    OSN_SECS=1 OSN_REPS=1 target/release/analysis_throughput
+    OSN_SECS=1 OSN_REPS=1 OSN_CHUNK_CAP=256 target/release/store_throughput
+}
+
 # Native-capture smoke, release profile: `osnoise capture` on THIS
 # runner must produce a .osn that analyze/info/serve consume
 # unchanged, with byte-consistent reports across consumers
@@ -207,6 +220,7 @@ test_steps() {
 smoke_steps() {
     run_step tier-smoke tier_smoke
     run_step engine-determinism engine_determinism
+    run_step analysis-determinism analysis_determinism
     # End-to-end daemon smoke, release profile: spawn `osnoise serve`
     # on an ephemeral port, drive every endpoint once from the Rust
     # catalog client, and assert the /runs/{id}/report bytes equal

@@ -79,7 +79,7 @@ fn interruption_components_are_additive() {
     for run in campaign() {
         for tid in &run.ranks {
             for i in &run.analysis.tasks[tid].interruptions {
-                let sum: Nanos = i.components.iter().map(|(_, d)| *d).sum();
+                let sum: Nanos = run.analysis.components(i).iter().map(|(_, d)| *d).sum();
                 assert_eq!(
                     sum,
                     i.duration(),
@@ -454,7 +454,9 @@ fn fig7_lammps_preemptions_throughout_the_run() {
     let mut times = Vec::new();
     for tid in &run.ranks {
         for i in &run.analysis.tasks[tid].interruptions {
-            if i.components
+            if run
+                .analysis
+                .components(i)
                 .iter()
                 .any(|(c, _)| matches!(c, Component::Preemption { .. }))
             {
