@@ -177,6 +177,10 @@ fn main() {
                 reference.tasks.get(tid).map(|t| &t.interruptions),
                 "sweep ranks={ranks}: interruptions of {tid} differ"
             );
+            assert!(
+                Some(tn) == reference.tasks.get(tid),
+                "sweep ranks={ranks}: components of {tid} differ"
+            );
         }
 
         let (reference_s, _) = best_of(reps, || timed(|| analyze_reference(&run, &events)));

@@ -60,6 +60,7 @@ fn parallel_engine_matches_sequential_reference() {
             assert_eq!(tn.runnable_time, rn.runnable_time);
             assert_eq!(tn.running_time, rn.running_time);
             assert_eq!(tn.wall, rn.wall);
+            assert!(tn == rn, "{}: components of {tid} differ", run.app.name());
         }
         // Enough work happened for the comparison to mean something.
         assert!(

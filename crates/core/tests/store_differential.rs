@@ -110,6 +110,7 @@ fn streamed_analysis_matches_in_memory() {
             assert_eq!(tn.runnable_time, rn.runnable_time);
             assert_eq!(tn.running_time, rn.running_time);
             assert_eq!(tn.wall, rn.wall);
+            assert!(tn == rn, "{}: components of {tid} differ", run.app.name());
         }
 
         streamed_apps.push(AppReport::from_analysis(
@@ -281,6 +282,7 @@ fn assert_same(a: &NoiseAnalysis, b: &NoiseAnalysis, what: &str) {
         assert_eq!(tn.runnable_time, other.runnable_time, "{what}: {tid:?}");
         assert_eq!(tn.running_time, other.running_time, "{what}: {tid:?}");
         assert_eq!(tn.wall, other.wall, "{what}: {tid:?}");
+        assert!(tn == other, "{what}: components of {tid:?}");
     }
 }
 
